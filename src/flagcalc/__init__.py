@@ -13,7 +13,8 @@ from .context import FlagContext, flag_context
 from .deformed import (DeformedRing, cell_in_stabilizer_orbit, cover_level_identity,
                        dj_profile, dj_profile_at_cover, stabilizer_simple_roots)
 from .levi import LeviSystem, hom_dimension, invariant_dimension, levi_system
-from .roots import ParabolicData, RootSystem, build, parabolic, rho_levi, weyl_order
+from .roots import (ExactnessError, ParabolicData, RootSystem, build, parabolic, rho_levi,
+                    weyl_order)
 from .schubert import (CohomClass, CupRing, MultiPoly, SchubertEngine,
                        bgg_representatives)
 from .weyl import CosetTable, WeylElement, WeylGroup, dual_rep, group, minimal_coset_reps
@@ -25,7 +26,8 @@ __all__ = [
     "DeformedRing", "cell_in_stabilizer_orbit", "cover_level_identity",
     "dj_profile", "dj_profile_at_cover", "stabilizer_simple_roots",
     "LeviSystem", "hom_dimension", "invariant_dimension", "levi_system",
-    "ParabolicData", "RootSystem", "build", "parabolic", "rho_levi", "weyl_order",
+    "ExactnessError", "ParabolicData", "RootSystem", "build", "parabolic", "rho_levi",
+    "weyl_order",
     "CohomClass", "CupRing", "MultiPoly", "SchubertEngine", "bgg_representatives",
     "CosetTable", "WeylElement", "WeylGroup", "dual_rep", "group", "minimal_coset_reps",
     "__version__",

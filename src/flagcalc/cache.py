@@ -1,8 +1,10 @@
 """Deterministic JSON serialisation and the on-disk structure-constant cache.
 
 Cache files are keyed by a content hash of (type, rank, crossed nodes) and
-carry a schema version; anything that does not match is ignored and
-recomputed, never trusted.  Integers beyond 2^53-1 are rendered as decimal
+carry a schema version and the sha256 of their entries; a file whose header
+or digest does not match is ignored and recomputed, never trusted.  Files
+are written to a temporary name and renamed into place, so a reader never
+sees a half-written table.  Integers beyond 2^53-1 are rendered as decimal
 strings so the files stay readable by double-precision JSON parsers.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from pathlib import Path
 
 SCHEMA_VERSION = 1
@@ -53,6 +56,10 @@ def table_path(R, crossed):
     return cache_dir() / f"table-{R.type_letter}{R.rank}-{_table_key(R, crossed)}.json"
 
 
+def _entries_digest(entries):
+    return hashlib.sha256(canonical_json(entries).encode()).hexdigest()
+
+
 def save_table(ring):
     """Persist every structure-constant row the ring has computed so far."""
     R = ring.system
@@ -67,15 +74,24 @@ def save_table(ring):
            "group": f"{R.type_letter}{R.rank}",
            "levi_simple": sorted(ring.parabolic.levi_simple),
            "crossed": sorted(crossed),
-           "entries": entries}
+           "entries": entries,
+           "entries_sha256": _entries_digest(entries)}
     path = table_path(R, crossed)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(canonical_json(doc))
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(canonical_json(doc))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 
 def load_table(ring):
-    """Warm the ring's product cache from disk; silently skips mismatches."""
+    """Warm the ring's product cache from disk; silently skips a file whose
+    header or entries digest does not match."""
     R = ring.system
     path = table_path(R, list(ring.parabolic.crossed))
     if not path.exists():
@@ -84,9 +100,11 @@ def load_table(ring):
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError):
         return 0
-    if (doc.get("schema_version") != SCHEMA_VERSION
+    if (not isinstance(doc, dict)
+            or doc.get("schema_version") != SCHEMA_VERSION
             or doc.get("group") != f"{R.type_letter}{R.rank}"
-            or doc.get("levi_simple") != sorted(ring.parabolic.levi_simple)):
+            or doc.get("levi_simple") != sorted(ring.parabolic.levi_simple)
+            or doc.get("entries_sha256") != _entries_digest(doc.get("entries", []))):
         return 0
     ct = ring.ct
     rows = {}

@@ -3,7 +3,7 @@ stabilizers, and the x_P-eigenlevel dimension profiles of shifted tangent
 spaces.
 
 The character chi_w attached to w in W^P is computed by both of its defining
-expressions and the two are asserted equal:
+expressions and the two are checked equal (ExactnessError otherwise):
 
     chi_w = sum of (R+ \\ R_l+) cap w^{-1} R+        (root-sum form)
     chi_w = rho - 2 rho^L + w^{-1} rho               (closed form)
@@ -15,9 +15,9 @@ A structure constant survives the deformation exactly when the chi-defect
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .schubert import CohomClass, CupRing
+from .roots import ExactnessError
+from .schubert import CupRing, SchubertBasisRing
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class StabilizerData:
     delta_qw: frozenset    # nodes i with alpha_i in Delta(Q_w)
 
 
-class DeformedRing:
+class DeformedRing(SchubertBasisRing):
     """Deformed-product layer over a CupRing for one (G, P)."""
 
     def __init__(self, ring: CupRing):
@@ -80,8 +80,8 @@ class DeformedRing:
         # closed form rho - 2 rho^L + w^{-1} rho
         winv_rho = ct.wg.inv_act_weight(w, R.rho)
         closed = tuple(R.rho[j] - 2 * P.rho_levi[j] + winv_rho[j] for j in range(n))
-        assert tuple(Fraction(x) for x in closed) == tuple(Fraction(x) for x in fund), \
-            "chi expressions disagree (convention bug)"
+        if closed != fund:
+            raise ExactnessError("chi expressions disagree (convention bug)")
         levi = tuple(fund[i - 1] for i in sorted(P.levi_simple))
         out = ChiCharacter(weight=fund, root_coords=root_coords, owner=w, levi_coords=levi)
         self._chi[w] = out
@@ -95,45 +95,12 @@ class DeformedRing:
     # -- deformed multiplication ----------------------------------------------
 
     def row(self, u, v):
-        ct = self.ct
-        u, v = ct.canonical(u), ct.canonical(v)
-        if ct.index[v] < ct.index[u]:
-            u, v = v, u
-        key = (u, v)
+        key = self._pair(u, v)
         if key not in self._rows:
+            u, v = key
             self._rows[key] = {w: c for w, c in self.ring.row(u, v).items()
                                if self.chi_defect_vanishes(u, v, w)}
         return self._rows[key]
-
-    def structure_constant(self, u, v, w):
-        ct = self.ct
-        w = ct.canonical(w)
-        if ct.codim(u) + ct.codim(v) != ct.codim(w):
-            return 0
-        return self.row(u, v).get(w, 0)
-
-    def cup(self, a: CohomClass, b: CohomClass):
-        out = {}
-        for u, cu in a.coeffs.items():
-            for v, cv in b.coeffs.items():
-                for w, c in self.row(u, v).items():
-                    out[w] = out.get(w, 0) + cu * cv * c
-        return CohomClass(self.ring, out)
-
-    def product(self, ws):
-        cls = self.ring.basis(ws[0])
-        for w in ws[1:]:
-            cls = self.cup(cls, self.ring.basis(w))
-        return cls
-
-    def top_coefficient(self, ws):
-        """Coefficient of [X_e] in the iterated deformed product."""
-        if len(ws) < 2:
-            raise ValueError("need at least two classes")
-        if sum(w.length for w in ws) != (len(ws) - 1) * self.parabolic.dim_gp:
-            return 0
-        e = self.ct.elements[0]
-        return self.product(list(ws)).coefficient(e)
 
     def is_levi_movable(self, ws):
         """Numeric criterion: expected total degree and nonzero deformed top."""

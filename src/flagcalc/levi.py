@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .deformed import DeformedRing
-from .roots import RootSystem
+from .roots import ExactnessError, RootSystem
 from .weyl import WeylGroup
 
 
@@ -95,7 +95,8 @@ class LeviSystem:
         out = Fraction(1)
         for beta in R.positive_roots:
             out *= Fraction(R.coroot_pairing(lr, beta), R.coroot_pairing(self.rho, beta))
-        assert out.denominator == 1
+        if out.denominator != 1:
+            raise ExactnessError(f"noninteger Weyl dimension {out} (convention bug)")
         return int(out)
 
     def dominant_weight_multiplicities(self, lam):
@@ -143,7 +144,8 @@ class LeviSystem:
             mu_rho = tuple(x + 1 for x in mu)
             denom = norm_top - self.weight_inner(mu_rho, mu_rho)
             val = 2 * acc / denom
-            assert val.denominator == 1 and val >= 0
+            if val.denominator != 1 or val < 0:
+                raise ExactnessError(f"Freudenthal multiplicity {val} (convention bug)")
             if val:
                 mults[mu] = int(val)
         self._dom_mults[lam] = mults
@@ -198,7 +200,8 @@ class LeviSystem:
                 target = tuple(x - 1 for x in dom)
                 out[target] = out.get(target, 0) + sign * m
         out = {nu: c for nu, c in out.items() if c}
-        assert all(c > 0 for c in out.values()), "negative tensor multiplicity"
+        if any(c < 0 for c in out.values()):
+            raise ExactnessError("negative tensor multiplicity (convention bug)")
         self._tensor[key] = out
         return out
 

@@ -36,25 +36,18 @@ WEYL_ORDER_FORMULA = {
 }
 
 
+class ExactnessError(AssertionError):
+    """An exactness invariant failed: an inexact division, a noninteger or
+    negative count, or two formulas that must agree did not.  Raised by an
+    explicit check, so it also fires under ``python -O``."""
+
+
 # ---------------------------------------------------------------------------
 # small exact linear algebra on tuple matrices
 
 
-def mat_mul(a, b):
-    n, m = len(a), len(b[0])
-    k = len(b)
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
-
-
 def mat_vec(a, v):
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
-
-
-def identity_matrix(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def mat_inverse(a):
@@ -203,8 +196,6 @@ class RootSystem:
             tuple(self.symmetrizers[i] * self.cartan[i][j] for j in range(n))
             for i in range(n)
         )
-        self._fund_refl = [None] * n
-        self._root_refl = [None] * n
 
     # -- basis conversions --------------------------------------------------
 
@@ -249,30 +240,6 @@ class RootSystem:
     def is_root(self, beta):
         b = tuple(beta)
         return b in self._posroot_set or tuple(-x for x in b) in self._posroot_set
-
-    # -- reflections ---------------------------------------------------------
-
-    def fund_reflection(self, i):
-        """Matrix of s_i on fundamental coordinates (1-based i)."""
-        if self._fund_refl[i - 1] is None:
-            n = self.rank
-            col = tuple(self.cartan[k][i - 1] for k in range(n))
-            self._fund_refl[i - 1] = tuple(
-                tuple(int(k == j) - col[k] * int(j == i - 1) for j in range(n))
-                for k in range(n)
-            )
-        return self._fund_refl[i - 1]
-
-    def root_reflection(self, i):
-        """Matrix of s_i on simple-root coordinates (1-based i)."""
-        if self._root_refl[i - 1] is None:
-            n = self.rank
-            row = self.cartan[i - 1]
-            self._root_refl[i - 1] = tuple(
-                tuple(int(k == j) - row[j] * int(k == i - 1) for j in range(n))
-                for k in range(n)
-            )
-        return self._root_refl[i - 1]
 
     def sub_system(self, nodes):
         """Root subsystem generated by a subset of simple roots (1-based)."""

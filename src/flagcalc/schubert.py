@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .roots import weyl_order
+from .roots import ExactnessError, weyl_order
 from .weyl import group, minimal_coset_reps
 
 # polynomials are dicts {exponent tuple: coefficient}; no zero values stored.
@@ -80,13 +80,15 @@ def pmul_linear(f, form):
 
 
 def divide_linear(f, form):
-    """Exact division of f by a 1- or 2-term linear form; asserts exactness."""
+    """Exact division of f by a 1- or 2-term linear form; raises
+    ExactnessError when the division leaves a remainder."""
     items = sorted(form.items())
     if len(items) == 1:
         (p, cp), = items
         out = {}
         for m, c in f.items():
-            assert m[p] >= 1 and c % cp == 0, "inexact division (convention bug)"
+            if m[p] < 1 or c % cp:
+                raise ExactnessError("inexact division (convention bug)")
             out[tuple(e - 1 if k == p else e for k, e in enumerate(m))] = c // cp
         return out
     (p, cp), (q, cq) = items
@@ -106,11 +108,13 @@ def divide_linear(f, form):
             else:
                 rk.pop(mm, None)
         if k == 0:
-            assert not rk, "inexact division (convention bug)"
+            if rk:
+                raise ExactnessError("inexact division (convention bug)")
             break
         cur = {}
         for m, c in rk.items():
-            assert c % cp == 0, "inexact division (convention bug)"
+            if c % cp:
+                raise ExactnessError("inexact division (convention bug)")
             cur[m] = c // cp
         for m, c in cur.items():
             out[tuple(k - 1 if t == p else e for t, e in enumerate(m))] = c
@@ -231,6 +235,24 @@ class Realization:
         return divide_linear(psub(f, self.s_apply(i0, f)), self.alpha_forms[i0])
 
 
+def walk_down(wg, table, w, ddiff):
+    """table[w], filling the table on the way: climb from w by the smallest
+    right ascent until an entry is found, then apply ddiff(i0, f) back down."""
+    if w in table:
+        return table[w]
+    stack = []  # (element, ascent letter): cur = element * s_letter
+    cur = w
+    while cur not in table:
+        i = next(i for i in range(1, wg.system.rank + 1) if not wg.descends_right(cur, i))
+        stack.append((cur, i))
+        cur = wg.right_gen(cur, i)
+    f = table[cur]
+    for below, i in reversed(stack):
+        f = ddiff(i - 1, f)
+        table[below] = f
+    return f
+
+
 class SchubertEngine:
     """Scaled representative table and coefficient extraction for one W."""
 
@@ -240,26 +262,11 @@ class SchubertEngine:
         self.realization = Realization(R)
         seed, scale = self.realization.seed()
         self.scale = scale
-        self.w0 = self.wg.longest()
-        self._table = {self.w0: seed}
+        self._table = {self.wg.longest(): seed}
 
     def rep(self, w):
         """scale * (representative of the codim-ell(w) class indexed by w)."""
-        table = self._table
-        if w in table:
-            return table[w]
-        stack = []  # (element, ascent letter): cur = element * s_letter
-        cur = w
-        while cur not in table:
-            i = next(i for i in range(1, self.system.rank + 1)
-                     if not self.wg.descends_right(cur, i))
-            stack.append((cur, i))
-            cur = self.wg.right_gen(cur, i)
-        f = table[cur]
-        for below, i in reversed(stack):
-            f = self.realization.ddiff(i - 1, f)
-            table[below] = f
-        return f
+        return walk_down(self.wg, self._table, w, self.realization.ddiff)
 
     def extract(self, w, f):
         """Coefficient of the class of w in scale * f, as an exact integer.
@@ -275,13 +282,9 @@ class SchubertEngine:
         if not f:
             return 0
         const = tuple(0 for _ in range(self.realization.nvars))
-        assert set(f) == {const}, "nonconstant extraction (degree mismatch)"
+        if set(f) != {const}:
+            raise ExactnessError("nonconstant extraction (degree mismatch)")
         return f[const]
-
-    def prune(self, keep):
-        """Drop cached representatives outside `keep` (frees the big ones)."""
-        keep = set(keep) | {self.w0}
-        self._table = {w: f for w, f in self._table.items() if w in keep}
 
 
 class MultiPoly:
@@ -360,26 +363,13 @@ class ReferenceBGG:
         g = psub(f, self._s_apply(i0, f))
         out = {}
         for m, c in g.items():
-            assert m[i0] >= 1, "inexact division (convention bug)"
+            if m[i0] < 1:
+                raise ExactnessError("inexact division (convention bug)")
             out[tuple(e - 1 if k == i0 else e for k, e in enumerate(m))] = c
         return out
 
     def rep(self, w):
-        table = self._table
-        if w in table:
-            return table[w]
-        stack = []
-        cur = w
-        while cur not in table:
-            i = next(i for i in range(1, self.system.rank + 1)
-                     if not self.wg.descends_right(cur, i))
-            stack.append((cur, i))
-            cur = self.wg.right_gen(cur, i)
-        f = table[cur]
-        for below, i in reversed(stack):
-            f = self.ddiff(i - 1, f)
-            table[below] = f
-        return f
+        return walk_down(self.wg, self._table, w, self.ddiff)
 
 
 def bgg_representatives(R, elements=None):
@@ -430,61 +420,21 @@ class CohomClass:
         return " + ".join(bits)
 
 
-class CupRing:
-    """Schubert-basis multiplication in H*(G/P, Z) for one (G, P)."""
+class SchubertBasisRing:
+    """Products in the Schubert basis of H*(G/P) for one (G, P).
 
-    def __init__(self, R, P):
-        self.system = R
-        self.parabolic = P
-        self.ct = minimal_coset_reps(R, P)
-        self.engine = SchubertEngine(R)
-        self._rows = {}
+    Subclasses supply row(u, v) = {w: c^w_{u,v}}; everything else here is
+    built from it.
+    """
+
+    def _pair(self, u, v):
+        """The canonical ordered pair (u, v) with index[u] <= index[v]."""
+        ct = self.ct
+        u, v = ct.canonical(u), ct.canonical(v)
+        return (v, u) if ct.index[v] < ct.index[u] else (u, v)
 
     def basis(self, w):
         return CohomClass(self, {self.ct.canonical(w): 1})
-
-    @property
-    def unit(self):
-        return self.basis(self.ct.longest)
-
-    def point(self):
-        return self.basis(self.ct.elements[0])
-
-    def row(self, u, v):
-        """{w: c^w_{u,v}} over w in W^P; exact nonnegative integers."""
-        ct = self.ct
-        u, v = ct.canonical(u), ct.canonical(v)
-        if ct.index[v] < ct.index[u]:
-            u, v = v, u
-        key = (u, v)
-        if key in self._rows:
-            return self._rows[key]
-        eng = self.engine
-        target = ct.codim(u) + ct.codim(v)
-        out = {}
-        if target <= self.parabolic.dim_gp:
-            f = pmul(eng.rep(ct.dual[u]), eng.rep(ct.dual[v]))
-            sc2 = eng.scale * eng.scale
-            for w in ct.by_length.get(self.parabolic.dim_gp - target, []):
-                raw = eng.extract(ct.dual[w], f)
-                c, r = divmod(raw, sc2)
-                assert r == 0, "noninteger structure constant (convention bug)"
-                assert c >= 0, "negative structure constant (convention bug)"
-                if c:
-                    out[w] = c
-        self._rows[key] = out
-        return out
-
-    def set_row(self, u, v, row):
-        """Seed the product cache (disk-cache warm-up); idempotent."""
-        ct = self.ct
-        u, v = ct.canonical(u), ct.canonical(v)
-        if ct.index[v] < ct.index[u]:
-            u, v = v, u
-        self._rows.setdefault((u, v), dict(row))
-
-    def known_rows(self):
-        return dict(self._rows)
 
     def structure_constant(self, u, v, w):
         ct = self.ct
@@ -507,12 +457,63 @@ class CupRing:
             cls = self.cup(cls, self.basis(w))
         return cls
 
-    def intersection_number(self, ws):
-        """Coefficient of [X_e] in the product of the [X_{w_i}]; 0 unless the
-        lengths sum to (s-1) dim G/P."""
+    def top_coefficient(self, ws):
+        """Coefficient of [X_e] in the iterated product; 0 unless the lengths
+        sum to (s-1) dim G/P."""
         if len(ws) < 2:
             raise ValueError("need at least two classes")
         if sum(w.length for w in ws) != (len(ws) - 1) * self.parabolic.dim_gp:
             return 0
-        e = self.ct.elements[0]
-        return self.product(list(ws)).coefficient(e)
+        return self.product(list(ws)).coefficient(self.ct.elements[0])
+
+
+class CupRing(SchubertBasisRing):
+    """Schubert-basis multiplication in H*(G/P, Z) for one (G, P)."""
+
+    def __init__(self, R, P):
+        self.system = R
+        self.parabolic = P
+        self.ct = minimal_coset_reps(R, P)
+        self.engine = SchubertEngine(R)
+        self._rows = {}
+
+    @property
+    def unit(self):
+        return self.basis(self.ct.longest)
+
+    def point(self):
+        return self.basis(self.ct.elements[0])
+
+    def row(self, u, v):
+        """{w: c^w_{u,v}} over w in W^P; exact nonnegative integers."""
+        key = self._pair(u, v)
+        if key in self._rows:
+            return self._rows[key]
+        u, v = key
+        ct = self.ct
+        eng = self.engine
+        target = ct.codim(u) + ct.codim(v)
+        out = {}
+        if target <= self.parabolic.dim_gp:
+            f = pmul(eng.rep(ct.dual[u]), eng.rep(ct.dual[v]))
+            sc2 = eng.scale * eng.scale
+            for w in ct.by_length.get(self.parabolic.dim_gp - target, []):
+                raw = eng.extract(ct.dual[w], f)
+                c, r = divmod(raw, sc2)
+                if r:
+                    raise ExactnessError("noninteger structure constant (convention bug)")
+                if c < 0:
+                    raise ExactnessError("negative structure constant (convention bug)")
+                if c:
+                    out[w] = c
+        self._rows[key] = out
+        return out
+
+    def set_row(self, u, v, row):
+        """Seed the product cache (disk-cache warm-up); idempotent."""
+        self._rows.setdefault(self._pair(u, v), dict(row))
+
+    def known_rows(self):
+        return dict(self._rows)
+
+    intersection_number = SchubertBasisRing.top_coefficient

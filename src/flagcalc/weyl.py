@@ -1,54 +1,49 @@
 """Weyl group elements, minimal coset representatives and Bruhat covers.
 
-Elements are canonically the integer matrix of their action on the weight
-lattice in fundamental coordinates; reduced words are certificates only.
-All words are 1-based simple-root indices.
+An element w is identified by the integer vector w(rho) in fundamental
+coordinates (the regular orbit of rho, as in LiE): W acts freely on that
+orbit, so the vector decides equality and hashing.  The canonical reduced
+word is read off it by greedy left descents (smallest i with <w rho,
+alpha_i^vee> < 0 first), which is the lexicographically smallest reduced
+word; w^{-1}(rho) is collected along the same loop.  Everything else applies
+one simple reflection at a time along the word.  All words are 1-based
+simple-root indices.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
-from .roots import RootSystem, identity_matrix, mat_mul, mat_vec
+from .roots import RootSystem
 
 
 class WeylElement:
     """One Weyl group element.
 
-    mf / mr: action on fundamental / simple-root coordinates.
-    mfi / mri: the same for the inverse element.
+    key = w(rho) and inv = w^{-1}(rho), both in fundamental coordinates.
     """
 
-    __slots__ = ("mf", "mr", "mfi", "mri", "length", "word", "_sk")
+    __slots__ = ("key", "inv", "length", "word", "_sk")
 
-    def __init__(self, mf, mr, mfi, mri, length, word, sk):
-        self.mf = mf
-        self.mr = mr
-        self.mfi = mfi
-        self.mri = mri
+    def __init__(self, key, inv, length, word, sk):
+        self.key = key
+        self.inv = inv
         self.length = length
         self.word = word
         self._sk = sk
 
     def __eq__(self, other):
-        return isinstance(other, WeylElement) and self._sk == other._sk and self.mf == other.mf
+        return (isinstance(other, WeylElement) and self.key == other.key
+                and self._sk == other._sk)
 
     def __hash__(self):
-        return hash((self._sk, self.mf))
+        return hash(self.key)
 
     def __repr__(self):
         return f"w[{','.join(map(str, self.word)) or 'e'}]"
 
     def word_str(self):
         return ",".join(map(str, self.word))
-
-
-def _is_negative(vec):
-    for x in vec:
-        if x:
-            return x < 0
-    return False
 
 
 class WeylGroup:
@@ -58,132 +53,140 @@ class WeylGroup:
         self.system = R
         self._sk = (R.label, R.cartan)
         n = R.rank
-        self.gens_f = [R.fund_reflection(i) for i in range(1, n + 1)]
-        self.gens_r = [R.root_reflection(i) for i in range(1, n + 1)]
-        eye = identity_matrix(n)
-        self.identity = WeylElement(eye, eye, eye, eye, 0, (), self._sk)
+        # alpha_i in fundamental coordinates is column i of the Cartan matrix
+        self._alpha_fund = [tuple(R.cartan[k][i] for k in range(n)) for i in range(n)]
+        # beta -> (coefficients of beta^vee in the simple coroots, beta in fund coords)
+        self._coroots = {
+            beta: (tuple(R.coroot_pairing(tuple(int(k == j) for k in range(n)), beta)
+                         for j in range(n)),
+                   R.fund_of_root(beta))
+            for beta in R.positive_roots
+        }
+        self.identity = WeylElement(R.rho, R.rho, 0, (), self._sk)
         self._coset_tables = {}
         self._all = None
         self._bruhat_memo = {}
 
-    # -- elementary operations ----------------------------------------------
+    # -- simple reflections ----------------------------------------------------
 
-    def _element(self, mf, mr, mfi, mri):
-        length = self.length_of(mr)
-        word = self.reduced_word_of(mr, mri)
-        return WeylElement(mf, mr, mfi, mri, length, word, self._sk)
+    def _reflect(self, f, i0):
+        """s_{i0+1} on a weight in fundamental coordinates: f - f_i alpha_i."""
+        c = f[i0]
+        if not c:
+            return f
+        return tuple(x - c * a for x, a in zip(f, self._alpha_fund[i0]))
 
-    def left_gen(self, i, w, length=None):
-        """s_i * w.  If the new length is known, skip recanonicalisation."""
-        mf = mat_mul(self.gens_f[i - 1], w.mf)
-        mr = mat_mul(self.gens_r[i - 1], w.mr)
-        mfi = mat_mul(w.mfi, self.gens_f[i - 1])
-        mri = mat_mul(w.mri, self.gens_r[i - 1])
-        if length is None:
-            return self._element(mf, mr, mfi, mri)
-        return WeylElement(mf, mr, mfi, mri, length, (i,) + w.word, self._sk)
+    def _reflect_root(self, beta, i0):
+        """s_{i0+1} on a root-lattice vector in simple-root coordinates."""
+        row = self.system.cartan[i0]
+        c = sum(a * b for a, b in zip(row, beta))
+        if not c:
+            return beta
+        out = list(beta)
+        out[i0] -= c
+        return tuple(out)
+
+    def reflect(self, f, beta):
+        """s_beta on a weight in fundamental coordinates: f - <f, beta^vee> beta."""
+        coroot, fund = self._coroots[beta]
+        c = sum(a * b for a, b in zip(coroot, f))
+        return tuple(x - c * b for x, b in zip(f, fund))
+
+    # -- elementary operations -------------------------------------------------
+
+    def _element(self, key):
+        """The element with w(rho) = key, its word read off by left descents."""
+        word = []
+        cur, inv = key, self.system.rho
+        while True:
+            for i0, x in enumerate(cur):
+                if x < 0:
+                    break
+            else:
+                return WeylElement(key, inv, len(word), tuple(word), self._sk)
+            word.append(i0 + 1)
+            cur = self._reflect(cur, i0)
+            inv = self._reflect(inv, i0)
+
+    def left_gen(self, i, w):
+        """s_i * w."""
+        return self._element(self._reflect(w.key, i - 1))
 
     def right_gen(self, w, i):
-        mf = mat_mul(w.mf, self.gens_f[i - 1])
-        mr = mat_mul(w.mr, self.gens_r[i - 1])
-        mfi = mat_mul(self.gens_f[i - 1], w.mfi)
-        mri = mat_mul(self.gens_r[i - 1], w.mri)
-        return self._element(mf, mr, mfi, mri)
+        """w * s_i."""
+        return self._element(self.act_weight(w, self._reflect(self.system.rho, i - 1)))
 
     def mul(self, a, b):
-        return self._element(
-            mat_mul(a.mf, b.mf), mat_mul(a.mr, b.mr),
-            mat_mul(b.mfi, a.mfi), mat_mul(b.mri, a.mri),
-        )
+        return self._element(self.act_weight(a, b.key))
 
     def inverse(self, w):
-        return WeylElement(w.mfi, w.mri, w.mf, w.mr, w.length,
-                           tuple(reversed(w.word)), self._sk)
+        return self._element(w.inv)
+
+    def _key_of_word(self, word):
+        """w(rho) for the product of the simple reflections in word."""
+        n = self.system.rank
+        letters = []
+        for i in word:
+            i = int(i)
+            if not 1 <= i <= n:
+                raise ValueError(f"word letter {i} out of range 1..{n}")
+            letters.append(i)
+        f = self.system.rho
+        for i in reversed(letters):
+            f = self._reflect(f, i - 1)
+        return f
 
     def from_word(self, word):
         """Product of simple reflections; the word need not be reduced."""
-        w = self.identity
-        for i in word:
-            i = int(i)
-            if not 1 <= i <= self.system.rank:
-                raise ValueError(f"word letter {i} out of range 1..{self.system.rank}")
-            w = self.right_gen(w, i)
-        return w
+        return self._element(self._key_of_word(word))
 
-    # -- length / words via the root action ----------------------------------
+    # -- actions along the word ------------------------------------------------
 
     def act_root(self, w, beta):
-        return mat_vec(w.mr, beta)
+        beta = tuple(beta)
+        for i in reversed(w.word):
+            beta = self._reflect_root(beta, i - 1)
+        return beta
 
     def act_weight(self, w, f):
-        return mat_vec(w.mf, f)
+        f = tuple(f)
+        for i in reversed(w.word):
+            f = self._reflect(f, i - 1)
+        return f
 
     def inv_act_weight(self, w, f):
-        return mat_vec(w.mfi, f)
-
-    def length_of(self, mr):
-        R = self.system
-        return sum(1 for b in R.positive_roots if _is_negative(mat_vec(mr, b)))
-
-    def send_simple_to_negative(self, mr, i):
-        """True iff w(alpha_i) < 0 for the element with root matrix mr."""
-        return _is_negative(tuple(row[i - 1] for row in mr))
-
-    def reduced_word_of(self, mr, mri=None):
-        """Lexicographically smallest reduced word (greedy left descents)."""
-        n = self.system.rank
-        if mri is None:
-            from .roots import mat_inverse
-            mri = tuple(tuple(int(x) for x in row) for row in mat_inverse(mr))
-        cur, curi = mr, mri
-        word = []
-        eye = identity_matrix(n)
-        while cur != eye:
-            i = next(i for i in range(1, n + 1) if self.send_simple_to_negative(curi, i))
-            word.append(i)
-            cur = mat_mul(self.gens_r[i - 1], cur)
-            curi = mat_mul(curi, self.gens_r[i - 1])
-        return tuple(word)
+        f = tuple(f)
+        for i in w.word:
+            f = self._reflect(f, i - 1)
+        return f
 
     def inversion_set(self, w):
-        """R+ cap w^{-1} R-  =  {beta > 0 : w(beta) < 0};  size ell(w)."""
-        R = self.system
-        return frozenset(b for b in R.positive_roots if _is_negative(mat_vec(w.mr, b)))
+        """R+ cap w^{-1} R-  =  {beta > 0 : <w^{-1} rho, beta^vee> < 0};  size ell(w)."""
+        return frozenset(b for b, (coroot, _) in self._coroots.items()
+                         if sum(a * x for a, x in zip(coroot, w.inv)) < 0)
 
     def descends_right(self, w, i):
         """ell(w s_i) < ell(w), i.e. w(alpha_i) < 0."""
-        return self.send_simple_to_negative(w.mr, i)
+        return w.inv[i - 1] < 0
 
     def ascends_left(self, w, i):
         """ell(s_i w) > ell(w), i.e. w^{-1}(alpha_i) > 0."""
-        return not self.send_simple_to_negative(w.mri, i)
+        return w.key[i - 1] > 0
 
     def longest(self, nodes=None):
         """Longest element of W, or of the parabolic W_P on the given nodes."""
         nodes = sorted(nodes) if nodes is not None else list(range(1, self.system.rank + 1))
         w = self.identity
         while True:
-            i = next((i for i in nodes if not self.descends_right(w, i)), None)
+            i = next((i for i in nodes if self.ascends_left(w, i)), None)
             if i is None:
                 return w
-            w = self.right_gen(w, i)
+            w = self.left_gen(i, w)
 
     def all_elements(self):
         """Full enumeration of W (memoised); intended for small ranks."""
         if self._all is None:
-            seen = {self.identity.mf: self.identity}
-            frontier = [self.identity]
-            while frontier:
-                nxt = []
-                for w in frontier:
-                    for i in range(1, self.system.rank + 1):
-                        if self.ascends_left(w, i):
-                            cand = self.left_gen(i, w, length=w.length + 1)
-                            if cand.mf not in seen:
-                                seen[cand.mf] = cand
-                                nxt.append(cand)
-                frontier = nxt
-            self._all = tuple(sorted(seen.values(), key=lambda w: (w.length, w.word)))
+            self._all = _ascending_closure(self, ())
         return self._all
 
     # -- reflections indexed by positive roots -------------------------------
@@ -192,36 +195,10 @@ class WeylGroup:
     def reflections(self):
         """{positive root beta: the reflection s_beta as an element}."""
         if not hasattr(self, "_refl"):
-            R = self.system
-            n = R.rank
-            refl = {}
-            for beta in R.positive_roots:
-                fund = R.fund_of_root(beta)
-                cols = []
-                for j in range(n):
-                    ej = tuple(int(k == j) for k in range(n))
-                    c = R.coroot_pairing(ej, beta)
-                    col = tuple(ej[k] - c * fund[k] for k in range(n))
-                    assert all(Fraction(x).denominator == 1 for x in col)
-                    cols.append(tuple(int(x) for x in col))
-                mf = tuple(tuple(cols[j][k] for j in range(n)) for k in range(n))
-                mr = self._conjugate_to_root(mf)
-                refl[beta] = WeylElement(mf, mr, mf, mr, self.length_of(mr),
-                                         self.reduced_word_of(mr, mr), self._sk)
-            self._refl = refl
+            rho = self.system.rho
+            self._refl = {beta: self._element(self.reflect(rho, beta))
+                          for beta in self.system.positive_roots}
         return self._refl
-
-    def _conjugate_to_root(self, mf):
-        R = self.system
-        frac = mat_mul(R.inverse_cartan, mat_mul(mf, R.cartan))
-        out = []
-        for row in frac:
-            r = []
-            for x in row:
-                assert x.denominator == 1 if isinstance(x, Fraction) else True
-                r.append(int(x))
-            out.append(tuple(r))
-        return tuple(out)
 
     # -- bruhat order (used as a test oracle) --------------------------------
 
@@ -230,16 +207,39 @@ class WeylGroup:
             return False
         if v.length == 0:
             return True
-        key = (v.mf, w.mf)
+        key = (v.key, w.key)
         memo = self._bruhat_memo
         if key not in memo:
             i = w.word[0]
             wp = self.left_gen(i, w)  # shorter
-            if self.send_simple_to_negative(v.mri, i):  # ell(s_i v) < ell(v)
+            if v.key[i - 1] < 0:  # ell(s_i v) < ell(v)
                 memo[key] = self.bruhat_le(self.left_gen(i, v), wp)
             else:
                 memo[key] = self.bruhat_le(v, wp)
         return memo[key]
+
+
+def _ascending_closure(wg, levi):
+    """Elements w with w(alpha_j) > 0 for every j in levi (all of W when levi
+    is empty), found by left ascents from the identity; sorted by (length,
+    word)."""
+    seen = {wg.identity.key: wg.identity}
+    frontier = [wg.identity]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i0, x in enumerate(w.key):
+                if x > 0:
+                    key = wg._reflect(w.key, i0)
+                    if key not in seen:
+                        cand = wg._element(key)
+                        keep = all(cand.inv[j - 1] > 0 for j in levi)
+                        seen[key] = cand if keep else None
+                        if keep:
+                            nxt.append(cand)
+        frontier = nxt
+    return tuple(sorted((w for w in seen.values() if w is not None),
+                        key=lambda w: (w.length, w.word)))
 
 
 class CosetTable:
@@ -252,29 +252,10 @@ class CosetTable:
     def __init__(self, wg: WeylGroup, P):
         self.wg = wg
         self.parabolic = P
-        R = wg.system
         levi = sorted(P.levi_simple)
-
-        def in_wp(w):
-            return all(not wg.send_simple_to_negative(w.mr, j) for j in levi)
-
-        seen = {wg.identity.mf: wg.identity}
-        frontier = [wg.identity]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for i in range(1, R.rank + 1):
-                    if wg.ascends_left(w, i):
-                        cand = wg.left_gen(i, w, length=w.length + 1)
-                        if cand.mf not in seen and in_wp(cand):
-                            seen[cand.mf] = cand
-                            nxt.append(cand)
-            frontier = nxt
-        # rebuild with canonical (lex-smallest) reduced words for stable output
-        canon = [wg._element(w.mf, w.mr, w.mfi, w.mri) for w in seen.values()]
-        self.elements = tuple(sorted(canon, key=lambda w: (w.length, w.word)))
+        self.elements = _ascending_closure(wg, levi)
         self.index = {w: k for k, w in enumerate(self.elements)}
-        self._by_mf = {w.mf: w for w in self.elements}
+        self._by_key = {w.key: w for w in self.elements}
         self.by_length = {}
         for w in self.elements:
             self.by_length.setdefault(w.length, []).append(w)
@@ -283,38 +264,35 @@ class CosetTable:
 
         covers = []
         for v in self.elements:
-            for beta, s in wg.reflections.items():
-                mf = mat_mul(s.mf, v.mf)
-                w = self._by_mf.get(mf)
+            for beta in wg.system.positive_roots:
+                w = self._by_key.get(wg.reflect(v.key, beta))
                 if w is not None and w.length == v.length + 1:
                     covers.append((v, w, beta))
         self.covers = tuple(covers)
 
+        # the dual of w is the minimal representative of w0 w w0^P, i.e. of w0 w W_P
         w0 = wg.longest()
-        w0p = wg.longest(levi)
         self.dual = {}
         for w in self.elements:
-            u = wg.mul(wg.mul(w0, w), w0p)
-            u = self._project_min(u, levi)
-            ww = self._by_mf.get(u.mf)
+            ww = self._by_key.get(self._project_min(wg.mul(w0, w), levi).key)
             assert ww is not None and ww.length == P.dim_gp - w.length
             self.dual[w] = ww
 
     def _project_min(self, u, levi):
         wg = self.wg
         while True:
-            j = next((j for j in levi if wg.send_simple_to_negative(u.mr, j)), None)
+            j = next((j for j in levi if wg.descends_right(u, j)), None)
             if j is None:
                 return u
             u = wg.right_gen(u, j)
 
     def member(self, w):
-        return w.mf in self._by_mf
+        return w.key in self._by_key
 
     def canonical(self, w):
         """The stored (canonical-word) copy of an element of W^P."""
         try:
-            return self._by_mf[w.mf]
+            return self._by_key[w.key]
         except KeyError:
             raise ValueError(f"element {w!r} is not a minimal coset representative")
 
@@ -322,11 +300,11 @@ class CosetTable:
         return self.parabolic.dim_gp - w.length
 
     def element_from_word(self, word):
-        w = self.wg.from_word(word)
-        if not self.member(w):
+        w = self._by_key.get(self.wg._key_of_word(word))
+        if w is None:
             raise ValueError(
                 f"word {','.join(map(str, word))} does not reduce to a W^P element")
-        return self.canonical(w)
+        return w
 
     def __len__(self):
         return len(self.elements)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flagcalc
 from flagcalc import cache
 from flagcalc.cli import main
 
@@ -235,3 +240,61 @@ def test_corrupt_cache_ignored(capsys, tmp_path):
     code, _, _ = run(capsys, "verify", "--group", "B2", "--cross", "1", "--s", "3",
                      "--nmax", "1", "--out", str(out2))
     assert code == 0 and out1.read_bytes() == out2.read_bytes()
+
+
+def _flagcalc(*argv, optimize=False):
+    """Run flagcalc in a fresh interpreter (optionally under python -O)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(flagcalc.__file__).parents[1]))
+    cmd = [sys.executable] + (["-O"] if optimize else []) + list(argv)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=600)
+
+
+def test_exactness_checks_survive_python_O(tmp_path, monkeypatch):
+    probe = ("from flagcalc.roots import ExactnessError\n"
+             "from flagcalc.schubert import divide_linear\n"
+             "try:\n"
+             "    divide_linear({(1, 0): 3}, {0: 2})\n"
+             "except ExactnessError:\n"
+             "    print(__debug__, 'raised')\n")
+    res = _flagcalc("-c", probe, optimize=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False", "raised"]
+    # the same reports, byte for byte, with and without -O (each from a cold cache)
+    for argv in (["verify", "--group", "C3", "--cross", "2", "--s", "3", "--nmax", "1"],
+                 ["product", "--group", "C3", "--cross", "2", "1,3,2,1,3,2", "1,3,2", "3,2"]):
+        outs = []
+        for optimize in (False, True):
+            monkeypatch.setenv("FLAGCALC_CACHE_DIR", str(tmp_path / f"cache-{optimize}"))
+            res = _flagcalc("-m", "flagcalc", *argv, optimize=optimize)
+            assert res.returncode == 0, res.stderr
+            outs.append(res.stdout)
+        assert outs[0] == outs[1] and outs[0]
+
+
+def test_tampered_cache_is_recomputed(tmp_path):
+    from flagcalc import roots
+    from flagcalc.schubert import CupRing
+
+    argv = ["-m", "flagcalc", "product", "--group", "C3", "--cross", "2", "3,2",
+            "1,3,2,1,3,2"]
+    first = _flagcalc(*argv)
+    assert first.returncode == 0 and last_json(first.stdout)["pretty"] == "1*[2]"
+    R = roots.build("C", 3)
+    P = roots.parabolic(R, crossed=[2])
+    path = cache.table_path(R, [2])
+    assert cache.load_table(CupRing(R, P)) > 0
+    assert [p.name for p in path.parent.iterdir()] == [path.name]  # no temp file left
+    good = json.loads(path.read_text())
+    bad = json.loads(path.read_text())
+    for e in bad["entries"]:
+        e["c"] = 64
+    no_digest = dict(bad)
+    del no_digest["entries_sha256"]
+    for doc in (bad, no_digest):
+        path.write_text(cache.canonical_json(doc))
+        assert cache.load_table(CupRing(R, P)) == 0
+        # a fresh process, so no in-memory row hides the file
+        again = _flagcalc(*argv)
+        assert again.returncode == 0 and again.stdout == first.stdout
+        # the recomputed table replaced the bad file
+        assert json.loads(path.read_text()) == good

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -163,3 +165,114 @@ def test_inversions_of_w0w_complement(word):
     # {b > 0 : w b > 0} is exactly the inversion set of w0 w
     kept = frozenset(b for b in R.positive_roots if b not in wg.inversion_set(w))
     assert wg.inversion_set(w0w) == kept
+
+
+# -- the w(rho) representation against reflection matrices built here --------
+
+def _matmul(a, b):
+    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0])))
+                 for i in range(len(a)))
+
+
+def _reflection_matrices(cartan):
+    """s_i on fundamental and on simple-root coordinates, from the Cartan matrix
+    a[i][j] = <alpha_j, alpha_i^vee>: s_i f = f - f_i alpha_i and
+    s_i beta = beta - <beta, alpha_i^vee> alpha_i."""
+    n = len(cartan)
+    fund = [tuple(tuple(int(k == j) - cartan[k][i] * int(j == i) for j in range(n))
+                  for k in range(n)) for i in range(n)]
+    root = [tuple(tuple(int(k == j) - int(k == i) * cartan[i][j] for j in range(n))
+                  for k in range(n)) for i in range(n)]
+    return fund, root
+
+
+def _word_matrix(gens, word):
+    n = len(gens[0])
+    m = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for i in word:
+        m = _matmul(m, gens[i - 1])
+    return m
+
+
+def _lexmin_reduced_words(fund):
+    """{matrix on fundamental coordinates: lexicographically smallest reduced
+    word}, enumerating the words of each length in lexicographic order.  A word
+    of length L is reduced iff its element was not reached by a shorter word;
+    every reduced word extends a reduced word one letter shorter."""
+    n = len(fund)
+    eye = _word_matrix(fund, ())
+    best = {eye: ()}
+    level = [((), eye)]
+    while level:
+        nxt = []
+        for word, m in level:
+            for i in range(1, n + 1):
+                mm = _matmul(m, fund[i - 1])
+                if mm not in best:
+                    best[mm] = word + (i,)
+                if best[mm] and len(best[mm]) == len(word) + 1:
+                    nxt.append((word + (i,), mm))
+        level = nxt
+    return best
+
+
+def _columns(m):
+    return [tuple(row[j] for row in m) for j in range(len(m))]
+
+
+REPRESENTATION_GROUPS = {
+    "A3": lambda: roots.build("A", 3),
+    "B3": lambda: roots.build("B", 3),
+    "C3": lambda: roots.build("C", 3),
+    "D4": lambda: roots.build("D", 4),
+    "G2": lambda: roots.build("G", 2),
+    "B4|levi[1,3,4]": lambda: roots.build("B", 4).sub_system([1, 3, 4]),  # A1 x B2
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPRESENTATION_GROUPS))
+def test_words_and_actions_match_reflection_matrices(name):
+    R = REPRESENTATION_GROUPS[name]()
+    wg = group(R)
+    fund, root = _reflection_matrices(R.cartan)
+    lexmin = _lexmin_reduced_words(fund)
+    elements = wg.all_elements()
+    assert len(elements) == len(lexmin)
+    n = R.rank
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    for w in elements:
+        mf = _word_matrix(fund, w.word)
+        assert w.word == lexmin[mf] and w.length == len(w.word)
+        mfi = _word_matrix(fund, tuple(reversed(w.word)))
+        mr = _word_matrix(root, w.word)
+        assert [wg.act_weight(w, e) for e in units] == _columns(mf)
+        assert [wg.inv_act_weight(w, e) for e in units] == _columns(mfi)
+        assert [wg.act_root(w, e) for e in units] == _columns(mr)
+
+
+@pytest.mark.parametrize("name", sorted(REPRESENTATION_GROUPS))
+def test_group_law(name):
+    R = REPRESENTATION_GROUPS[name]()
+    wg = group(R)
+    fund, _ = _reflection_matrices(R.cartan)
+    elements = wg.all_elements()
+    n = R.rank
+    for w in elements:
+        assert wg.mul(w, wg.inverse(w)) == wg.identity
+        assert wg.inverse(wg.inverse(w)) == w
+        for i in range(1, n + 1):
+            # non-reduced words: a cancelling pair anywhere, or a left descent
+            assert wg.from_word(w.word + (i, i)) == w
+            assert wg.from_word((i, i) + w.word) == w
+            mid = len(w.word) // 2
+            assert wg.from_word(w.word[:mid] + (i, i) + w.word[mid:]) == w
+            u = wg.from_word((i,) + w.word)
+            assert _word_matrix(fund, u.word) == _matmul(fund[i - 1], _word_matrix(fund, w.word))
+            assert u.length == w.length + (1 if wg.ascends_left(w, i) else -1)
+    rng = random.Random(20100423)
+    for _ in range(300):
+        a, b, c = (rng.choice(elements) for _ in range(3))
+        ab = wg.mul(a, b)
+        assert _word_matrix(fund, ab.word) == _matmul(_word_matrix(fund, a.word),
+                                                      _word_matrix(fund, b.word))
+        assert wg.mul(ab, c) == wg.mul(a, wg.mul(b, c))
