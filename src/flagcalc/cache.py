@@ -60,6 +60,12 @@ def _entries_digest(entries):
     return hashlib.sha256(canonical_json(entries).encode()).hexdigest()
 
 
+def stored_rows(ring):
+    """How many of the ring's rows a save would write (an empty row leaves
+    no entry), to compare with what load_table returned."""
+    return sum(1 for row in ring.known_rows().values() if row)
+
+
 def save_table(ring):
     """Persist every structure-constant row the ring has computed so far."""
     R = ring.system

@@ -119,13 +119,14 @@ def cmd_product(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cache.load_table(cx.ring)
+    loaded = cache.load_table(cx.ring)
     ring = cx.deformed if args.deformed else cx.ring
     cls = ring.product(ws)
     terms = [{"word": w.word_str(), "length": w.length, "coeff": c}
              for w, c in sorted(cls.coeffs.items(),
                                 key=lambda kv: (kv[0].length, kv[0].word))]
-    cache.save_table(cx.ring)
+    if cache.stored_rows(cx.ring) > loaded:
+        cache.save_table(cx.ring)
     _emit({
         "group": args.group.upper(),
         "crossed": sorted(cx.parabolic.crossed),
@@ -206,7 +207,7 @@ def cmd_verify(args):
         print(f"error: {n_multisets} candidate tuples exceed the cap {cap} "
               f"(raise FLAGCALC_TUPLE_CAP to proceed)", file=sys.stderr)
         return 2
-    cache.load_table(cx.ring)
+    loaded = cache.load_table(cx.ring)
     need = (args.s - 1) * cx.parabolic.dim_gp
     tuples = [tup for tup in combinations_with_replacement(cx.ct.elements, args.s)
               if sum(w.length for w in tup) == need]
@@ -222,7 +223,8 @@ def cmd_verify(args):
         rows = _verify_rows(cx, tuples, args.nmax)
     rows.sort(key=lambda r: (r["lengths"], r["words"]))
     violations = sum(1 for r in rows if r["status"] == "VIOLATION")
-    cache.save_table(cx.ring)
+    if cache.stored_rows(cx.ring) > loaded:
+        cache.save_table(cx.ring)
     _emit({
         "schema_version": cache.SCHEMA_VERSION,
         "group": args.group.upper(),

@@ -144,7 +144,8 @@ def stabilizer_simple_roots(ct, w) -> StabilizerData:
         pre = wg.act_root(wg.inverse(w), alpha)
         if _is_neg(pre) or (R.is_positive_root(pre) and P.in_levi(pre)):
             check.add(i)
-    assert out == check, "stabilizer descriptions disagree (convention bug)"
+    if out != check:
+        raise ExactnessError("stabilizer descriptions disagree (convention bug)")
     return StabilizerData(delta_qw=frozenset(out))
 
 
@@ -155,10 +156,7 @@ def cell_in_stabilizer_orbit(ct, v, beta, w):
     if (v, w, beta) not in set(ct.covers):
         raise ValueError("(v, beta, w) is not a cover in W^P")
     nodes = stabilizer_simple_roots(ct, w).delta_qw
-    inside = sum(beta) == 1 and (beta.index(1) + 1) in nodes
-    if inside:
-        assert sum(beta) == 1
-    return inside
+    return sum(beta) == 1 and (beta.index(1) + 1) in nodes
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +171,8 @@ def dj_profile(ct, w) -> DjProfile:
     d = [0] * P.m_o
     for delta in ct.wg.inversion_set(w):  # delta > 0, w delta < 0; -delta spans the tangent
         j = P.root_at_xp(delta)
-        assert 1 <= j <= P.m_o, "Levi root in the inversion set of a minimal rep"
+        if not 1 <= j <= P.m_o:
+            raise ExactnessError("Levi root in the inversion set of a minimal rep")
         d[j - 1] += 1
     return DjProfile(d=tuple(d), subject=("w-at-w", w))
 
@@ -185,9 +184,10 @@ def dj_profile_at_cover(ct, v, beta, w) -> DjProfile:
         raise ValueError("(v, beta, w) is not a cover in W^P")
     P = ct.parabolic
     alpha = ct.wg.act_root(ct.wg.inverse(v), beta)
-    assert ct.wg.system.is_positive_root(alpha)
     j = P.root_at_xp(alpha)
-    assert 1 <= j <= P.m_o
+    if not (ct.wg.system.is_positive_root(alpha) and 1 <= j <= P.m_o):
+        raise ExactnessError(f"cover root pulls back to {alpha!r} at level {j} "
+                             f"(convention bug)")
     base = dj_profile(ct, v).d
     d = tuple(x + int(k == j - 1) for k, x in enumerate(base))
     return DjProfile(d=d, subject=("w-at-v", v, beta, w))

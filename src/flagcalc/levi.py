@@ -3,8 +3,16 @@ multiplicities, tensor decompositions, and s-fold invariant dimensions.
 
 Two independent routes are kept deliberately separate:
 
-  * production: Freudenthal weight multiplicities + the reflection-with-signs
-    tensor decomposition (Klimyk), iterated with pruning for s-fold products;
+  * production: integer Freudenthal weight multiplicities and the
+    Racah-Speiser/Klimyk formula.  The invariants of three factors are one
+    coefficient of a tensor product, read off as a |W_L|-term signed sum
+
+        dim [V(a) (x) V(b) (x) V(c)]^L = sum_w eps(w) m_a(w(c* + rho) - (b + rho)),
+
+    with a the factor of smallest dimension (the count is symmetric in its
+    three factors).  With s > 3 factors, pruned binary decompositions
+    (reflect every weight of the smaller factor, shifted by mu + rho, into
+    the dominant chamber) run over all but the last two factors first;
   * oracle: the Kostant partition function + Steinberg's double Weyl sum.
 
 Levi weights are tuples of pairings with the Levi simple coroots, ordered by
@@ -31,17 +39,25 @@ class LeviSystem:
         self.nodes = tuple(sorted(int(i) for i in levi_simple))
         self.rank = len(self.nodes)
         self.system = ambient.sub_system(self.nodes) if self.nodes else None
+        if self.system is not None:
+            d = self.system.symmetrizers
+            # (fund coords of beta, (d_j beta_j)_j): then (nu, beta) = sum_j nu_j d_j beta_j
+            self._roots = tuple((self.system.fund_of_root(b), tuple(x * y for x, y in zip(d, b)))
+                                for b in self.system.positive_roots)
         self._dom_mults = {}
         self._kpf = {}
         self._tensor = {}
+        self._walk = None
         self._wg = None
 
     # -- plumbing --------------------------------------------------------------
 
     def restrict(self, ambient_fund):
         """Levi coordinates of an ambient weight (pairings at the Levi nodes)."""
-        out = tuple(ambient_fund[i - 1] for i in self.nodes)
-        assert all(Fraction(x).denominator == 1 for x in out)
+        out = tuple(Fraction(ambient_fund[i - 1]) for i in self.nodes)
+        if any(x.denominator != 1 for x in out):
+            raise ValueError(f"{tuple(ambient_fund)!r} pairs nonintegrally with the "
+                             f"Levi nodes {list(self.nodes)}")
         return tuple(int(x) for x in out)
 
     def is_dominant(self, lam):
@@ -55,102 +71,118 @@ class LeviSystem:
         cartan = self.system.cartan
         return tuple(f[k] - f[i0] * cartan[k][i0] for k in range(self.rank))
 
-    def dominant_conjugate(self, f):
-        f = tuple(f)
-        while True:
-            i0 = next((k for k in range(self.rank) if f[k] < 0), None)
-            if i0 is None:
-                return f
-            f = self._reflect(f, i0)
-
     def signed_dominant_conjugate(self, f):
         """(dominant rep, sign) under the Weyl group; sign 0 on a wall."""
-        f = tuple(f)
-        sign = 1
+        f, sign = tuple(f), 1
         while True:
             i0 = next((k for k in range(self.rank) if f[k] < 0), None)
             if i0 is None:
                 return (f, 0) if 0 in f else (f, sign)
-            f = self._reflect(f, i0)
-            sign = -sign
+            f, sign = self._reflect(f, i0), -sign
+
+    def dominant_conjugate(self, f):
+        return self.signed_dominant_conjugate(f)[0]
 
     def dual_weight(self, lam):
         """Highest weight of the dual representation: -w0(lam)."""
         return self.dominant_conjugate(tuple(-x for x in lam))
 
-    def weight_inner(self, f1, f2):
-        return self.system.weight_inner(f1, f2)
+    def _below(self, top, mu):
+        """mu <= top: top - mu is a nonnegative integer sum of simple roots."""
+        gap = self.system.lattice_coords(tuple(t - m for t, m in zip(top, mu)))
+        return gap is not None and min(gap) >= 0
+
+    def _signed_orbit(self, v):
+        """[(w(v), eps(w)) for w in W_L], one pair per element, by replaying
+        a spanning tree of the regular orbit of rho (built once)."""
+        if self._walk is None:
+            steps = []
+            seen = {self.rho}
+            frontier = [(self.rho, 0)]
+            while frontier:
+                nxt = []
+                for f, k in frontier:
+                    for i0 in range(self.rank):
+                        g = self._reflect(f, i0)
+                        if g not in seen:
+                            seen.add(g)
+                            steps.append((k, i0))
+                            nxt.append((g, len(steps)))
+                frontier = nxt
+            self._walk = tuple(steps)
+        out = [(tuple(v), 1)]
+        for k, i0 in self._walk:
+            f, sign = out[k]
+            out.append((self._reflect(f, i0), -sign))
+        return out
 
     # -- dimensions and weight multiplicities -----------------------------------
 
     def weyl_dim(self, lam):
-        """prod over Levi positive roots of <lam+rho, b^vee> / <rho, b^vee>."""
+        """prod over Levi positive roots of (lam+rho, beta) / (rho, beta)."""
         lam = tuple(lam)
         if not self.is_dominant(lam):
             raise ValueError(f"{lam!r} is not dominant")
         if self.rank == 0:
             return 1
-        R = self.system
-        lr = tuple(x + 1 for x in lam)
-        out = Fraction(1)
-        for beta in R.positive_roots:
-            out *= Fraction(R.coroot_pairing(lr, beta), R.coroot_pairing(self.rho, beta))
-        if out.denominator != 1:
-            raise ExactnessError(f"noninteger Weyl dimension {out} (convention bug)")
-        return int(out)
+        num = den = 1
+        for _, db in self._roots:
+            num *= sum((x + 1) * y for x, y in zip(lam, db))
+            den *= sum(db)
+        out, rem = divmod(num, den)
+        if rem:
+            raise ExactnessError(f"noninteger Weyl dimension {num}/{den} (convention bug)")
+        return out
 
     def dominant_weight_multiplicities(self, lam):
-        """{dominant weight: multiplicity} in V(lam), by Freudenthal's recursion."""
+        """{dominant weight: multiplicity} in V(lam), by Freudenthal's recursion
+        in integers:
+
+            m(mu) = 2 sum_{beta > 0, k >= 1} m(mu + k beta) (mu + k beta, beta)
+                    / (lam + mu + 2 rho, lam - mu)
+        """
         lam = tuple(lam)
         if lam in self._dom_mults:
             return self._dom_mults[lam]
         if not self.is_dominant(lam):
             raise ValueError(f"{lam!r} is not dominant")
         R = self.system
-        fund_roots = [tuple(R.fund_of_root(b)) for b in R.positive_roots]
-        # dominant weights of V(lam): saturate downward through dominants
-        doms = {lam}
+        # dominant weights mu of V(lam), each with lam - mu in simple-root coordinates
+        gap = {lam: (0,) * self.rank}
         frontier = [lam]
         while frontier:
             nxt = []
             for mu in frontier:
-                for fb in fund_roots:
+                for beta, (fb, _) in zip(R.positive_roots, self._roots):
                     nu = tuple(m - b for m, b in zip(mu, fb))
-                    if all(x >= 0 for x in nu) and nu not in doms:
-                        doms.add(nu)
+                    if min(nu) >= 0 and nu not in gap:
+                        gap[nu] = tuple(g + b for g, b in zip(gap[mu], beta))
                         nxt.append(nu)
             frontier = nxt
-        height = {}
-        for mu in doms:
-            diff = R.root_of_fund(tuple(l - m for l, m in zip(lam, mu)))
-            height[mu] = sum(diff)
-        order = sorted(doms, key=lambda mu: (height[mu], mu))
-        lam_rho = tuple(x + 1 for x in lam)
-        norm_top = self.weight_inner(lam_rho, lam_rho)
+        d = R.symmetrizers
         mults = {lam: 1}
-        for mu in order:
+        for mu in sorted(gap, key=lambda mu: (sum(gap[mu]), mu)):
             if mu == lam:
                 continue
-            acc = Fraction(0)
-            for beta, fb in zip(R.positive_roots, fund_roots):
-                k = 1
+            acc = 0
+            for fb, db in self._roots:
+                nu = tuple(m + b for m, b in zip(mu, fb))
                 while True:
-                    nu = tuple(m + k * b for m, b in zip(mu, fb))
                     m_nu = mults.get(self.dominant_conjugate(nu), 0)
                     if m_nu == 0:
                         break
-                    acc += m_nu * self.weight_inner(nu, R.fund_of_root(beta))
-                    k += 1
-            mu_rho = tuple(x + 1 for x in mu)
-            denom = norm_top - self.weight_inner(mu_rho, mu_rho)
-            val = 2 * acc / denom
-            if val.denominator != 1 or val < 0:
-                raise ExactnessError(f"Freudenthal multiplicity {val} (convention bug)")
+                    acc += m_nu * sum(x * y for x, y in zip(nu, db))
+                    nu = tuple(m + b for m, b in zip(nu, fb))
+            # |lam+rho|^2 - |mu+rho|^2 = (lam + mu + 2 rho, lam - mu)
+            denom = sum((l + m + 2) * dj * g for l, m, dj, g in zip(lam, mu, d, gap[mu]))
+            val, rem = divmod(2 * acc, denom)
+            if rem or val < 0:
+                raise ExactnessError(f"Freudenthal multiplicity {2 * acc}/{denom} "
+                                     f"(convention bug)")
             if val:
-                mults[mu] = int(val)
+                mults[mu] = val
         self._dom_mults[lam] = mults
         return mults
-
     def weight_multiplicities(self, lam):
         """{weight: multiplicity} over the full Weyl orbit closure of V(lam)."""
         out = {}
@@ -173,9 +205,6 @@ class LeviSystem:
                             nxt.append(g)
             frontier = nxt
         return seen
-
-    def dimension(self, lam):
-        return self.weyl_dim(lam)
 
     # -- tensor decomposition (production path) ---------------------------------
 
@@ -208,34 +237,46 @@ class LeviSystem:
     def invariant_dimension(self, weights, n=1):
         """dim of the invariants of V(n w_1) (x) ... (x) V(n w_s).
 
-        Iterated binary decomposition; summands that can no longer pair to
-        the trivial representation against the remaining factors are pruned.
+        Binary decompositions over all but the last two factors, pruning the
+        summands that can no longer pair to the trivial representation
+        against the remaining factors; each survivor nu then contributes its
+        multiplicity times the three-factor count for (nu, w_{s-1}, w_s).
+        Fewer than three factors are padded with trivial ones.
         """
         ws = [tuple(int(n) * x for x in w) for w in weights]
         if any(not self.is_dominant(w) for w in ws):
             raise ValueError("weights must be dominant for the Levi")
         if self.rank == 0:
             return 1
-        if len(ws) == 1:
-            return 1 if not any(ws[0]) else 0
+        ws += [(0,) * self.rank] * (3 - len(ws))
         acc = {ws[0]: 1}
-        for idx in range(1, len(ws) - 1):
+        for idx in range(1, len(ws) - 2):
             nxt = {}
             for nu, m in acc.items():
                 for tau, c in self.tensor_decompose(nu, ws[idx]).items():
                     nxt[tau] = nxt.get(tau, 0) + m * c
-            rest = ws[idx + 1:]
-            rest_sum = tuple(sum(col) for col in zip(*rest)) if rest else (0,) * self.rank
-            acc = {nu: m for nu, m in nxt.items() if self._reachable(nu, rest_sum)}
-        last_dual = self.dual_weight(ws[-1])
-        return acc.get(last_dual, 0)
+            rest_sum = tuple(sum(col) for col in zip(*ws[idx + 1:]))
+            acc = {nu: m for nu, m in nxt.items() if self._below(rest_sum, self.dual_weight(nu))}
+        # the count is symmetric in its three factors: sum over the smallest
+        return sum(m * self._signed_sum(*sorted((nu, ws[-2], ws[-1]), key=self.weyl_dim))
+                   for nu, m in acc.items())
 
-    def _reachable(self, nu, rest_sum_fund):
-        """Necessary condition for trivial in V(nu) (x) (rest): the dual of nu
-        lies below the sum of the remaining highest weights."""
-        dual = self.dual_weight(nu)
-        diff = self.system.root_of_fund(tuple(r - d for r, d in zip(rest_sum_fund, dual)))
-        return all(Fraction(x).denominator == 1 and x >= 0 for x in diff)
+    def _signed_sum(self, a, b, c):
+        """dim [V(a) (x) V(b) (x) V(c)]^L, the multiplicity of V(c*) in
+        V(a) (x) V(b): sum over w in W_L of eps(w) m_a(w(c* + rho) - (b + rho))."""
+        c_dual = self.dual_weight(c)
+        if not self._below(tuple(x + y for x, y in zip(a, b)), c_dual):
+            return 0
+        mults = self.dominant_weight_multiplicities(a)
+        b_rho = tuple(x + 1 for x in b)
+        total = 0
+        for f, sign in self._signed_orbit(tuple(x + 1 for x in c_dual)):
+            m = mults.get(self.dominant_conjugate(tuple(x - y for x, y in zip(f, b_rho))))
+            if m:
+                total += sign * m
+        if total < 0:
+            raise ExactnessError("negative invariant dimension (convention bug)")
+        return total
 
     # -- oracle path: Kostant partition function + Steinberg ---------------------
 
@@ -304,7 +345,8 @@ class LeviSystem:
                 if any(Fraction(x).denominator != 1 or x < 0 for x in sr):
                     continue
                 total += su * sv * self.kostant_partition(tuple(int(x) for x in sr))
-        assert total >= 0
+        if total < 0:
+            raise ExactnessError("negative Steinberg multiplicity (convention bug)")
         return total
 
 

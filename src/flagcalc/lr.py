@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+from .roots import ExactnessError
 from .weyl import minimal_coset_reps
 
 
@@ -130,7 +131,8 @@ def gl_dimension(lam, r):
     for i in range(r):
         for j in range(i + 1, r):
             num *= Fraction(full[i] - full[j] + j - i, j - i)
-    assert num.denominator == 1
+    if num.denominator != 1:
+        raise ExactnessError(f"noninteger GL({r}) dimension {num}")
     return int(num)
 
 
@@ -209,7 +211,8 @@ def grassmannian_cell(ct, lam):
     tail = sorted(set(range(1, n + 1)) - set(head))
     w = ct.wg.from_word(_word_from_oneline(head + tail))
     w = ct.canonical(w)
-    assert w.length == sum(lam)
+    if w.length != sum(lam):
+        raise ExactnessError(f"cell of {lam!r} has length {w.length}")
     return w
 
 
@@ -246,7 +249,8 @@ def _negated_values(ct, w):
         img = ct.wg.act_weight(w, f)
         x = [sum(img[t] for t in range(m, l)) for m in range(l)]
         nz = [(m + 1, x[m]) for m in range(l) if x[m]]
-        assert len(nz) == 1 and abs(nz[0][1]) == 1
+        if len(nz) != 1 or abs(nz[0][1]) != 1:
+            raise ExactnessError(f"{w!r} does not act as a signed permutation")
         if nz[0][1] < 0:
             out.add(nz[0][0])
     return frozenset(out)
@@ -266,7 +270,8 @@ def lagrangian_cell(ct, a):
     if not hasattr(ct, "_negset_index"):
         ct._negset_index = {_negated_values(ct, w): w for w in ct.elements}
     w = ct._negset_index[want]
-    assert w.length == sum(a)
+    if w.length != sum(a):
+        raise ExactnessError(f"cell of {a!r} has length {w.length}")
     return w
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 SUPPORTED_RANKS = {
     "A": range(1, 8),
@@ -38,8 +38,9 @@ WEYL_ORDER_FORMULA = {
 
 class ExactnessError(AssertionError):
     """An exactness invariant failed: an inexact division, a noninteger or
-    negative count, or two formulas that must agree did not.  Raised by an
-    explicit check, so it also fires under ``python -O``."""
+    negative count, two formulas that must agree did not, or a structural
+    cross-check (a length, a level bound) was broken.  Raised by an explicit
+    check, so it also fires under ``python -O``."""
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +126,8 @@ def _symmetrizers(cartan):
             num = gcd(num, int(d[i]))
         for i in comp:
             d[i] = int(d[i]) // num
-    for i in range(n):
-        for j in range(n):
-            assert d[i] * cartan[i][j] == d[j] * cartan[j][i], "cartan not symmetrizable"
+    if any(d[i] * cartan[i][j] != d[j] * cartan[j][i] for i in range(n) for j in range(n)):
+        raise ValueError("Cartan matrix is not symmetrizable")
     return tuple(d)
 
 
@@ -183,6 +183,10 @@ class RootSystem:
         self.label = label
         self.type_letter = type_letter
         self.inverse_cartan = mat_inverse(self.cartan) if n else ()
+        # root_scale * inverse_cartan is an integer matrix
+        self._root_scale = lcm(*(x.denominator for row in self.inverse_cartan for x in row))
+        self._scaled_inverse = tuple(tuple(int(x * self._root_scale) for x in row)
+                                     for row in self.inverse_cartan)
         self.symmetrizers = _symmetrizers(self.cartan)
         self.positive_roots = _positive_roots(self.cartan)
         self._posroot_set = set(self.positive_roots)
@@ -207,6 +211,17 @@ class RootSystem:
         """Simple-root coordinates (rational) of a weight in fund coordinates."""
         return mat_vec(self.inverse_cartan, weight)
 
+    def lattice_coords(self, weight):
+        """Integer simple-root coordinates of an integral weight, or None when
+        it lies off the root lattice."""
+        out = []
+        for row in self._scaled_inverse:
+            q, r = divmod(sum(a * x for a, x in zip(row, weight)), self._root_scale)
+            if r:
+                return None
+            out.append(q)
+        return tuple(out)
+
     # -- pairings -----------------------------------------------------------
 
     def eval_at_x(self, weight, j):
@@ -228,11 +243,6 @@ class RootSystem:
         den = self.root_inner(beta, beta)
         val = Fraction(num, den)
         return int(val) if val.denominator == 1 else val
-
-    def weight_inner(self, f1, f2):
-        """Weyl-invariant form on weights in fundamental coordinates."""
-        s2 = self.root_of_fund(f2)
-        return sum(f1[j] * self.symmetrizers[j] * s2[j] for j in range(self.rank))
 
     def is_positive_root(self, beta):
         return tuple(beta) in self._posroot_set

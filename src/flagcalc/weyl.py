@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .roots import RootSystem
+from .roots import ExactnessError, RootSystem
 
 
 class WeylElement:
@@ -260,7 +260,9 @@ class CosetTable:
         for w in self.elements:
             self.by_length.setdefault(w.length, []).append(w)
         self.longest = self.elements[-1]
-        assert self.longest.length == P.dim_gp
+        if self.longest.length != P.dim_gp:
+            raise ExactnessError(f"longest element of W^P has length {self.longest.length}, "
+                                 f"dim G/P is {P.dim_gp}")
 
         covers = []
         for v in self.elements:
@@ -275,7 +277,8 @@ class CosetTable:
         self.dual = {}
         for w in self.elements:
             ww = self._by_key.get(self._project_min(wg.mul(w0, w), levi).key)
-            assert ww is not None and ww.length == P.dim_gp - w.length
+            if ww is None or ww.length != P.dim_gp - w.length:
+                raise ExactnessError(f"no dual of length {P.dim_gp - w.length} for {w!r}")
             self.dual[w] = ww
 
     def _project_min(self, u, levi):

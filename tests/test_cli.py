@@ -250,15 +250,22 @@ def _flagcalc(*argv, optimize=False):
 
 
 def test_exactness_checks_survive_python_O(tmp_path, monkeypatch):
-    probe = ("from flagcalc.roots import ExactnessError\n"
+    probe = ("from fractions import Fraction\n"
+             "from flagcalc import roots\n"
+             "from flagcalc.levi import LeviSystem\n"
              "from flagcalc.schubert import divide_linear\n"
              "try:\n"
              "    divide_linear({(1, 0): 3}, {0: 2})\n"
-             "except ExactnessError:\n"
-             "    print(__debug__, 'raised')\n")
+             "except roots.ExactnessError:\n"
+             "    print(__debug__, 'raised')\n"
+             "try:\n"
+             "    LeviSystem(roots.build('C', 3), (1, 2)).restrict(\n"
+             "        (Fraction(1, 2), 3, Fraction(7, 2)))\n"
+             "except ValueError:\n"
+             "    print('restrict', 'raised')\n")
     res = _flagcalc("-c", probe, optimize=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["False", "raised"]
+    assert res.stdout.split() == ["False", "raised", "restrict", "raised"]
     # the same reports, byte for byte, with and without -O (each from a cold cache)
     for argv in (["verify", "--group", "C3", "--cross", "2", "--s", "3", "--nmax", "1"],
                  ["product", "--group", "C3", "--cross", "2", "1,3,2,1,3,2", "1,3,2", "3,2"]):
@@ -298,3 +305,23 @@ def test_tampered_cache_is_recomputed(tmp_path):
         assert again.returncode == 0 and again.stdout == first.stdout
         # the recomputed table replaced the bad file
         assert json.loads(path.read_text()) == good
+
+
+def test_cache_file_rewritten_only_when_rows_are_added(tmp_path):
+    from flagcalc import roots
+
+    path = cache.table_path(roots.build("C", 3), [2])
+    argv = ["-m", "flagcalc", "product", "--group", "C3", "--cross", "2"]
+    first = _flagcalc(*argv, "3,2", "1,3,2,1,3,2")
+    assert first.returncode == 0, first.stderr
+    before = path.stat()
+    entries = len(json.loads(path.read_text())["entries"])
+    # each a fresh process: only the file carries rows from one to the next
+    again = _flagcalc(*argv, "3,2", "1,3,2,1,3,2")
+    assert again.returncode == 0 and again.stdout == first.stdout
+    assert path.stat().st_ino == before.st_ino
+    assert path.stat().st_mtime_ns == before.st_mtime_ns
+    other = _flagcalc(*argv, "1,3,2,1,3,2", "1,3,2,1,3,2")
+    assert other.returncode == 0, other.stderr
+    assert path.stat().st_ino != before.st_ino
+    assert len(json.loads(path.read_text())["entries"]) > entries

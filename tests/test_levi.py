@@ -1,10 +1,13 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from flagcalc import lr, roots
 from flagcalc.context import flag_context
 from flagcalc.levi import LeviSystem, hom_dimension, levi_system
+from flagcalc.roots import ExactnessError
 
 
 def test_weyl_dim():
@@ -224,3 +227,143 @@ def test_type_a_invariant_matches_iterated_lr():
         assert got == total
         if expect is not None:
             assert got == expect
+
+
+# -- the three-factor signed sum against the full decomposition ---------------
+
+DIFF_LEVIS = {
+    "A1xA1": (("A", 3), (1, 3)),
+    "A2": (("A", 2), (1, 2)),
+    "B2": (("B", 2), (1, 2)),
+    "G2": (("G", 2), (1, 2)),
+    "A3": (("A", 3), (1, 2, 3)),
+    "A5{3}": (("A", 5), (1, 2, 4, 5)),
+    "C4{4}": (("C", 4), (1, 2, 3)),
+}
+
+
+def _diff_levi(name):
+    (letter, rank), nodes = DIFF_LEVIS[name]
+    return LeviSystem(roots.build(letter, rank), nodes)
+
+
+def _triples(L, seed, count, top):
+    """Seeded dominant (a, b, c).  Every other c is the dual of a summand of
+    V(a) (x) V(b), half of those one of largest multiplicity, so that many
+    invariant counts are nonzero and some exceed 1."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        a, b, c = (tuple(rng.randint(0, top) for _ in range(L.rank)) for _ in range(3))
+        if k % 2:
+            dec = L.tensor_decompose(a, b)
+            pool = sorted(dec) if k % 4 == 1 else [nu for nu in sorted(dec)
+                                                   if dec[nu] == max(dec.values())]
+            c = L.dual_weight(rng.choice(pool))
+        out.append((a, b, c))
+    return out
+
+
+def _no_tensor(*args):
+    raise AssertionError("three factors must not call tensor_decompose")
+
+
+@pytest.mark.parametrize("name", sorted(DIFF_LEVIS))
+def test_triple_sum_matches_full_decomposition(name, monkeypatch):
+    L = _diff_levi(name)
+    top = 4 if L.rank <= 2 else 3
+    cases = _triples(L, seed=len(name) * 31 + L.rank, count=24, top=top)
+    stretched = [(n, cases[1]) for n in (2, 3)]
+    want = [L.tensor_decompose(a, b).get(L.dual_weight(c), 0) for a, b, c in cases]
+    want_n = [L.tensor_decompose(*(tuple(n * x for x in w) for w in (a, b))).get(
+        L.dual_weight(tuple(n * x for x in c)), 0) for n, (a, b, c) in stretched]
+    monkeypatch.setattr(L, "tensor_decompose", _no_tensor)
+    assert [L.invariant_dimension([a, b, c]) for a, b, c in cases] == want
+    assert [L.invariant_dimension(list(t), n=n) for n, t in stretched] == want_n
+    assert sum(1 for x in want if x) >= 10
+    if name != "A1xA1":  # SL(2) x SL(2) products are multiplicity free
+        assert max(want) >= 2
+
+
+@pytest.mark.parametrize("name", ["A1xA1", "A2", "B2", "G2"])
+def test_triple_sum_matches_steinberg(name):
+    L = _diff_levi(name)
+    for a, b, c in _triples(L, seed=7 + len(name), count=12, top=3):
+        assert L.invariant_dimension([a, b, c]) == L.tensor_multiplicity(a, b, L.dual_weight(c))
+
+
+@pytest.mark.parametrize("name", sorted(DIFF_LEVIS))
+def test_triple_sum_symmetric_in_its_factors(name):
+    # any factor may play a (the one expanded into weights), b or c
+    L = _diff_levi(name)
+    top = 4 if L.rank <= 2 else 2
+    for a, b, c in _triples(L, seed=101 + L.rank, count=8, top=top):
+        values = {L._signed_sum(*p) for p in itertools.permutations((a, b, c))}
+        values |= {L.invariant_dimension(list(p)) for p in itertools.permutations((a, b, c))}
+        assert len(values) == 1
+
+
+@pytest.mark.parametrize("name", sorted(DIFF_LEVIS))
+def test_four_factors_match_two_decompositions(name):
+    L = _diff_levi(name)
+    rng = random.Random(55 + L.rank)
+    top = 3 if L.rank <= 2 else 1
+    nonzero = 0
+    for k in range(10):
+        a, b, c, d = (tuple(rng.randint(0, top) for _ in range(L.rank)) for _ in range(4))
+        if k % 2:  # d dual to a summand of (V(a) (x) V(b)) (x) V(c)
+            nu = rng.choice(sorted(L.tensor_decompose(a, b)))
+            d = L.dual_weight(rng.choice(sorted(L.tensor_decompose(nu, c))))
+        left, right = L.tensor_decompose(a, b), L.tensor_decompose(c, d)
+        want = sum(m * right.get(L.dual_weight(nu), 0) for nu, m in left.items())
+        assert L.invariant_dimension([a, b, c, d]) == want
+        nonzero += bool(want)
+    assert nonzero >= 5
+
+
+def _kostant_multiplicities(L, lam):
+    """{dominant mu: m_lam(mu)} by Kostant's formula,
+    m_lam(mu) = sum_w eps(w) P(w(lam + rho) - (mu + rho))."""
+    wg = L._weyl_group()
+    R = L.system
+    lam_rho = tuple(x + 1 for x in lam)
+    images = [(1 - 2 * (w.length % 2), wg.act_weight(w, lam_rho)) for w in wg.all_elements()]
+    out = {}
+    for mu in L.dominant_weight_multiplicities(lam):
+        total = 0
+        for sign, img in images:
+            diff = R.root_of_fund(tuple(x - m - 1 for x, m in zip(img, mu)))
+            if all(Fraction(x).denominator == 1 for x in diff):
+                total += sign * L.kostant_partition(tuple(int(x) for x in diff))
+        out[mu] = total
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(DIFF_LEVIS))
+def test_integer_freudenthal_matches_kostant(name):
+    L = _diff_levi(name)
+    wg = L._weyl_group()
+    rng = random.Random(3 + L.rank)
+    top = 3 if L.rank <= 2 else 2
+    for _ in range(4):
+        lam = tuple(rng.randint(0, top) for _ in range(L.rank))
+        mults = L.dominant_weight_multiplicities(lam)
+        assert mults == _kostant_multiplicities(L, lam)
+        orbit = {mu: len({wg.act_weight(w, mu) for w in wg.all_elements()}) for mu in mults}
+        assert sum(m * orbit[mu] for mu, m in mults.items()) == L.weyl_dim(lam)
+
+
+def test_freudenthal_raises_on_a_wrong_invariant_form(monkeypatch):
+    # G2 with the form of A1 x A1 scales: the recursion divides inexactly
+    ambient = roots.build("G", 2)  # memoised, so built before the patch
+    monkeypatch.setattr(roots, "_symmetrizers", lambda cartan: (1,) * len(cartan))
+    G2 = LeviSystem(ambient, (1, 2))
+    with pytest.raises(ExactnessError):
+        G2.dominant_weight_multiplicities((2, 1))
+
+
+def test_restrict_rejects_nonintegral_pairings():
+    L = LeviSystem(roots.build("C", 3), (1, 2))
+    assert L.restrict((1, 3, Fraction(7, 2))) == (1, 3)
+    with pytest.raises(ValueError):
+        L.restrict((Fraction(1, 2), 3, Fraction(7, 2)))

@@ -142,3 +142,17 @@ def test_eval_at_xp_on_simple_roots():
         R = roots.build(letter, rank)
         for cross in range(1, rank + 1):
             assert roots.parabolic(R, crossed=[cross]).m_o >= 1
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([("A", 3), ("B", 3), ("C", 4), ("D", 4), ("G", 2)]),
+       st.lists(st.integers(-6, 6), min_size=4, max_size=4))
+def test_lattice_coords_match_rational_inverse(group, weight):
+    R = roots.build(*group)
+    weight = tuple(weight[:R.rank])
+    exact = R.root_of_fund(weight)
+    got = R.lattice_coords(weight)
+    if all(Fraction(x).denominator == 1 for x in exact):
+        assert got == tuple(int(x) for x in exact)
+    else:
+        assert got is None
