@@ -19,7 +19,6 @@ fundamental coordinates.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from itertools import combinations_with_replacement
 from math import comb
@@ -187,11 +186,17 @@ def _verify_rows(cx, tuples, nmax):
 
 
 def _verify_worker(chunk):
-    # worker-side context rebuild: cheap for sweep-sized groups
+    # worker-side context rebuild: cheap for sweep-sized groups; the ring rows
+    # it computes go back, keyed by coset-table index, for the disk cache
     letter, rank, crossed, nmax, words = chunk
     cx = flag_context(letter, rank, crossed)
+    cache.load_table(cx.ring)
+    had = set(cx.ring.known_rows())
     tuples = [tuple(cx.element(_parse_ints(w)) for w in ws) for ws in words]
-    return _verify_rows(cx, tuples, nmax)
+    ix = cx.ct.index
+    return _verify_rows(cx, tuples, nmax), {
+        (ix[u], ix[v]): {ix[w]: c for w, c in row.items()}
+        for (u, v), row in cx.ring.known_rows().items() if (u, v) not in had}
 
 
 def cmd_verify(args):
@@ -201,11 +206,10 @@ def cmd_verify(args):
     letter, rank = _parse_group(args.group)
     crossed = _parse_ints(args.cross)
     cx = flag_context(letter, rank, crossed)
-    cap = int(os.environ.get("FLAGCALC_TUPLE_CAP", args.tuple_cap))
     n_multisets = comb(len(cx.ct.elements) + args.s - 1, args.s)
-    if n_multisets > cap:
-        print(f"error: {n_multisets} candidate tuples exceed the cap {cap} "
-              f"(raise FLAGCALC_TUPLE_CAP to proceed)", file=sys.stderr)
+    if n_multisets > args.tuple_cap:
+        print(f"error: {n_multisets} candidate tuples exceed the cap {args.tuple_cap} "
+              f"(raise --tuple-cap to proceed)", file=sys.stderr)
         return 2
     loaded = cache.load_table(cx.ring)
     need = (args.s - 1) * cx.parabolic.dim_gp
@@ -218,7 +222,12 @@ def cmd_verify(args):
         chunks = [(letter, rank, crossed, args.nmax, words[i:i + step])
                   for i in range(0, len(words), step)]
         with Pool(args.jobs) as pool:
-            rows = [r for part in pool.map(_verify_worker, chunks) for r in part]
+            parts = pool.map(_verify_worker, chunks)
+        rows = [r for part, _ in parts for r in part]
+        els = cx.ct.elements
+        for _, computed in parts:
+            for (iu, iv), row in computed.items():
+                cx.ring.set_row(els[iu], els[iv], {els[iw]: c for iw, c in row.items()})
     else:
         rows = _verify_rows(cx, tuples, args.nmax)
     rows.sort(key=lambda r: (r["lengths"], r["words"]))

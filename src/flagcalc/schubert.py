@@ -5,7 +5,10 @@ we pick coordinates in which the simple reflections act as signed monomial
 maps (types A-D) or as a one-variable substitution (G2), seed the calculus
 with a representative of the top class, and walk down with
 
-    d_i f = (f - s_i f) / alpha_i .
+    d_i f = (f - s_i f) / alpha_i ,
+
+written down monomial by monomial in closed form, (u^p - v^p)/(u - v) =
+sum_{j<p} u^j v^(p-1-j), so that no polynomial is ever divided.
 
 Classes are indexed by W^P in the homological grading ([X_w] of codimension
 dim G/P - ell(w)); internally everything is transported to the codimension
@@ -16,12 +19,14 @@ representative of the top class yields the same constants.
 
 `bgg_representatives` is a separate small reference path that follows the
 textbook normalisation (top = prod(R+)/|W|, polynomials in the simple
-roots); it doubles as an independent cross-check of the fast engine.
+roots, s_i applied by substitution and the difference divided out); it
+doubles as an independent cross-check of the fast engine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .roots import ExactnessError, weyl_order
 from .weyl import group, minimal_coset_reps
@@ -79,91 +84,60 @@ def pmul_linear(f, form):
     return out
 
 
-def divide_linear(f, form):
-    """Exact division of f by a 1- or 2-term linear form; raises
-    ExactnessError when the division leaves a remainder."""
-    items = sorted(form.items())
-    if len(items) == 1:
-        (p, cp), = items
-        out = {}
-        for m, c in f.items():
-            if m[p] < 1 or c % cp:
-                raise ExactnessError("inexact division (convention bug)")
-            out[tuple(e - 1 if k == p else e for k, e in enumerate(m))] = c // cp
-        return out
-    (p, cp), (q, cq) = items
-    layers = {}
-    for m, c in f.items():
-        rest = tuple(0 if t == p else e for t, e in enumerate(m))
-        layers.setdefault(m[p], {})[rest] = c
-    out = {}
-    prev_q = {}  # quotient layer Q_k while scanning k+1 -> k
-    for k in range(max(layers, default=0), -1, -1):
-        rk = dict(layers.get(k, {}))
-        for m, c in prev_q.items():
-            mm = tuple(e + 1 if t == q else e for t, e in enumerate(m))
-            v = rk.get(mm, 0) - cq * c
-            if v:
-                rk[mm] = v
-            else:
-                rk.pop(mm, None)
-        if k == 0:
-            if rk:
-                raise ExactnessError("inexact division (convention bug)")
-            break
-        cur = {}
-        for m, c in rk.items():
-            if c % cp:
-                raise ExactnessError("inexact division (convention bug)")
-            cur[m] = c // cp
-        for m, c in cur.items():
-            out[tuple(k - 1 if t == p else e for t, e in enumerate(m))] = c
-        prev_q = cur
-    return out
-
-
 class Realization:
-    """Per-type coordinates for the fast divided-difference calculus."""
+    """Per-type coordinates for the fast divided-difference calculus.
+
+    Each simple reflection s_i is one rule tuple, and alpha_i is read off it:
+
+      ("pair", a, b, sg)  s swaps u = x_a and v = sg*x_b;    alpha = u - v
+      ("odd", a, k)       s negates x_a;                     alpha = (2/k)*x_a
+      ("subst", a)        s sends u = y_a to v = u - alpha;  alpha = column a
+                          of the Cartan matrix (fundamental-weight coordinates)
+
+    Types A-D use "pair" (sg = -1 only at D's last node) and "odd" (k = 2
+    for B, 1 for C); G2 uses "subst".
+    """
 
     def __init__(self, R):
         self.system = R
         letter, l = R.type_letter, R.rank
+        swaps = [("pair", i, i + 1, 1) for i in range(l - 1)]
         if letter == "A":
             self.nvars = l + 1
-            self.alpha_forms = [{i: 1, i + 1: -1} for i in range(l)]
-            self._mono = [("swap", i, i + 1) for i in range(l)]
+            self.rules = swaps + [("pair", l - 1, l, 1)]
         elif letter in ("B", "C"):
             self.nvars = l
-            self.alpha_forms = [{i: 1, i + 1: -1} for i in range(l - 1)]
-            self.alpha_forms.append({l - 1: 1} if letter == "B" else {l - 1: 2})
-            self._mono = [("swap", i, i + 1) for i in range(l - 1)] + [("neg", l - 1)]
+            self.rules = swaps + [("odd", l - 1, 2 if letter == "B" else 1)]
         elif letter == "D":
             self.nvars = l
-            self.alpha_forms = [{i: 1, i + 1: -1} for i in range(l - 1)]
-            self.alpha_forms.append({l - 2: 1, l - 1: 1})
-            self._mono = [("swap", i, i + 1) for i in range(l - 1)] + [("swapneg", l - 2, l - 1)]
+            self.rules = swaps + [("pair", l - 2, l - 1, -1)]
         elif letter == "G":
-            # fundamental-weight coordinates; s_i rewrites only y_i
             self.nvars = l
-            self.alpha_forms = [
-                {k: R.cartan[k][i] for k in range(l) if R.cartan[k][i]}
-                for i in range(l)
-            ]
-            self._mono = [None] * l
+            self.rules = [("subst", i) for i in range(l)]
         else:
             raise ValueError(f"no realization for type {letter!r}")
+        self.alpha_forms = [self._alpha_form(rule) for rule in self.rules]
+        self._quotients = {}  # (i0, p) -> sum_{j<p} u^j v^(p-1-j) of a "subst" rule
+        self.check_rules()
 
-    def root_form(self, beta):
-        out = {}
-        for j, bj in enumerate(beta):
-            if bj:
-                for var, c in self.alpha_forms[j].items():
-                    v = out.get(var, 0) + bj * c
-                    if v:
-                        out[var] = v
-                    else:
-                        del out[var]
-        return out
+    def _alpha_form(self, rule):
+        kind, a = rule[0], rule[1]
+        if kind == "pair":
+            return {a: 1, rule[2]: -rule[3]}
+        if kind == "odd":
+            return {a: 2 // rule[2]}
+        cartan = self.system.cartan
+        return {k: cartan[k][a] for k in range(self.nvars) if cartan[k][a]}
+
+    def _images(self, i0):
+        """{variable s_i moves: the linear form s_i sends it to}."""
+        rule = self.rules[i0]
+        kind, a = rule[0], rule[1]
+        if kind == "pair":
+            return {a: {rule[2]: rule[3]}, rule[2]: {a: rule[3]}}
+        if kind == "odd":
+            return {a: {a: -1}}
+        return {a: psub({a: 1}, self.alpha_forms[i0])}
 
     def seed(self):
         """A representative of the top class, scaled to integer coefficients.
@@ -178,61 +152,91 @@ class Realization:
             return {tuple(range(n - 1, -1, -1)): 1}, 1
         f = {tuple(0 for _ in range(self.nvars)): 1}
         for beta in R.positive_roots:
-            f = pmul_linear(f, self.root_form(beta))
+            form = {}
+            for bj, alpha in zip(beta, self.alpha_forms):
+                form = padd(form, {var: bj * c for var, c in alpha.items()})
+            f = pmul_linear(f, form)
         return f, weyl_order(R)
 
-    def s_apply(self, i0, f):
-        """Action of s_{i0+1} on a polynomial (0-based generator index)."""
-        rule = self._mono[i0]
-        if rule is None:
-            return self._s_subst(i0, f)
-        out = {}
-        if rule[0] == "swap":
-            _, a, b = rule
-            for m, c in f.items():
-                mm = list(m)
-                mm[a], mm[b] = mm[b], mm[a]
-                out[tuple(mm)] = c
-        elif rule[0] == "neg":
-            _, a = rule
-            for m, c in f.items():
-                out[m] = -c if m[a] % 2 else c
-        else:  # swapneg
-            _, a, b = rule
-            for m, c in f.items():
-                mm = list(m)
-                mm[a], mm[b] = mm[b], mm[a]
-                out[tuple(mm)] = -c if (m[a] + m[b]) % 2 else c
-        return out
-
-    def _s_subst(self, i0, f):
-        # y_{i0} -> y_{i0} - alpha_{i0}; other variables fixed
-        image = {tuple(int(k == i0) for k in range(self.nvars)): 1}
-        for var, c in self.alpha_forms[i0].items():
-            m = tuple(int(k == var) for k in range(self.nvars))
-            image[m] = image.get(m, 0) - c
-        image = {m: c for m, c in image.items() if c}
-        powers = {0: {tuple(0 for _ in range(self.nvars)): 1}}
-
-        def power(k):
-            if k not in powers:
-                powers[k] = pmul(power(k - 1), image)
-            return powers[k]
-
-        out = {}
-        for m, c in f.items():
-            rest = tuple(0 if t == i0 else e for t, e in enumerate(m))
-            for mm, cc in power(m[i0]).items():
-                key = tuple(a + b for a, b in zip(rest, mm))
-                v = out.get(key, 0) + c * cc
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
-        return out
-
     def ddiff(self, i0, f):
-        return divide_linear(psub(f, self.s_apply(i0, f)), self.alpha_forms[i0])
+        """d_i f = (f - s_i f) / alpha_i for i = i0 + 1, in one pass over f,
+        from the closed form of each monomial's quotient:
+
+          pair:  d(u^p v^q) = sgn(p-q) (uv)^min(p,q) sum_{j<|p-q|} u^j v^(|p-q|-1-j),
+                 read back in x with v^k = sg^k x_b^k;
+          odd:   d(x_a^p) = k x_a^(p-1) for odd p, 0 for even p;
+          subst: d(u^p rest) = rest sum_{j<p} u^j v^(p-1-j).
+        """
+        rule = self.rules[i0]
+        kind, a = rule[0], rule[1]
+        if kind == "odd":
+            return {m[:a] + (m[a] - 1,) + m[a + 1:]: rule[2] * c
+                    for m, c in f.items() if m[a] % 2}
+        out = {}
+        if kind == "pair":
+            b, sg = rule[2], rule[3]
+            for m, c in f.items():
+                p, q = m[a], m[b]
+                if p == q:
+                    continue
+                lo, hi = min(p, q), max(p, q)
+                if p < q:
+                    c = -c
+                if sg < 0 and (q + hi - 1) % 2:
+                    c = -c
+                mm = list(m)
+                for j in range(hi - lo):
+                    mm[a], mm[b] = lo + j, hi - 1 - j
+                    key = tuple(mm)
+                    v = out.get(key, 0) + c
+                    if v:
+                        out[key] = v
+                    else:
+                        del out[key]
+                    if sg < 0:
+                        c = -c
+            return out
+        for m, c in f.items():
+            if m[a]:
+                rest = m[:a] + (0,) + m[a + 1:]
+                for mq, cq in self._quotient(i0, m[a]).items():
+                    key = tuple(x + y for x, y in zip(rest, mq))
+                    v = out.get(key, 0) + c * cq
+                    if v:
+                        out[key] = v
+                    else:
+                        del out[key]
+        return out
+
+    def _quotient(self, i0, p):
+        """(u^p - v^p)/(u - v) = u^(p-1) + v (u^(p-1) - v^(p-1))/(u - v)."""
+        if (i0, p) not in self._quotients:
+            (a, v), = self._images(i0).items()
+            top = {tuple(p - 1 if k == a else 0 for k in range(self.nvars)): 1}
+            self._quotients[i0, p] = top if p == 1 else padd(
+                top, pmul_linear(self._quotient(i0, p - 1), v))
+        return self._quotients[i0, p]
+
+    def check_rules(self):
+        """Raise ExactnessError unless alpha_i d_i m = m - s_i m for every
+        monomial m of degree <= 3 in the variables s_i moves, times 1 and
+        times prod_k x_k^(k+1) over the other variables.  ddiff never
+        divides, so this is where a closed form or a reflection that
+        disagrees with its root is caught."""
+        n = self.nvars
+        for i0, alpha in enumerate(self.alpha_forms):
+            images = self._images(i0)
+            for deg in range(4):
+                for moved in combinations_with_replacement(images, deg):
+                    for rest in (0, 1):
+                        m = tuple(moved.count(k) if k in images else rest * (k + 1)
+                                  for k in range(n))
+                        sm = {tuple(0 if k in images else e for k, e in enumerate(m)): 1}
+                        for var in moved:
+                            sm = pmul_linear(sm, images[var])
+                        if pmul_linear(self.ddiff(i0, {m: 1}), alpha) != psub({m: 1}, sm):
+                            raise ExactnessError(
+                                f"s_{i0 + 1} disagrees with its root (convention bug)")
 
 
 def walk_down(wg, table, w, ddiff):
@@ -404,13 +408,6 @@ class CohomClass:
     def coefficient(self, w):
         return self.coeffs.get(w, 0)
 
-    def codims(self):
-        ct = self.ring.ct
-        return sorted({ct.codim(w) for w in self.coeffs})
-
-    def is_homogeneous(self):
-        return len(self.codims()) <= 1
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -477,13 +474,6 @@ class CupRing(SchubertBasisRing):
         self.engine = SchubertEngine(R)
         self._rows = {}
 
-    @property
-    def unit(self):
-        return self.basis(self.ct.longest)
-
-    def point(self):
-        return self.basis(self.ct.elements[0])
-
     def row(self, u, v):
         """{w: c^w_{u,v}} over w in W^P; exact nonnegative integers."""
         key = self._pair(u, v)
@@ -510,7 +500,8 @@ class CupRing(SchubertBasisRing):
         return out
 
     def set_row(self, u, v, row):
-        """Seed the product cache (disk-cache warm-up); idempotent."""
+        """Seed the product cache (disk-cache warm-up, rows from verify
+        workers); idempotent."""
         self._rows.setdefault(self._pair(u, v), dict(row))
 
     def known_rows(self):

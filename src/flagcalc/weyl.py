@@ -289,9 +289,6 @@ class CosetTable:
                 return u
             u = wg.right_gen(u, j)
 
-    def member(self, w):
-        return w.key in self._by_key
-
     def canonical(self, w):
         """The stored (canonical-word) copy of an element of W^P."""
         try:

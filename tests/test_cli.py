@@ -162,11 +162,10 @@ def test_verify_jobs_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_verify_tuple_cap(capsys, monkeypatch):
-    monkeypatch.setenv("FLAGCALC_TUPLE_CAP", "5")
+def test_verify_tuple_cap(capsys):
     code, _, err = run(capsys, "verify", "--group", "C3", "--cross", "2",
-                       "--s", "3", "--nmax", "1")
-    assert code == 2 and "cap" in err
+                       "--s", "3", "--nmax", "1", "--tuple-cap", "5")
+    assert code == 2 and "--tuple-cap" in err
 
 
 def test_verify_requires_s3(capsys):
@@ -253,11 +252,18 @@ def test_exactness_checks_survive_python_O(tmp_path, monkeypatch):
     probe = ("from fractions import Fraction\n"
              "from flagcalc import roots\n"
              "from flagcalc.levi import LeviSystem\n"
-             "from flagcalc.schubert import divide_linear\n"
+             "from flagcalc.schubert import Realization, SchubertEngine\n"
+             "eng = SchubertEngine(roots.build('A', 2))\n"
              "try:\n"
-             "    divide_linear({(1, 0): 3}, {0: 2})\n"
+             "    eng.extract(eng.wg.from_word((1,)), {(2, 0, 0): 1})\n"
              "except roots.ExactnessError:\n"
              "    print(__debug__, 'raised')\n"
+             "real = Realization(roots.build('B', 3))\n"
+             "real.rules[2] = ('odd', 2, 1)\n"
+             "try:\n"
+             "    real.check_rules()\n"
+             "except roots.ExactnessError:\n"
+             "    print('rules', 'raised')\n"
              "try:\n"
              "    LeviSystem(roots.build('C', 3), (1, 2)).restrict(\n"
              "        (Fraction(1, 2), 3, Fraction(7, 2)))\n"
@@ -265,7 +271,7 @@ def test_exactness_checks_survive_python_O(tmp_path, monkeypatch):
              "    print('restrict', 'raised')\n")
     res = _flagcalc("-c", probe, optimize=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["False", "raised", "restrict", "raised"]
+    assert res.stdout.split() == ["False", "raised", "rules", "raised", "restrict", "raised"]
     # the same reports, byte for byte, with and without -O (each from a cold cache)
     for argv in (["verify", "--group", "C3", "--cross", "2", "--s", "3", "--nmax", "1"],
                  ["product", "--group", "C3", "--cross", "2", "1,3,2,1,3,2", "1,3,2", "3,2"]):
@@ -325,3 +331,19 @@ def test_cache_file_rewritten_only_when_rows_are_added(tmp_path):
     assert other.returncode == 0, other.stderr
     assert path.stat().st_ino != before.st_ino
     assert len(json.loads(path.read_text())["entries"]) > entries
+
+
+def test_verify_jobs_fills_cold_cache(tmp_path, monkeypatch):
+    from flagcalc import roots
+
+    argv = ["-m", "flagcalc", "verify", "--group", "B3", "--cross", "2", "--s", "3",
+            "--nmax", "1", "--jobs"]
+    tables = []
+    for jobs in ("1", "2"):
+        monkeypatch.setenv("FLAGCALC_CACHE_DIR", str(tmp_path / f"cache-{jobs}"))
+        res = _flagcalc(*argv, jobs)
+        assert res.returncode == 0, res.stderr
+        path = cache.table_path(roots.build("B", 3), [2])
+        tables.append(path.read_bytes())
+    assert json.loads(tables[0])["entries"]
+    assert tables[0] == tables[1]

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from flagcalc import roots
-from flagcalc.schubert import CupRing, MultiPoly, ReferenceBGG, bgg_representatives, pmul
+from flagcalc.schubert import (CupRing, MultiPoly, Realization, ReferenceBGG,
+                               bgg_representatives, padd, pmul, pmul_linear, psub)
 from flagcalc.weyl import group
 
 
@@ -104,7 +105,9 @@ def test_ring_axioms_random_triples(letter, rank, crossed):
 
 def test_engine_matches_reference_constants():
     # independent coordinates and seed normalisation must give identical numbers
-    for (letter, rank, crossed) in [("C", 3, [3]), ("B", 2, [2]), ("G", 2, [1])]:
+    for (letter, rank, crossed) in [("C", 3, [3]), ("B", 2, [2]), ("G", 2, [1]),
+                                    ("A", 3, [2]), ("A", 3, [1, 2, 3]), ("B", 3, [1]),
+                                    ("D", 4, [1])]:
         ring = ring_for(letter, rank, crossed)
         ct = ring.ct
         R = ring.system
@@ -121,6 +124,73 @@ def test_engine_matches_reference_constants():
                         g = ref.ddiff(i - 1, g)
                     const = g.get(tuple(0 for _ in range(R.rank)), 0)
                     assert const == ring.structure_constant(u, v, w)
+
+
+def _reflection_images(R, i0):
+    """(images, alpha) of s_{i0+1} in the engine's coordinates, built from the
+    signed-permutation (A-D) or substitution (G2) action: images[t] is the
+    linear form that x_t goes to, alpha the simple root as a linear form."""
+    letter, l = R.type_letter, R.rank
+    n = l + 1 if letter == "A" else l
+    images = [{t: 1} for t in range(n)]
+    if letter == "G":
+        alpha = {k: R.cartan[k][i0] for k in range(n) if R.cartan[k][i0]}
+        images[i0] = psub({i0: 1}, alpha)
+    elif i0 < l - 1 or letter == "A":
+        alpha = {i0: 1, i0 + 1: -1}
+        images[i0], images[i0 + 1] = {i0 + 1: 1}, {i0: 1}
+    elif letter == "D":
+        alpha = {l - 2: 1, l - 1: 1}
+        images[l - 2], images[l - 1] = {l - 1: -1}, {l - 2: -1}
+    else:
+        alpha = {l - 1: 1 if letter == "B" else 2}
+        images[l - 1] = {l - 1: -1}
+    return images, alpha
+
+
+def _substitute(f, images):
+    n = len(images)
+    out = {}
+    for m, c in f.items():
+        term = {tuple(0 for _ in range(n)): c}
+        for t, e in enumerate(m):
+            for _ in range(e):
+                term = pmul_linear(term, images[t])
+        out = padd(out, term)
+    return out
+
+
+@pytest.mark.parametrize("letter,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("G", 2),
+])
+def test_closed_form_divided_differences(letter, rank):
+    """alpha_i d_i f = f - s_i f and d_i d_i f = 0 on seeded random polynomials
+    up to degree 8, with s_i and alpha_i built here rather than from the rules."""
+    R = roots.build(letter, rank)
+    real = Realization(R)
+    n = real.nvars
+    rng = random.Random(f"{letter}{rank}")
+    for i0 in range(rank):
+        images, alpha = _reflection_images(R, i0)
+        assert real.alpha_forms[i0] == alpha
+        # s_i is the reflection in alpha_i: s_i(alpha_j) = alpha_j - <alpha_i^vee, alpha_j> alpha_i
+        for j in range(rank):
+            aj = _reflection_images(R, j)[1]
+            image = {}
+            for t, c in aj.items():
+                image = padd(image, {k: c * ck for k, ck in images[t].items()})
+            assert image == psub(aj, {t: R.cartan[i0][j] * c for t, c in alpha.items()})
+        for _ in range(12):
+            f = {}
+            for _ in range(rng.randint(1, 8)):
+                e = [0] * n
+                for _ in range(rng.randint(0, 8)):
+                    e[rng.randrange(n)] += 1
+                f = padd(f, {tuple(e): rng.choice([-7, -3, -2, -1, 1, 2, 5, 9])})
+            d = real.ddiff(i0, f)
+            assert pmul_linear(d, alpha) == psub(f, _substitute(f, images))
+            assert real.ddiff(i0, d) == {}
 
 
 def test_lg36_triple_paper_value():
