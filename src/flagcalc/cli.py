@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import combinations_with_replacement
 from math import comb
 
 from . import cache, lr
@@ -160,11 +159,44 @@ def cmd_invariants(args):
     return 0
 
 
+def _tuples(elements, s, need):
+    """The s-multisets of elements (sorted by length) whose lengths sum to
+    need, as tuples in the order of combinations_with_replacement.  Each
+    next element is bounded from both sides by what the rest can still
+    add; at k = 1 that leaves only the elements of length rest."""
+    longest = elements[-1].length
+
+    def rec(start, k, rest):
+        if k == 0:
+            yield ()
+            return
+        for j in range(start, len(elements)):
+            w = elements[j]
+            if k * w.length > rest:
+                break  # every later element is at least as long
+            if w.length + (k - 1) * longest >= rest:
+                for tail in rec(j, k - 1, rest - w.length):
+                    yield (w,) + tail
+
+    return list(rec(0, s, need))
+
+
+def _tops(cx, tup):
+    """(cup_top, deformed_top) of a tuple whose lengths sum to the expected
+    degree.  For three classes both are one row entry: by Poincare duality
+    the coefficient of [X_e] in [X_u][X_v][X_w] is that of [X_dual(w)] in
+    [X_u][X_v], for the ordinary and the deformed product alike."""
+    if len(tup) == 3:
+        u, v, w = tup
+        dual = cx.ct.dual[w]
+        return cx.ring.row(u, v).get(dual, 0), cx.deformed.row(u, v).get(dual, 0)
+    return cx.ring.intersection_number(list(tup)), cx.deformed.top_coefficient(list(tup))
+
+
 def _verify_rows(cx, tuples, nmax):
     rows = []
     for tup in tuples:
-        d = cx.ring.intersection_number(list(tup))
-        dt = cx.deformed.top_coefficient(list(tup))
+        d, dt = _tops(cx, tup)
         row = {
             "words": [w.word_str() for w in tup],
             "lengths": [w.length for w in tup],
@@ -212,9 +244,7 @@ def cmd_verify(args):
               f"(raise --tuple-cap to proceed)", file=sys.stderr)
         return 2
     loaded = cache.load_table(cx.ring)
-    need = (args.s - 1) * cx.parabolic.dim_gp
-    tuples = [tup for tup in combinations_with_replacement(cx.ct.elements, args.s)
-              if sum(w.length for w in tup) == need]
+    tuples = _tuples(cx.ct.elements, args.s, (args.s - 1) * cx.parabolic.dim_gp)
     if args.jobs > 1 and len(tuples) > 1:
         from multiprocessing import Pool
         words = [[w.word_str() for w in tup] for tup in tuples]

@@ -3,12 +3,19 @@
 Engine: divided-difference calculus on exact integer polynomials.  Per type
 we pick coordinates in which the simple reflections act as signed monomial
 maps (types A-D) or as a one-variable substitution (G2), seed the calculus
-with a representative of the top class, and walk down with
+at w0 with one monomial of degree |R+|, and walk down with
 
     d_i f = (f - s_i f) / alpha_i ,
 
 written down monomial by monomial in closed form, (u^p - v^p)/(u - v) =
 sum_{j<p} u^j v^(p-1-j), so that no polynomial is ever divided.
+
+Seeds: the staircase x^(l, ..., 1, 0) for A_l, x^(2n-1, ..., 3, 1) for B_n
+and C_n, x^(2n-2, ..., 2, 0) for D_n and y1^5 y2 for G2.  Such a monomial is
+a multiple of the top class modulo the ideal of positive-degree invariants,
+and the multiple is scale = d_{w0}(seed): 1 for A and C, 2^n for B_n,
+2^(n-1) for D_n and 2 for G2.  The engine computes it when it is built and
+refuses a seed whose d_{w0} is not a nonzero constant.
 
 Classes are indexed by W^P in the homological grading ([X_w] of codimension
 dim G/P - ell(w)); internally everything is transported to the codimension
@@ -16,6 +23,13 @@ grading through the duality w -> w0 w w0^P.  Coefficient extraction applies
 d along a reduced word of the target index and reads the constant term,
 which is insensitive to the ideal of positive-degree invariants, so any
 representative of the top class yields the same constants.
+
+Extraction is linear, so a product f = sum_m f[m] x^m is extracted monomial
+by monomial: E[m] = {target: extraction of x^m} comes from one walk of a
+trie over the reversed words of all targets of that degree, pruned where a
+divided difference vanishes, and is memoised per ring.  The product itself
+runs on packed monomials (Kronecker substitution: exponent k sits in bit
+field k of one int), so multiplying two monomials is one integer addition.
 
 `bgg_representatives` is a separate small reference path that follows the
 textbook normalisation (top = prod(R+)/|W|, polynomials in the simple
@@ -69,6 +83,19 @@ def pmul(f, g):
             else:
                 del out[m]
     return out
+
+
+def pmul_packed(f, g):
+    """pmul on packed monomials (see CupRing._pack): one int addition per pair."""
+    if len(f) > len(g):
+        f, g = g, f
+    out = {}
+    get = out.get
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
 def pmul_linear(f, form):
@@ -140,23 +167,17 @@ class Realization:
         return {a: psub({a: 1}, self.alpha_forms[i0])}
 
     def seed(self):
-        """A representative of the top class, scaled to integer coefficients.
-
-        Types B/C/D/G seed with prod(R+) at scale |W|; type A seeds with the
-        staircase monomial (the same class modulo the invariant ideal), which
-        keeps the whole type-A calculus at scale 1 with small polynomials.
-        """
-        R = self.system
-        if R.type_letter == "A":
-            n = self.nvars
-            return {tuple(range(n - 1, -1, -1)): 1}, 1
-        f = {tuple(0 for _ in range(self.nvars)): 1}
-        for beta in R.positive_roots:
-            form = {}
-            for bj, alpha in zip(beta, self.alpha_forms):
-                form = padd(form, {var: bj * c for var, c in alpha.items()})
-            f = pmul_linear(f, form)
-        return f, weyl_order(R)
+        """The monomial the table starts from at w0: x^(l, ..., 1, 0) for A_l,
+        x^(2n-1, ..., 3, 1) for B_n and C_n, x^(2n-2, ..., 2, 0) for D_n and
+        y1^5 y2 for G2."""
+        letter, n = self.system.type_letter, self.nvars
+        if letter == "A":
+            top = range(n - 1, -1, -1)
+        elif letter == "G":
+            top = (5, 1)
+        else:
+            top = range(2 * n - (2 if letter == "D" else 1), -1, -2)
+        return {tuple(top): 1}
 
     def ddiff(self, i0, f):
         """d_i f = (f - s_i f) / alpha_i for i = i0 + 1, in one pass over f,
@@ -257,6 +278,19 @@ def walk_down(wg, table, w, ddiff):
     return f
 
 
+def extraction_trie(words):
+    """Trie over the reversed words of {target: reduced word}: a node maps
+    i0 to the subtrie for d_{i0+1}, and the node a whole word leads to maps
+    None to that word's target."""
+    root = {}
+    for target, word in words.items():
+        node = root
+        for i in reversed(word):
+            node = node.setdefault(i - 1, {})
+        node[None] = target
+    return root
+
+
 class SchubertEngine:
     """Scaled representative table and coefficient extraction for one W."""
 
@@ -264,31 +298,43 @@ class SchubertEngine:
         self.system = R
         self.wg = group(R)
         self.realization = Realization(R)
-        seed, scale = self.realization.seed()
-        self.scale = scale
-        self._table = {self.wg.longest(): seed}
+        self._table = {self.wg.longest(): self.realization.seed()}
+        self._const = (0,) * self.realization.nvars
+        top = self.rep(self.wg.identity)
+        if set(top) != {self._const}:
+            raise ExactnessError("d_w0 of the seed is not a nonzero constant")
+        self.scale = top[self._const]
 
     def rep(self, w):
         """scale * (representative of the codim-ell(w) class indexed by w)."""
         return walk_down(self.wg, self._table, w, self.realization.ddiff)
 
-    def extract(self, w, f):
-        """Coefficient of the class of w in scale * f, as an exact integer.
+    def extract(self, trie, m):
+        """{target: coefficient of its class in scale * x^m} over the targets
+        of an extraction trie whose words have length deg(m); targets whose
+        coefficient is 0 are left out.
 
-        Applies the divided differences along a reduced word of w and reads
+        Applies the divided differences along each target's word and reads
         the constant term; ideal terms die along the way, so the answer only
-        depends on the class of f.
+        depends on the class of x^m.  A branch stops where a divided
+        difference vanishes.
         """
-        for i in reversed(w.word):
-            if not f:
-                return 0
-            f = self.realization.ddiff(i - 1, f)
-        if not f:
-            return 0
-        const = tuple(0 for _ in range(self.realization.nvars))
-        if set(f) != {const}:
-            raise ExactnessError("nonconstant extraction (degree mismatch)")
-        return f[const]
+        out = {}
+        ddiff, const = self.realization.ddiff, self._const
+
+        def walk(node, f):
+            for i0, child in node.items():
+                if i0 is None:
+                    if set(f) != {const}:
+                        raise ExactnessError("nonconstant extraction (degree mismatch)")
+                    out[child] = f[const]
+                else:
+                    g = ddiff(i0, f)
+                    if g:
+                        walk(child, g)
+
+        walk(trie, {m: 1})
+        return out
 
 
 class MultiPoly:
@@ -473,6 +519,44 @@ class CupRing(SchubertBasisRing):
         self.ct = minimal_coset_reps(R, P)
         self.engine = SchubertEngine(R)
         self._rows = {}
+        # packed monomials: exponent k in bits [k*width, (k+1)*width); every
+        # rep monomial has degree <= dim G/P < 2^(width-1), so no product carries
+        self.width = P.dim_gp.bit_length() + 1
+        self._packed = {}   # w -> rep(w) packed
+        self._tries = {}    # degree -> extraction trie of that degree's targets
+        self._vectors = {}  # packed monomial m -> E[m] = engine.extract(trie, m)
+
+    def _pack(self, w):
+        """rep(w) as {packed monomial: coefficient}."""
+        if w not in self._packed:
+            width = self.width
+            out = {}
+            for m, c in self.engine.rep(w).items():
+                if sum(m) >> (width - 1):
+                    raise ExactnessError("monomial degree overflows the packing width")
+                key = 0
+                for e in reversed(m):
+                    key = key << width | e
+                out[key] = c
+            self._packed[w] = out
+        return self._packed[w]
+
+    def _targets(self, degree):
+        """The keys w of a row of that degree, in by_length order."""
+        return self.ct.by_length.get(self.parabolic.dim_gp - degree, [])
+
+    def _vector(self, m, degree):
+        """E[m] = {k: extraction of the packed monomial m at dual[targets[k]]},
+        computed on a memo miss."""
+        if degree not in self._tries:
+            dual = self.ct.dual
+            self._tries[degree] = extraction_trie(
+                {k: dual[w].word for k, w in enumerate(self._targets(degree))})
+        width = self.width
+        mono = tuple(m >> (width * k) & ((1 << width) - 1)
+                     for k in range(self.engine.realization.nvars))
+        vec = self._vectors[m] = self.engine.extract(self._tries[degree], mono)
+        return vec
 
     def row(self, u, v):
         """{w: c^w_{u,v}} over w in W^P; exact nonnegative integers."""
@@ -481,15 +565,22 @@ class CupRing(SchubertBasisRing):
             return self._rows[key]
         u, v = key
         ct = self.ct
-        eng = self.engine
         target = ct.codim(u) + ct.codim(v)
         out = {}
         if target <= self.parabolic.dim_gp:
-            f = pmul(eng.rep(ct.dual[u]), eng.rep(ct.dual[v]))
-            sc2 = eng.scale * eng.scale
-            for w in ct.by_length.get(self.parabolic.dim_gp - target, []):
-                raw = eng.extract(ct.dual[w], f)
-                c, r = divmod(raw, sc2)
+            # extraction is linear: the raw row is sum_m f[m] E[m] over f = rep * rep
+            targets = self._targets(target)
+            raw = [0] * len(targets)
+            vectors = self._vectors
+            for m, c in pmul_packed(self._pack(ct.dual[u]), self._pack(ct.dual[v])).items():
+                vec = vectors.get(m)
+                if vec is None:
+                    vec = self._vector(m, target)
+                for k, e in vec.items():
+                    raw[k] += c * e
+            sc2 = self.engine.scale ** 2
+            for w, x in zip(targets, raw):
+                c, r = divmod(x, sc2)
                 if r:
                     raise ExactnessError("noninteger structure constant (convention bug)")
                 if c < 0:

@@ -173,6 +173,48 @@ def test_verify_requires_s3(capsys):
     assert code == 2 and "--s" in err
 
 
+VERIFY_PARABOLICS = [("A", 4, (1, 2, 3, 4)), ("C", 4, (1, 4)), ("B", 3, (1, 2, 3)),
+                     ("G", 2, (1, 2)), ("D", 4, (1, 3, 4))]
+
+
+@pytest.mark.parametrize("letter,rank,crossed", VERIFY_PARABOLICS)
+def test_s3_tops_read_by_duality(letter, rank, crossed):
+    """The s = 3 row reads equal the iterated products on every verify tuple."""
+    from flagcalc.cli import _tops, _tuples
+    from flagcalc.context import flag_context
+    cx = flag_context(letter, rank, crossed)
+    tuples = _tuples(cx.ct.elements, 3, 2 * cx.parabolic.dim_gp)
+    assert tuples
+    for tup in tuples:
+        assert _tops(cx, tup) == (cx.ring.intersection_number(list(tup)),
+                                  cx.deformed.top_coefficient(list(tup)))
+
+
+@pytest.mark.parametrize("letter,rank,crossed,s", [
+    (*p, 3) for p in VERIFY_PARABOLICS + [("A", 3, (1, 2, 3))]] + [
+    ("A", 3, (1, 2, 3), 4), ("B", 3, (1, 2, 3), 4), ("G", 2, (1, 2), 4), ("C", 3, (2,), 4)])
+def test_tuples_match_multiset_filter(letter, rank, crossed, s):
+    from itertools import combinations_with_replacement
+    from flagcalc.cli import _tuples
+    from flagcalc.context import flag_context
+    cx = flag_context(letter, rank, crossed)
+    need = (s - 1) * cx.parabolic.dim_gp
+    want = [tup for tup in combinations_with_replacement(cx.ct.elements, s)
+            if sum(w.length for w in tup) == need]
+    assert want and _tuples(cx.ct.elements, s, need) == want
+
+
+def test_verify_s4_report_bytes(capsys):
+    # s > 3 takes the iterated products; the sha256 was recorded when every
+    # s took them, so it pins the report bytes across the s = 3 duality read
+    import hashlib
+    code, out, _ = run(capsys, "verify", "--group", "A3", "--cross", "1,2,3",
+                       "--s", "4", "--nmax", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "26d5d5fb64311bb24fcc373481fb9bccd3d9d7147b58d5b5868eb9a4909efe40")
+
+
 def test_fulton_single_and_sweep(capsys):
     code, out, _ = run(capsys, "fulton", "--lam", "1", "--mu", "1", "--nu", "2",
                        "--nmax", "4")
@@ -250,28 +292,45 @@ def _flagcalc(*argv, optimize=False):
 
 def test_exactness_checks_survive_python_O(tmp_path, monkeypatch):
     probe = ("from fractions import Fraction\n"
-             "from flagcalc import roots\n"
+             "from flagcalc import roots, schubert\n"
              "from flagcalc.levi import LeviSystem\n"
-             "from flagcalc.schubert import Realization, SchubertEngine\n"
+             "from flagcalc.schubert import CupRing, Realization, SchubertEngine\n"
+             "def probe(name, fn, exc=roots.ExactnessError):\n"
+             "    try:\n"
+             "        fn()\n"
+             "    except exc:\n"
+             "        print(name, 'raised')\n"
+             "print(__debug__)\n"
              "eng = SchubertEngine(roots.build('A', 2))\n"
-             "try:\n"
-             "    eng.extract(eng.wg.from_word((1,)), {(2, 0, 0): 1})\n"
-             "except roots.ExactnessError:\n"
-             "    print(__debug__, 'raised')\n"
+             "s1 = eng.wg.from_word((1,))\n"
+             "trie = schubert.extraction_trie({s1: s1.word})\n"
+             "probe('leaf', lambda: eng.extract(trie, (2, 0, 0)))\n"
              "real = Realization(roots.build('B', 3))\n"
              "real.rules[2] = ('odd', 2, 1)\n"
-             "try:\n"
-             "    real.check_rules()\n"
-             "except roots.ExactnessError:\n"
-             "    print('rules', 'raised')\n"
-             "try:\n"
-             "    LeviSystem(roots.build('C', 3), (1, 2)).restrict(\n"
-             "        (Fraction(1, 2), 3, Fraction(7, 2)))\n"
-             "except ValueError:\n"
-             "    print('restrict', 'raised')\n")
+             "probe('rules', real.check_rules)\n"
+             "probe('restrict', lambda: LeviSystem(roots.build('C', 3), (1, 2)).restrict(\n"
+             "    (Fraction(1, 2), 3, Fraction(7, 2))), ValueError)\n"
+             "def ring(letter, rank, crossed):\n"
+             "    R = roots.build(letter, rank)\n"
+             "    ring = CupRing(R, roots.parabolic(R, crossed=crossed))\n"
+             "    return ring, ring.ct.by_length[ring.parabolic.dim_gp - 2][0]\n"
+             "r, w = ring('C', 3, [3])\n"
+             "r.width = 2\n"
+             "probe('packing', lambda: r.row(w, w))\n"
+             "r, w = ring('A', 3, [2])\n"
+             "r.engine.scale = 2\n"
+             "probe('remainder', lambda: r.row(w, w))\n"
+             "r, w = ring('A', 3, [2])\n"
+             "r._packed[r.ct.dual[w]] = {m: -c for m, c in r._pack(r.ct.dual[w]).items()}\n"
+             "probe('negative', lambda: r.row(w, r.ct.longest))\n"
+             "Realization.seed = lambda self: {(4, 0): 1}\n"
+             "probe('seed', lambda: SchubertEngine(roots.build('C', 2)))\n")
     res = _flagcalc("-c", probe, optimize=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["False", "raised", "rules", "raised", "restrict", "raised"]
+    assert res.stdout.split() == ["False"] + [
+        word for name in ("leaf", "rules", "restrict", "packing", "remainder", "negative",
+                          "seed")
+        for word in (name, "raised")]
     # the same reports, byte for byte, with and without -O (each from a cold cache)
     for argv in (["verify", "--group", "C3", "--cross", "2", "--s", "3", "--nmax", "1"],
                  ["product", "--group", "C3", "--cross", "2", "1,3,2,1,3,2", "1,3,2", "3,2"]):

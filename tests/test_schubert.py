@@ -3,7 +3,8 @@ import random
 import pytest
 
 from flagcalc import roots
-from flagcalc.schubert import (CupRing, MultiPoly, Realization, ReferenceBGG,
+from flagcalc.roots import ExactnessError
+from flagcalc.schubert import (CupRing, MultiPoly, Realization, ReferenceBGG, SchubertEngine,
                                bgg_representatives, padd, pmul, pmul_linear, psub)
 from flagcalc.weyl import group
 
@@ -124,6 +125,69 @@ def test_engine_matches_reference_constants():
                         g = ref.ddiff(i - 1, g)
                     const = g.get(tuple(0 for _ in range(R.rank)), 0)
                     assert const == ring.structure_constant(u, v, w)
+
+
+def _extract_one(eng, w, f):
+    """Coefficient of the class of w in scale * f, one target at a time: the
+    divided differences along w's word applied to the whole of f."""
+    for i in reversed(w.word):
+        if not f:
+            return 0
+        f = eng.realization.ddiff(i - 1, f)
+    const = (0,) * eng.realization.nvars
+    assert set(f) <= {const}
+    return f.get(const, 0)
+
+
+@pytest.mark.parametrize("letter,rank,crossed", [
+    ("A", 4, [1, 2, 3, 4]), ("C", 4, [1, 4]), ("B", 3, [1, 2, 3]), ("G", 2, [1, 2]),
+    ("D", 4, [1, 3, 4]), ("B", 4, [2]), ("D", 5, [1]),
+])
+def test_rows_match_per_target_extraction(letter, rank, crossed):
+    """CupRing.row (packed product, memoised per-monomial extraction over a
+    trie) against extracting every target from the unpacked tuple product."""
+    ring = ring_for(letter, rank, crossed)
+    ct, eng = ring.ct, ring.engine
+    dim = ring.parabolic.dim_gp
+    els = ct.elements
+    for a, u in enumerate(els):
+        for v in els[a:]:
+            target = ct.codim(u) + ct.codim(v)
+            if target > dim:
+                continue
+            f = pmul(eng.rep(ct.dual[u]), eng.rep(ct.dual[v]))
+            want = {}
+            for w in ct.by_length.get(dim - target, []):
+                c, r = divmod(_extract_one(eng, ct.dual[w], f), eng.scale ** 2)
+                assert r == 0 and c >= 0
+                if c:
+                    want[w] = c
+            assert ring.row(u, v) == want
+
+
+@pytest.mark.parametrize("letter,rank,scale", [
+    ("A", 2, 1), ("A", 3, 1), ("A", 4, 1), ("B", 3, 8), ("B", 4, 16), ("B", 5, 32),
+    ("C", 3, 1), ("C", 4, 1), ("C", 5, 1), ("D", 4, 8), ("D", 5, 16), ("G", 2, 2),
+])
+def test_seed_scale(letter, rank, scale):
+    # scale = d_w0(seed): 1 for A and C, 2^n for B_n, 2^(n-1) for D_n, 2 for G2
+    assert SchubertEngine(roots.build(letter, rank)).scale == scale
+
+
+def test_invariant_seed_rejected(monkeypatch):
+    # s_2 fixes x_1^4 on C2, so d_w0 sends it to 0
+    monkeypatch.setattr(Realization, "seed", lambda self: {(4, 0): 1})
+    with pytest.raises(ExactnessError):
+        SchubertEngine(roots.build("C", 2))
+
+
+def test_packing_width_too_small_rejected():
+    ring = ring_for("C", 3, [3])
+    ring.width -= 1
+    with pytest.raises(ExactnessError):
+        for u in ring.ct.elements:
+            for v in ring.ct.elements:
+                ring.row(u, v)
 
 
 def _reflection_images(R, i0):
