@@ -4,8 +4,10 @@ Cache files are keyed by a content hash of (type, rank, crossed nodes) and
 carry a schema version and the sha256 of their entries; a file whose header
 or digest does not match is ignored and recomputed, never trusted.  Files
 are written to a temporary name and renamed into place, so a reader never
-sees a half-written table.  Integers beyond 2^53-1 are rendered as decimal
-strings so the files stay readable by double-precision JSON parsers.
+sees a half-written table.  A table is parsed only when the file changed
+since this process last read or wrote it for the same ring.  Integers beyond
+2^53-1 are rendered as decimal strings so the files stay readable by
+double-precision JSON parsers.
 """
 
 from __future__ import annotations
@@ -14,10 +16,17 @@ import hashlib
 import json
 import os
 import tempfile
+import weakref
 from pathlib import Path
 
 SCHEMA_VERSION = 1
 _BIG = 2**53 - 1
+# every integer beyond _BIG has at least 16 digits; canonical_json's text is
+# ASCII (json.dumps escapes the rest), so this maps every character it can hold
+_DIGIT_RUNS = {c: "0" if 48 <= c <= 57 else " " for c in range(128)}
+# ring -> {table path: ((st_ino, st_size, st_mtime_ns), rows)} of the file as
+# this process last read or wrote it for that ring, whose rows it then holds
+_seen = weakref.WeakKeyDictionary()
 
 
 def _encode(obj):
@@ -34,7 +43,10 @@ def _encode(obj):
 
 def canonical_json(obj):
     """Stable byte-for-byte serialisation (sorted keys, tight separators)."""
-    return json.dumps(_encode(obj), sort_keys=True, separators=(",", ":")) + "\n"
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    if "0" * 16 in text.translate(_DIGIT_RUNS):
+        text = json.dumps(_encode(obj), sort_keys=True, separators=(",", ":"))
+    return text + "\n"
 
 
 def cache_dir():
@@ -54,6 +66,10 @@ def _table_key(R, crossed):
 
 def table_path(R, crossed):
     return cache_dir() / f"table-{R.type_letter}{R.rank}-{_table_key(R, crossed)}.json"
+
+
+def _signature(st):
+    return st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def _entries_digest(entries):
@@ -88,21 +104,28 @@ def save_table(ring):
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(canonical_json(doc))
+            fh.flush()
+            sig = _signature(os.fstat(fh.fileno()))  # the rename keeps all three
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+    _seen.setdefault(ring, {})[path] = (sig, stored_rows(ring))
     return path
 
 
 def load_table(ring):
-    """Warm the ring's product cache from disk; silently skips a file whose
-    header or entries digest does not match."""
+    """Warm the ring's product cache from disk and return the file's row
+    count; silently skips a file whose header or entries digest does not
+    match.  A file unchanged since this process last read or wrote it for
+    the ring is not parsed again: the ring already holds its rows."""
     R = ring.system
     path = table_path(R, list(ring.parabolic.crossed))
-    if not path.exists():
-        return 0
+    seen = _seen.setdefault(ring, {})
     try:
+        sig = _signature(os.stat(path))  # before the read: a later rewrite differs
+        if path in seen and seen[path][0] == sig:
+            return seen[path][1]
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError):
         return 0
@@ -124,6 +147,7 @@ def load_table(ring):
         return 0
     for (u, v), row in rows.items():
         ring.set_row(u, v, row)
+    seen[path] = (sig, len(rows))
     return len(rows)
 
 

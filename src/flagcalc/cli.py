@@ -19,6 +19,7 @@ fundamental coordinates.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from math import comb
 
@@ -374,7 +375,10 @@ def _plain(x):
     return list(x) if isinstance(x, tuple) else x
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built on the first call and reused by every later
+    one: parse_args fills a new namespace each time, so no option carries over."""
     ap = argparse.ArgumentParser(prog="flagcalc", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -430,7 +434,14 @@ def main(argv=None):
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_examples)
 
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
+    if getattr(args, "nmax", 1) < 1:
+        print("error: --nmax must be at least 1", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except ValueError as exc:

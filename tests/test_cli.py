@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import flagcalc
 from flagcalc import cache
@@ -173,6 +175,18 @@ def test_verify_requires_s3(capsys):
     assert code == 2 and "--s" in err
 
 
+@pytest.mark.parametrize("nmax", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--group", "B3", "--cross", "2", "--s", "3"],
+    ["invariants", "--group", "G2", "--weights", "6,0", "0,6", "0,7"],
+    ["fulton", "--lam", "1", "--mu", "1", "--nu", "2"],
+    ["fulton", "--rows", "2", "--cols", "2"],
+])
+def test_nmax_below_one_rejected(capsys, argv, nmax):
+    code, out, err = run(capsys, *argv, "--nmax", nmax)
+    assert code == 2 and out == "" and "--nmax" in err
+
+
 VERIFY_PARABOLICS = [("A", 4, (1, 2, 3, 4)), ("C", 4, (1, 4)), ("B", 3, (1, 2, 3)),
                      ("G", 2, (1, 2)), ("D", 4, (1, 3, 4))]
 
@@ -260,6 +274,39 @@ def test_big_integer_rendering():
     parsed = json.loads(text)
     assert parsed["n"] == str(2**80)
     assert cache.canonical_json(parsed) == text
+
+
+def _encode_route(doc):
+    return json.dumps(cache._encode(doc), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+BIG_EDGES = [2**53 - 1, -(2**53 - 1), 2**53, -(2**53), 10**15, 10**16, -(10**16)]
+
+
+@pytest.mark.parametrize("doc", [
+    *BIG_EDGES, True, False, None, 0,
+    BIG_EDGES,
+    [True, False, 1, [2**53, [-(2**53), {"k": 2**53 - 1}]]],
+    {"a": {"b": [True, 2**80]}, "c": -(2**53 - 1), "d": False},
+    "1234567890123456", "x" + "9" * 40 + "y", ["123456789012345", 123456789012345],
+    {"9" * 16: 1, "k": "0" * 15},
+    {"n": 2**53, "s": "2" * 16, "t": [2**53 - 1, "3" * 17]},
+])
+def test_canonical_json_matches_encode_route(doc):
+    assert cache.canonical_json(doc) == _encode_route(doc)
+
+
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.sampled_from(BIG_EDGES),
+    st.integers(-(2**70), 2**70), st.text(alphabet="0123456789-,x", max_size=40))
+
+
+@given(st.recursive(_json_leaves, lambda kids: st.one_of(
+    st.lists(kids, max_size=4),
+    st.dictionaries(st.text(alphabet="09ab", max_size=18), kids, max_size=4)),
+    max_leaves=16))
+def test_canonical_json_matches_encode_route_on_random_documents(doc):
+    assert cache.canonical_json(doc) == _encode_route(doc)
 
 
 def test_corrupt_cache_ignored(capsys, tmp_path):
@@ -406,3 +453,143 @@ def test_verify_jobs_fills_cold_cache(tmp_path, monkeypatch):
         tables.append(path.read_bytes())
     assert json.loads(tables[0])["entries"]
     assert tables[0] == tables[1]
+
+
+def _same_as_fresh_process(capsys, argv, out):
+    """main(argv) in this process prints, and writes to out, what a fresh
+    `python -m flagcalc` with the same argv does."""
+    out.unlink(missing_ok=True)
+    code, stdout, _ = run(capsys, *argv)
+    written = out.read_bytes() if out.exists() else None
+    assert ("--out" in argv) == (written is not None), argv
+    out.unlink(missing_ok=True)
+    fresh = _flagcalc("-m", "flagcalc", *argv)
+    assert (code, stdout) == (fresh.returncode, fresh.stdout), argv
+    assert written == (out.read_bytes() if out.exists() else None), argv
+
+
+def test_parser_reused_across_calls(capsys, tmp_path):
+    """One process, every subcommand twice with different options and a parse
+    error in between: no option carries over from one call to the next."""
+    out = tmp_path / "out.json"
+    pairs = [
+        (["roots", "--group", "B3", "--out", str(out)], ["roots", "--group", "G2"]),
+        (["wp", "--group", "C3", "--cross", "3", "--out", str(out)],
+         ["wp", "--group", "A3", "--cross", "2"]),
+        (["product", "--group", "C3", "--cross", "2", "--deformed", "--out", str(out),
+          "1,3,2,1,3,2", "1,3,2,1,3,2", "3,2"],
+         ["product", "--group", "C3", "--cross", "2", "1,3,2,1,3,2", "1,3,2,1,3,2", "3,2"]),
+        (["invariants", "--group", "G2", "--weights", "6,0", "0,6", "10,1", "--nmax", "2",
+          "--out", str(out)],
+         ["invariants", "--group", "C3", "--cross", "3", "--weights", "2,0", "0,3", "2,1"]),
+        (["verify", "--group", "A2", "--cross", "2", "--nmax", "1", "--out", str(out)],
+         ["verify", "--group", "B2", "--cross", "1"]),
+        (["fulton", "--lam", "1", "--mu", "1", "--nu", "2", "--nmax", "3", "--out", str(out)],
+         ["fulton", "--rows", "2", "--cols", "2"]),
+        (["examples", "--out", str(out)], ["examples"]),
+    ]
+    for first, second in pairs:
+        _same_as_fresh_process(capsys, first, out)
+        with pytest.raises(SystemExit) as exc:
+            main([first[0], "--bogus"])
+        assert exc.value.code == 2 and "usage: flagcalc" in capsys.readouterr().err
+        _same_as_fresh_process(capsys, second, out)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["product", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    res = _flagcalc("-m", "flagcalc", *argv)
+    assert res.returncode == 0 and res.stdout.startswith("usage: flagcalc")
+    for _ in range(2):  # the reused parser prints its help again
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: flagcalc")
+
+
+@pytest.fixture
+def fresh_contexts(monkeypatch):
+    """Rings built in this test only, so no earlier test's rows are in memory."""
+    from flagcalc import context
+    monkeypatch.setattr(context, "_contexts", {})
+
+
+@pytest.fixture
+def table_parses(monkeypatch):
+    """Calls of json.loads, which load_table makes once per table it parses."""
+    calls = []
+    loads = json.loads
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(cache.json, "loads", counting)
+    return calls
+
+
+C3_2_PRODUCT = ["product", "--group", "C3", "--cross", "2"]
+
+
+def _c3_2_table():
+    from flagcalc import roots
+    return cache.table_path(roots.build("C", 3), [2])
+
+
+def _parses(calls, capsys, *argv):
+    before = len(calls)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    return len(calls) - before, out
+
+
+def test_unchanged_table_not_reparsed(capsys, fresh_contexts, table_parses):
+    argv = C3_2_PRODUCT + ["1,2,1,3,2", "3,2,1,3,2"]
+    parses, first = _parses(table_parses, capsys, *argv)
+    assert parses == 0  # no table yet; this request writes it
+    path = _c3_2_table()
+    written = path.stat()
+    for _ in range(2):
+        parses, again = _parses(table_parses, capsys, *argv)
+        assert parses == 0 and again == first
+    assert path.stat().st_mtime_ns == written.st_mtime_ns  # and not rewritten
+
+
+def test_rows_added_by_another_process_are_read_and_kept(capsys, fresh_contexts,
+                                                          table_parses):
+    run(capsys, *C3_2_PRODUCT, "1,2,1,3,2", "3,2,1,3,2")
+    path = _c3_2_table()
+    ours = json.loads(path.read_text())["entries"]
+    other = _flagcalc("-m", "flagcalc", *C3_2_PRODUCT, "1,2,1,3,2", "1,2,3,2")
+    assert other.returncode == 0, other.stderr
+    theirs = json.loads(path.read_text())["entries"]
+    assert len(theirs) > len(ours)
+    parses, _ = _parses(table_parses, capsys, *C3_2_PRODUCT, "1,3,2,1,3,2", "2,3,2")
+    assert parses == 1
+    kept = json.loads(path.read_text())["entries"]
+    assert len(kept) > len(theirs) and all(e in kept for e in theirs)
+
+
+def test_tampered_table_reread_in_process(capsys, fresh_contexts, table_parses):
+    argv = C3_2_PRODUCT + ["3,2", "1,3,2,1,3,2"]
+    _, first = _parses(table_parses, capsys, *argv)
+    path = _c3_2_table()
+    good = json.loads(path.read_text())
+    bad = json.loads(path.read_text())
+    for e in bad["entries"]:
+        e["c"] = 64
+    path.write_text(cache.canonical_json(bad))
+    parses, again = _parses(table_parses, capsys, *argv)
+    assert parses == 1 and again == first
+    assert json.loads(path.read_text()) == good  # the bad file was replaced
+
+
+def test_new_cache_dir_gets_its_own_table(capsys, fresh_contexts, monkeypatch, tmp_path):
+    argv = C3_2_PRODUCT + ["1,2,1,3,2", "3,2,1,3,2"]
+    first = run(capsys, *argv)[1]
+    assert _c3_2_table().exists()
+    monkeypatch.setenv("FLAGCALC_CACHE_DIR", str(tmp_path / "other"))
+    assert not _c3_2_table().exists()
+    code, again, _ = run(capsys, *argv)
+    assert code == 0 and again == first
+    assert _c3_2_table().exists()
