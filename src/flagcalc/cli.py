@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from math import comb
 
@@ -236,6 +237,9 @@ def cmd_verify(args):
     if args.s < 3:
         print("error: --s must be at least 3", file=sys.stderr)
         return 2
+    if args.jobs < 1:
+        print("error: --jobs must be at least 1", file=sys.stderr)
+        return 2
     letter, rank = _parse_group(args.group)
     crossed = _parse_ints(args.cross)
     cx = flag_context(letter, rank, crossed)
@@ -246,13 +250,15 @@ def cmd_verify(args):
         return 2
     loaded = cache.load_table(cx.ring)
     tuples = _tuples(cx.ct.elements, args.s, (args.s - 1) * cx.parabolic.dim_gp)
-    if args.jobs > 1 and len(tuples) > 1:
+    # reports do not depend on the job count, so more workers than CPUs buy nothing
+    jobs = min(args.jobs, os.cpu_count() or 1)
+    if jobs > 1 and len(tuples) > 1:
         from multiprocessing import Pool
         words = [[w.word_str() for w in tup] for tup in tuples]
-        step = max(1, len(words) // (4 * args.jobs))
+        step = max(1, len(words) // (4 * jobs))
         chunks = [(letter, rank, crossed, args.nmax, words[i:i + step])
                   for i in range(0, len(words), step)]
-        with Pool(args.jobs) as pool:
+        with Pool(jobs) as pool:
             parts = pool.map(_verify_worker, chunks)
         rows = [r for part, _ in parts for r in part]
         els = cx.ct.elements

@@ -10,12 +10,16 @@ at w0 with one monomial of degree |R+|, and walk down with
 written down monomial by monomial in closed form, (u^p - v^p)/(u - v) =
 sum_{j<p} u^j v^(p-1-j), so that no polynomial is ever divided.
 
-Seeds: the staircase x^(l, ..., 1, 0) for A_l, x^(2n-1, ..., 3, 1) for B_n
-and C_n, x^(2n-2, ..., 2, 0) for D_n and y1^5 y2 for G2.  Such a monomial is
-a multiple of the top class modulo the ideal of positive-degree invariants,
-and the multiple is scale = d_{w0}(seed): 1 for A and C, 2^n for B_n,
-2^(n-1) for D_n and 2 for G2.  The engine computes it when it is built and
-refuses a seed whose d_{w0} is not a nonzero constant.
+Seeds: the staircase x^(l, ..., 1, 0) for A_l, sg x^(1, 3, ..., 2n-1) for
+B_n and C_n, sg x^(0, 2, ..., 2n-2) for D_n and y1^5 y2 for G2.  Such a
+monomial is a multiple of the top class modulo the ideal of positive-degree
+invariants, and the multiple is scale = d_{w0}(seed): 1 for A and C, 2^n for
+B_n, 2^(n-1) for D_n and 2 for G2.  The engine computes it when it is built
+and refuses a seed whose d_{w0} is not a nonzero constant.  The ascending
+B-D seeds are the descending ones with the coordinates reversed by some w in
+S_n < W; d_{w0}(w f) = det(w) d_{w0}(f), so sg = det(w) = (-1)^(n(n-1)/2)
+keeps scale.  They give far smaller representatives for the W^P rows (C5{5}:
+1,928 terms instead of 9,973); for A the descending staircase is the smaller.
 
 Classes are indexed by W^P in the homological grading ([X_w] of codimension
 dim G/P - ell(w)); internally everything is transported to the codimension
@@ -167,17 +171,18 @@ class Realization:
         return {a: psub({a: 1}, self.alpha_forms[i0])}
 
     def seed(self):
-        """The monomial the table starts from at w0: x^(l, ..., 1, 0) for A_l,
-        x^(2n-1, ..., 3, 1) for B_n and C_n, x^(2n-2, ..., 2, 0) for D_n and
-        y1^5 y2 for G2."""
+        """The signed monomial the table starts from at w0: x^(l, ..., 1, 0)
+        for A_l, sg x^(1, 3, ..., 2n-1) for B_n and C_n, sg x^(0, 2, ..., 2n-2)
+        for D_n and y1^5 y2 for G2, where sg = (-1)^(n(n-1)/2) is the
+        determinant of the coordinate reversal, an element of W, that sends
+        the descending B-D staircase to these."""
         letter, n = self.system.type_letter, self.nvars
         if letter == "A":
-            top = range(n - 1, -1, -1)
-        elif letter == "G":
-            top = (5, 1)
-        else:
-            top = range(2 * n - (2 if letter == "D" else 1), -1, -2)
-        return {tuple(top): 1}
+            return {tuple(range(n - 1, -1, -1)): 1}
+        if letter == "G":
+            return {(5, 1): 1}
+        top = range(0 if letter == "D" else 1, 2 * n, 2)
+        return {tuple(top): -1 if n * (n - 1) // 2 % 2 else 1}
 
     def ddiff(self, i0, f):
         """d_i f = (f - s_i f) / alpha_i for i = i0 + 1, in one pass over f,
@@ -261,19 +266,19 @@ class Realization:
 
 
 def walk_down(wg, table, w, ddiff):
-    """table[w], filling the table on the way: climb from w by the smallest
-    right ascent until an entry is found, then apply ddiff(i0, f) back down."""
-    if w in table:
-        return table[w]
-    stack = []  # (element, ascent letter): cur = element * s_letter
-    cur = w
-    while cur not in table:
-        i = next(i for i in range(1, wg.system.rank + 1) if not wg.descends_right(cur, i))
-        stack.append((cur, i))
-        cur = wg.right_gen(cur, i)
-    f = table[cur]
-    for below, i in reversed(stack):
-        f = ddiff(i - 1, f)
+    """The entry of w in a table keyed by w^{-1}(rho), filling the table on
+    the way: climb from w by the smallest right ascent i = i0 + 1 (the first
+    positive coordinate of the key) to w s_i (key s_i(w^{-1} rho)) until an
+    entry is found, then apply ddiff(i0, f) back down; no element is built."""
+    key = w.inv
+    stack = []  # (key, ascent i0): the key above is s_{i0+1}(key)
+    while key not in table:
+        i0 = next(i0 for i0, x in enumerate(key) if x > 0)
+        stack.append((key, i0))
+        key = wg._reflect(key, i0)
+    f = table[key]
+    for below, i0 in reversed(stack):
+        f = ddiff(i0, f)
         table[below] = f
     return f
 
@@ -298,7 +303,7 @@ class SchubertEngine:
         self.system = R
         self.wg = group(R)
         self.realization = Realization(R)
-        self._table = {self.wg.longest(): self.realization.seed()}
+        self._table = {self.wg.longest().inv: self.realization.seed()}
         self._const = (0,) * self.realization.nvars
         top = self.rep(self.wg.identity)
         if set(top) != {self._const}:
@@ -387,7 +392,7 @@ class ReferenceBGG:
         f = {tuple(0 for _ in range(n)): Fraction(1, weyl_order(R))}
         for beta in R.positive_roots:
             f = pmul_linear(f, {j: beta[j] for j in range(n) if beta[j]})
-        self._table = {self.wg.longest(): f}
+        self._table = {self.wg.longest().inv: f}
 
     def _s_apply(self, i0, f):
         R = self.system

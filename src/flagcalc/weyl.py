@@ -112,10 +112,6 @@ class WeylGroup:
         """s_i * w."""
         return self._element(self._reflect(w.key, i - 1))
 
-    def right_gen(self, w, i):
-        """w * s_i."""
-        return self._element(self.act_weight(w, self._reflect(self.system.rho, i - 1)))
-
     def mul(self, a, b):
         return self._element(self.act_weight(a, b.key))
 
@@ -164,10 +160,6 @@ class WeylGroup:
         """R+ cap w^{-1} R-  =  {beta > 0 : <w^{-1} rho, beta^vee> < 0};  size ell(w)."""
         return frozenset(b for b, (coroot, _) in self._coroots.items()
                          if sum(a * x for a, x in zip(coroot, w.inv)) < 0)
-
-    def descends_right(self, w, i):
-        """ell(w s_i) < ell(w), i.e. w(alpha_i) < 0."""
-        return w.inv[i - 1] < 0
 
     def ascends_left(self, w, i):
         """ell(s_i w) > ell(w), i.e. w^{-1}(alpha_i) > 0."""
@@ -272,22 +264,19 @@ class CosetTable:
                     covers.append((v, w, beta))
         self.covers = tuple(covers)
 
-        # the dual of w is the minimal representative of w0 w w0^P, i.e. of w0 w W_P
+        # the dual of w is the minimal representative of w0 w w0^P, i.e. of
+        # w0 w W_P.  W_P is the stabiliser of lambda_P, the sum of the crossed
+        # fundamental weights, so the coset x W_P is named by x(lambda_P).
+        lam = tuple(int(j in P.crossed) for j in range(1, wg.system.rank + 1))
+        lams = [wg.act_weight(w, lam) for w in self.elements]
+        by_lam = dict(zip(lams, self.elements))
         w0 = wg.longest()
         self.dual = {}
-        for w in self.elements:
-            ww = self._by_key.get(self._project_min(wg.mul(w0, w), levi).key)
+        for w, mu in zip(self.elements, lams):
+            ww = by_lam.get(wg.act_weight(w0, mu))
             if ww is None or ww.length != P.dim_gp - w.length:
                 raise ExactnessError(f"no dual of length {P.dim_gp - w.length} for {w!r}")
             self.dual[w] = ww
-
-    def _project_min(self, u, levi):
-        wg = self.wg
-        while True:
-            j = next((j for j in levi if wg.descends_right(u, j)), None)
-            if j is None:
-                return u
-            u = wg.right_gen(u, j)
 
     def canonical(self, w):
         """The stored (canonical-word) copy of an element of W^P."""

@@ -164,6 +164,46 @@ def test_verify_jobs_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected(capsys, jobs):
+    code, out, err = run(capsys, "verify", "--group", "B3", "--cross", "2", "--s", "3",
+                         "--nmax", "1", "--jobs", jobs)
+    assert code == 2 and out == "" and "--jobs" in err
+
+
+def test_verify_jobs_capped_at_cpu_count(capsys, monkeypatch, tmp_path):
+    """--jobs asks for at most os.cpu_count() workers; a stand-in Pool records
+    the size it was asked for and maps in this process, so no pool starts."""
+    import multiprocessing
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    reports = []
+    for jobs in ("1", "2", "3", "64"):
+        out = tmp_path / f"jobs-{jobs}.json"
+        code, _, _ = run(capsys, "verify", "--group", "B3", "--cross", "2", "--s", "3",
+                         "--nmax", "1", "--jobs", jobs, "--out", str(out))
+        assert code == 0
+        reports.append(out.read_bytes())
+    assert sizes == [2, 3, 3]
+    assert len(set(reports)) == 1
+
+
 def test_verify_tuple_cap(capsys):
     code, _, err = run(capsys, "verify", "--group", "C3", "--cross", "2",
                        "--s", "3", "--nmax", "1", "--tuple-cap", "5")

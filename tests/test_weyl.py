@@ -276,3 +276,31 @@ def test_group_law(name):
         assert _word_matrix(fund, ab.word) == _matmul(_word_matrix(fund, a.word),
                                                       _word_matrix(fund, b.word))
         assert wg.mul(ab, c) == wg.mul(a, wg.mul(b, c))
+
+
+def _projected_dual(wg, levi, w):
+    """The minimal representative of w0 w W_P, found by right descents in the
+    Levi: multiply by s_j on the right while that shortens the element."""
+    u = wg.mul(wg.longest(), w)
+    while True:
+        shorter = (wg.mul(u, wg.from_word((j,))) for j in levi)
+        v = next((v for v in shorter if v.length < u.length), None)
+        if v is None:
+            return u
+        u = v
+
+
+@pytest.mark.parametrize("letter,rank,crossed", [
+    ("A", 4, [2]), ("A", 5, [3]), ("B", 3, [1, 2, 3]), ("C", 4, [1, 4]),
+    ("D", 4, [1, 3, 4]), ("D", 5, [1]), ("G", 2, [1]),
+])
+def test_dual_matches_projection(letter, rank, crossed):
+    """CosetTable.dual (cosets named by their image of lambda_P) against the
+    projection of w0 w onto W^P; A5 is there because its w0 is not -1."""
+    R, P, ct = ctx(letter, rank, crossed)
+    wg = group(R)
+    levi = sorted(P.levi_simple)
+    assert set(ct.dual) == set(ct.elements)
+    for w in ct.elements:
+        assert ct.dual[w] == _projected_dual(wg, levi, w)
+        assert ct.dual[ct.dual[w]] == w
