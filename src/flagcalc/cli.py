@@ -183,22 +183,10 @@ def _tuples(elements, s, need):
     return list(rec(0, s, need))
 
 
-def _tops(cx, tup):
-    """(cup_top, deformed_top) of a tuple whose lengths sum to the expected
-    degree.  For three classes both are one row entry: by Poincare duality
-    the coefficient of [X_e] in [X_u][X_v][X_w] is that of [X_dual(w)] in
-    [X_u][X_v], for the ordinary and the deformed product alike."""
-    if len(tup) == 3:
-        u, v, w = tup
-        dual = cx.ct.dual[w]
-        return cx.ring.row(u, v).get(dual, 0), cx.deformed.row(u, v).get(dual, 0)
-    return cx.ring.intersection_number(list(tup)), cx.deformed.top_coefficient(list(tup))
-
-
 def _verify_rows(cx, tuples, nmax):
     rows = []
     for tup in tuples:
-        d, dt = _tops(cx, tup)
+        d, dt = cx.ring.top_coefficient(tup), cx.deformed.top_coefficient(tup)
         row = {
             "words": [w.word_str() for w in tup],
             "lengths": [w.length for w in tup],
@@ -222,11 +210,12 @@ def _verify_rows(cx, tuples, nmax):
 def _verify_worker(chunk):
     # worker-side context rebuild: cheap for sweep-sized groups; the ring rows
     # it computes go back, keyed by coset-table index, for the disk cache
-    letter, rank, crossed, nmax, words = chunk
+    letter, rank, crossed, nmax, indices = chunk
     cx = flag_context(letter, rank, crossed)
     cache.load_table(cx.ring)
     had = set(cx.ring.known_rows())
-    tuples = [tuple(cx.element(_parse_ints(w)) for w in ws) for ws in words]
+    els = cx.ct.elements
+    tuples = [tuple(els[i] for i in tup) for tup in indices]
     ix = cx.ct.index
     return _verify_rows(cx, tuples, nmax), {
         (ix[u], ix[v]): {ix[w]: c for w, c in row.items()}
@@ -254,10 +243,11 @@ def cmd_verify(args):
     jobs = min(args.jobs, os.cpu_count() or 1)
     if jobs > 1 and len(tuples) > 1:
         from multiprocessing import Pool
-        words = [[w.word_str() for w in tup] for tup in tuples]
-        step = max(1, len(words) // (4 * jobs))
-        chunks = [(letter, rank, crossed, args.nmax, words[i:i + step])
-                  for i in range(0, len(words), step)]
+        ix = cx.ct.index
+        indices = [tuple(ix[w] for w in tup) for tup in tuples]
+        step = max(1, len(indices) // (4 * jobs))
+        chunks = [(letter, rank, crossed, args.nmax, indices[i:i + step])
+                  for i in range(0, len(indices), step)]
         with Pool(jobs) as pool:
             parts = pool.map(_verify_worker, chunks)
         rows = [r for part, _ in parts for r in part]

@@ -8,8 +8,10 @@ expressions and the two are checked equal (ExactnessError otherwise):
     chi_w = sum of (R+ \\ R_l+) cap w^{-1} R+        (root-sum form)
     chi_w = rho - 2 rho^L + w^{-1} rho               (closed form)
 
-A structure constant survives the deformation exactly when the chi-defect
-(chi_w - chi_u - chi_v) vanishes on every x_k with alpha_k crossed.
+Belkale-Kumar criterion (Invent. Math. 166, 2006; DeformedRing.chi_balanced):
+the deformed top coefficient of w_1, ..., w_s is the ordinary one when sum_j
+chi_{w_j} - chi_e vanishes at every crossed node, and 0 otherwise.  As chi_w +
+chi_dual(w) = chi_e there, c^w_{u,v} survives iff (u, v, dual(w)) meets it.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ class DeformedRing(SchubertBasisRing):
         self.ct = ring.ct
         self.parabolic = ring.parabolic
         self._chi = {}
+        self._crossed = {}  # w -> chi_w at the crossed nodes
         self._rows = {}
 
     # -- chi characters -------------------------------------------------------
@@ -87,10 +90,14 @@ class DeformedRing(SchubertBasisRing):
         self._chi[w] = out
         return out
 
-    def chi_defect_vanishes(self, u, v, w):
-        """True iff (chi_w - chi_u - chi_v)(x_k) = 0 for every crossed node k."""
-        cu, cv, cw = self.chi(u).root_coords, self.chi(v).root_coords, self.chi(w).root_coords
-        return all(cw[k - 1] - cu[k - 1] - cv[k - 1] == 0 for k in self.parabolic.crossed)
+    def chi_balanced(self, ws):
+        """True iff ws meets the Belkale-Kumar criterion (module docstring)."""
+        at, cols = self._crossed, []
+        for w in (self.ct.elements[0], *ws):
+            if (c := at.get(w)) is None:
+                c = at[w] = tuple(self.chi(w).root_coords[k - 1] for k in self.parabolic.crossed)
+            cols.append(c)
+        return tuple(map(sum, zip(*cols[1:]))) == cols[0]
 
     # -- deformed multiplication ----------------------------------------------
 
@@ -99,13 +106,15 @@ class DeformedRing(SchubertBasisRing):
         if key not in self._rows:
             u, v = key
             self._rows[key] = {w: c for w, c in self.ring.row(u, v).items()
-                               if self.chi_defect_vanishes(u, v, w)}
+                               if self.chi_balanced((u, v, self.ct.dual[w]))}
         return self._rows[key]
 
+    def top_coefficient(self, ws):
+        """The ordinary top coefficient when chi_balanced(ws), and 0 otherwise."""
+        return self.ring.top_coefficient(ws) if len(ws) < 2 or self.chi_balanced(ws) else 0
+
     def is_levi_movable(self, ws):
-        """Numeric criterion: expected total degree and nonzero deformed top."""
-        if sum(w.length for w in ws) != (len(ws) - 1) * self.parabolic.dim_gp:
-            return False
+        """Numeric criterion: nonzero deformed top (0 off the expected degree)."""
         return self.top_coefficient(ws) > 0
 
 
@@ -153,7 +162,7 @@ def cell_in_stabilizer_orbit(ct, v, beta, w):
     """For a cover v -> w along beta: is the codim-one cell C_v inside the
     open Q_w-orbit of X_w?  Happens exactly when beta in Delta(Q_w); such a
     beta is necessarily simple."""
-    if (v, w, beta) not in set(ct.covers):
+    if not ct.is_cover(v, beta, w):
         raise ValueError("(v, beta, w) is not a cover in W^P")
     nodes = stabilizer_simple_roots(ct, w).delta_qw
     return sum(beta) == 1 and (beta.index(1) + 1) in nodes
@@ -180,7 +189,7 @@ def dj_profile(ct, w) -> DjProfile:
 def dj_profile_at_cover(ct, v, beta, w) -> DjProfile:
     """Level dimensions of T_e(v^{-1} X_w) for a cover v -> w along beta:
     the profile of v plus one increment at level alpha(x_P), alpha = v^{-1}beta."""
-    if (v, w, beta) not in set(ct.covers):
+    if not ct.is_cover(v, beta, w):
         raise ValueError("(v, beta, w) is not a cover in W^P")
     P = ct.parabolic
     alpha = ct.wg.act_root(ct.wg.inverse(v), beta)

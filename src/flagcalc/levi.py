@@ -364,13 +364,8 @@ def invariant_dimension(R, P, ambient_weights, n=1):
 def hom_dimension(dr: DeformedRing, ws, n=1):
     """Multiplicity of V(n chi_e) in the tensor product of the V(n chi_{w_i}),
     as representations of the full Levi: the semisimple invariant count when
-    the central characters match, and 0 otherwise."""
-    P = dr.parabolic
-    ct = dr.ct
-    chis = [dr.chi(w) for w in ws]
-    chi_e = dr.chi(ct.elements[0])
-    for k in P.crossed:
-        if sum(c.root_coords[k - 1] for c in chis) != chi_e.root_coords[k - 1]:
-            return 0
-    ls = levi_system(dr.ring.system, tuple(sorted(P.levi_simple)))
-    return ls.invariant_dimension([c.levi_coords for c in chis], n=n)
+    the central characters match (dr.chi_balanced), and 0 otherwise."""
+    if not dr.chi_balanced(ws):
+        return 0
+    ls = levi_system(dr.ring.system, tuple(sorted(dr.parabolic.levi_simple)))
+    return ls.invariant_dimension([dr.chi(w).levi_coords for w in ws], n=n)

@@ -269,10 +269,15 @@ def walk_down(wg, table, w, ddiff):
     """The entry of w in a table keyed by w^{-1}(rho), filling the table on
     the way: climb from w by the smallest right ascent i = i0 + 1 (the first
     positive coordinate of the key) to w s_i (key s_i(w^{-1} rho)) until an
-    entry is found, then apply ddiff(i0, f) back down; no element is built."""
+    entry is found, then apply ddiff(i0, f) back down; no element is built.
+    Each step adds 1 to the length, so a climb longer than |R+| steps never
+    reaches w0 and raises ExactnessError."""
     key = w.inv
     stack = []  # (key, ascent i0): the key above is s_{i0+1}(key)
+    bound = len(wg.system.positive_roots)
     while key not in table:
+        if len(stack) == bound:
+            raise ExactnessError("table climb passed |R+| steps (convention bug)")
         i0 = next(i0 for i0, x in enumerate(key) if x > 0)
         stack.append((key, i0))
         key = wg._reflect(key, i0)
@@ -506,13 +511,21 @@ class SchubertBasisRing:
         return cls
 
     def top_coefficient(self, ws):
-        """Coefficient of [X_e] in the iterated product; 0 unless the lengths
-        sum to (s-1) dim G/P."""
+        """Coefficient of [X_e] in the product of the classes ws, 0 unless the
+        lengths sum to (s-1) dim G/P: the first floor(s/2) classes and the rest,
+        each multiplied out, paired by duality as sum_x left[x] right[dual(x)]."""
         if len(ws) < 2:
             raise ValueError("need at least two classes")
         if sum(w.length for w in ws) != (len(ws) - 1) * self.parabolic.dim_gp:
             return 0
-        return self.product(list(ws)).coefficient(self.ct.elements[0])
+        left, right = self._half(ws[:len(ws) // 2]), self._half(ws[len(ws) // 2:])
+        return sum(c * right.get(self.ct.dual[x], 0) for x, c in left.items())
+
+    def _half(self, ws):
+        """The product of the classes ws as {w: coefficient}; a row is not copied."""
+        if len(ws) > 2:
+            return self.product(ws).coeffs
+        return self.row(*ws) if len(ws) == 2 else {self.ct.canonical(ws[0]): 1}
 
 
 class CupRing(SchubertBasisRing):

@@ -12,7 +12,7 @@ simple-root indices.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .roots import ExactnessError, RootSystem
 
@@ -238,7 +238,7 @@ class CosetTable:
     """Minimal-length representatives of W/W_P with their Bruhat covers.
 
     covers: triples (v, w, beta) with w = s_beta v, ell(w) = ell(v)+1,
-    both in W^P and beta a positive root.
+    both in W^P and beta a positive root; built on first use.
     """
 
     def __init__(self, wg: WeylGroup, P):
@@ -256,14 +256,6 @@ class CosetTable:
             raise ExactnessError(f"longest element of W^P has length {self.longest.length}, "
                                  f"dim G/P is {P.dim_gp}")
 
-        covers = []
-        for v in self.elements:
-            for beta in wg.system.positive_roots:
-                w = self._by_key.get(wg.reflect(v.key, beta))
-                if w is not None and w.length == v.length + 1:
-                    covers.append((v, w, beta))
-        self.covers = tuple(covers)
-
         # the dual of w is the minimal representative of w0 w w0^P, i.e. of
         # w0 w W_P.  W_P is the stabiliser of lambda_P, the sum of the crossed
         # fundamental weights, so the coset x W_P is named by x(lambda_P).
@@ -277,6 +269,22 @@ class CosetTable:
             if ww is None or ww.length != P.dim_gp - w.length:
                 raise ExactnessError(f"no dual of length {P.dim_gp - w.length} for {w!r}")
             self.dual[w] = ww
+
+    def _cover_of(self, v, beta):
+        """w = s_beta v if it lies in W^P with ell(w) = ell(v) + 1, else None."""
+        w = self._by_key.get(self.wg.reflect(v.key, beta))
+        return w if w is not None and w.length == v.length + 1 else None
+
+    @cached_property
+    def covers(self):
+        return tuple((v, w, beta) for v in self.elements
+                     for beta in self.wg.system.positive_roots
+                     if (w := self._cover_of(v, beta)) is not None)
+
+    def is_cover(self, v, beta, w):
+        """(v, w, beta) in covers, tested on that one triple."""
+        return (v.key in self._by_key and self.wg.system.is_positive_root(beta)
+                and self._cover_of(v, beta) == w)
 
     def canonical(self, w):
         """The stored (canonical-word) copy of an element of W^P."""

@@ -231,17 +231,43 @@ VERIFY_PARABOLICS = [("A", 4, (1, 2, 3, 4)), ("C", 4, (1, 4)), ("B", 3, (1, 2, 3
                      ("G", 2, (1, 2)), ("D", 4, (1, 3, 4))]
 
 
-@pytest.mark.parametrize("letter,rank,crossed", VERIFY_PARABOLICS)
-def test_s3_tops_read_by_duality(letter, rank, crossed):
-    """The s = 3 row reads equal the iterated products on every verify tuple."""
-    from flagcalc.cli import _tops, _tuples
+def _check_tops_against_products(letter, rank, crossed, s):
+    """On every verify tuple, both top methods equal the coefficient of [X_e]
+    in the iterated product, ordinary and deformed (the oracle), and the
+    deformed top is the ordinary one exactly when chi_balanced holds."""
+    from flagcalc.cli import _tuples
     from flagcalc.context import flag_context
     cx = flag_context(letter, rank, crossed)
-    tuples = _tuples(cx.ct.elements, 3, 2 * cx.parabolic.dim_gp)
+    e = cx.ct.elements[0]
+    tuples = _tuples(cx.ct.elements, s, (s - 1) * cx.parabolic.dim_gp)
     assert tuples
+    kept = dropped = 0
     for tup in tuples:
-        assert _tops(cx, tup) == (cx.ring.intersection_number(list(tup)),
-                                  cx.deformed.top_coefficient(list(tup)))
+        top = cx.ring.product(tup).coefficient(e)
+        deformed = cx.deformed.product(tup).coefficient(e)
+        assert cx.ring.top_coefficient(tup) == top
+        assert cx.deformed.top_coefficient(tup) == deformed
+        assert deformed == (top if cx.deformed.chi_balanced(tup) else 0)
+        kept += bool(deformed)
+        dropped += bool(top) and not deformed
+    return kept, dropped
+
+
+@pytest.mark.parametrize("letter,rank,crossed", VERIFY_PARABOLICS)
+def test_s3_tops_read_by_duality(letter, rank, crossed):
+    """The s = 3 tops, one class paired with the row of the other two, equal
+    the iterated products on every verify tuple."""
+    _check_tops_against_products(letter, rank, crossed, 3)
+
+
+@pytest.mark.parametrize("letter,rank,crossed,s", [
+    ("A", 3, (1, 2, 3), 4), ("C", 3, (1, 3), 4), ("D", 4, (2,), 4), ("B", 3, (2,), 5)])
+def test_tops_match_iterated_products(letter, rank, crossed, s):
+    """s = 4 pairs two rows, s = 5 a row with a three-class product; both
+    equal the iterated products, and the criterion keeps some nonzero tops
+    and drops others."""
+    kept, dropped = _check_tops_against_products(letter, rank, crossed, s)
+    assert kept and dropped
 
 
 @pytest.mark.parametrize("letter,rank,crossed,s", [
@@ -259,8 +285,8 @@ def test_tuples_match_multiset_filter(letter, rank, crossed, s):
 
 
 def test_verify_s4_report_bytes(capsys):
-    # s > 3 takes the iterated products; the sha256 was recorded when every
-    # s took them, so it pins the report bytes across the s = 3 duality read
+    # the sha256 was recorded when every s took the iterated products, so it
+    # pins the report bytes across the half-product pairing
     import hashlib
     code, out, _ = run(capsys, "verify", "--group", "A3", "--cross", "1,2,3",
                        "--s", "4", "--nmax", "3")
@@ -410,13 +436,18 @@ def test_exactness_checks_survive_python_O(tmp_path, monkeypatch):
              "r, w = ring('A', 3, [2])\n"
              "r._packed[r.ct.dual[w]] = {m: -c for m, c in r._pack(r.ct.dual[w]).items()}\n"
              "probe('negative', lambda: r.row(w, r.ct.longest))\n"
+             "b3 = SchubertEngine(roots.build('B', 3))\n"
+             "top, reflect = b3.wg.longest().inv, b3.wg._reflect\n"
+             "b3.wg._reflect = lambda f, i0: reflect(f, (i0 + 1) % 3)\n"
+             "b3._table = {top: b3.realization.seed()}\n"
+             "probe('climb', lambda: b3.rep(b3.wg.identity))\n"
              "Realization.seed = lambda self: {(4, 0): 1}\n"
              "probe('seed', lambda: SchubertEngine(roots.build('C', 2)))\n")
     res = _flagcalc("-c", probe, optimize=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["False"] + [
         word for name in ("leaf", "rules", "restrict", "packing", "remainder", "negative",
-                          "seed")
+                          "climb", "seed")
         for word in (name, "raised")]
     # the same reports, byte for byte, with and without -O (each from a cold cache)
     for argv in (["verify", "--group", "C3", "--cross", "2", "--s", "3", "--nmax", "1"],

@@ -54,6 +54,25 @@ def test_deformed_bounded_by_ordinary_and_unital():
                 assert set(deformed) <= set(full)
 
 
+@pytest.mark.parametrize("letter,rank,crossed", SWEEP + [("A", 3, (1, 2, 3)),
+                                                         ("C", 3, (1, 3)), ("D", 4, (2,))])
+def test_criterion_matches_chi_defect(letter, rank, crossed):
+    """chi_w + chi_dual(w) = chi_e at the crossed nodes, so the deformed row
+    keeps c^w_{u,v} exactly when chi_w - chi_u - chi_v vanishes there."""
+    cx = flag_context(letter, rank, crossed)
+    dr, ct, nodes = cx.deformed, cx.ct, cx.parabolic.crossed
+    centre = lambda w: tuple(dr.chi(w).root_coords[k - 1] for k in nodes)
+    e = centre(ct.elements[0])
+    for w in ct.elements:
+        assert tuple(a + b for a, b in zip(centre(w), centre(ct.dual[w]))) == e
+    for a, u in enumerate(ct.elements):
+        for v in ct.elements[a:]:
+            deformed = dr.row(u, v)
+            for w, c in cx.ring.row(u, v).items():
+                vanishes = all(x == y + z for x, y, z in zip(centre(w), centre(u), centre(v)))
+                assert deformed.get(w) == (c if vanishes else None)
+
+
 def test_cominuscule_collapse():
     # every maximal parabolic with m_o = 1 keeps the full product
     for (letter, rank) in [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),

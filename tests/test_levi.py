@@ -191,6 +191,27 @@ def test_hom_dimension_central_condition():
         assert hom_dimension(cx2.deformed, list(tup), n=2) == 1
 
 
+@pytest.mark.parametrize("letter,rank,crossed", [("A", 2, (1,)), ("A", 3, (2,)),
+                                                 ("B", 3, (2,)), ("C", 3, (2,))])
+def test_hom_dimension_zero_off_the_centre(letter, rank, crossed):
+    """On every triple of W^P elements, hom_dimension is the semisimple count
+    when sum chi_{w_i} = chi_e at the crossed nodes and 0 otherwise, the
+    centre compared here from the root-sum coordinates; some triples whose
+    central characters differ have a positive semisimple count."""
+    cx = flag_context(letter, rank, crossed)
+    dr, crossed_nodes = cx.deformed, cx.parabolic.crossed
+    centre = lambda w: [dr.chi(w).root_coords[k - 1] for k in crossed_nodes]
+    off_centre = 0
+    for tup in itertools.combinations_with_replacement(cx.ct.elements, 3):
+        count = cx.levi.invariant_dimension([dr.chi(w).levi_coords for w in tup])
+        if [sum(c) for c in zip(*map(centre, tup))] == centre(cx.ct.elements[0]):
+            assert hom_dimension(dr, tup) == count
+        else:
+            assert hom_dimension(dr, tup) == 0
+            off_centre += count > 0
+    assert off_centre
+
+
 def test_lg510_invariant():
     A4 = levi_system(roots.build("C", 5), (1, 2, 3, 4))
     assert A4.invariant_dimension([(1, 2, 1, 0), (0, 2, 2, 0), (1, 2, 1, 1)]) == 5

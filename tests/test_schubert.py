@@ -442,6 +442,19 @@ def test_reference_climb_is_path_independent(letter, rank):
     assert reps[wg.identity] == MultiPoly({(0,) * rank: 1})
 
 
+def test_table_climb_is_bounded(monkeypatch):
+    """Keys reflected by the wrong generator never reach the table: the climb
+    raises once it passes |R+| steps instead of climbing forever."""
+    R = roots.build("B", 3)
+    eng = SchubertEngine(R)
+    wg = eng.wg
+    top, reflect = wg.longest().inv, wg._reflect
+    monkeypatch.setattr(wg, "_reflect", lambda f, i0: reflect(f, (i0 + 1) % R.rank))
+    eng._table = {top: eng.realization.seed()}
+    with pytest.raises(ExactnessError, match="climb"):
+        eng.rep(wg.identity)
+
+
 def _descending_seed(self):
     """The B-D seed before it was reversed: x^(2n-1, ..., 3, 1) for B_n and
     C_n, x^(2n-2, ..., 2, 0) for D_n, coefficient 1."""

@@ -148,6 +148,25 @@ def test_covers(letter, rank, crossed):
                 assert ((v, w) in pairs) == wg.bruhat_le(v, w)
 
 
+@pytest.mark.parametrize("letter,rank,crossed", [("A", 3, [2]), ("B", 3, [2]), ("C", 3, [1, 3]),
+                                                 ("D", 4, [2]), ("G", 2, [1])])
+def test_is_cover_matches_covers(letter, rank, crossed):
+    """The one-triple cover test agrees with membership in covers on every
+    (v, beta, w), W^P elements and positive roots alike; covers is built on
+    first use, in v-major, root-minor order."""
+    R, P, ct = ctx(letter, rank, crossed)
+    ct.__dict__.pop("covers", None)
+    triples = [(v, beta, w) for v in ct.elements for beta in R.positive_roots
+               for w in ct.elements]
+    direct = [t for t in triples if ct.is_cover(*t)]
+    assert "covers" not in ct.__dict__
+    assert [(v, w, beta) for v, beta, w in direct] == list(ct.covers)
+    assert direct
+    outside = ct.wg.from_word((min(P.levi_simple),))  # a Levi reflection, not in W^P
+    assert not any(ct.is_cover(outside, beta, w) for beta in R.positive_roots
+                   for w in ct.elements)
+
+
 def test_word_need_not_be_reduced():
     wg = group(roots.build("C", 3))
     w = wg.from_word((1, 1, 2, 2, 3))
