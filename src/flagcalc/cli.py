@@ -22,7 +22,7 @@ import argparse
 import functools
 import os
 import sys
-from math import comb
+from itertools import islice
 
 from . import cache, lr
 from .context import flag_context
@@ -161,35 +161,38 @@ def cmd_invariants(args):
     return 0
 
 
-def _tuples(elements, s, need):
-    """The s-multisets of elements (sorted by length) whose lengths sum to
-    need, as tuples in the order of combinations_with_replacement.  Each
-    next element is bounded from both sides by what the rest can still
-    add; at k = 1 that leaves only the elements of length rest."""
-    longest = elements[-1].length
+def _tuples(lengths, s, need):
+    """The s-multisets of coset-table indices whose lengths sum to need, in
+    the order of combinations_with_replacement(range(len(lengths)), s);
+    lengths ascend with the index.  Each next index is bounded from both
+    sides by what the rest can still add; at k = 1 that leaves only the
+    indices of length rest."""
+    longest = lengths[-1]
 
     def rec(start, k, rest):
         if k == 0:
             yield ()
             return
-        for j in range(start, len(elements)):
-            w = elements[j]
-            if k * w.length > rest:
-                break  # every later element is at least as long
-            if w.length + (k - 1) * longest >= rest:
-                for tail in rec(j, k - 1, rest - w.length):
-                    yield (w,) + tail
+        for j in range(start, len(lengths)):
+            if k * lengths[j] > rest:
+                break  # every later index is at least as long
+            if lengths[j] + (k - 1) * longest >= rest:
+                for tail in rec(j, k - 1, rest - lengths[j]):
+                    yield (j,) + tail
 
-    return list(rec(0, s, need))
+    return rec(0, s, need)
 
 
 def _verify_rows(cx, tuples, nmax):
+    els = cx.ct.elements
+    words = [w.word_str() for w in els]
     rows = []
     for tup in tuples:
-        d, dt = cx.ring.top_coefficient(tup), cx.deformed.top_coefficient(tup)
+        ws = [els[i] for i in tup]
+        d, dt = cx.deformed.tops(ws)
         row = {
-            "words": [w.word_str() for w in tup],
-            "lengths": [w.length for w in tup],
+            "words": [words[i] for i in tup],
+            "lengths": [w.length for w in ws],
             "cup_top": d,
             "deformed_top": dt,
             "levi_movable": dt > 0,
@@ -197,7 +200,7 @@ def _verify_rows(cx, tuples, nmax):
             "status": "OK",
         }
         if dt == 1:
-            chis = [cx.deformed.chi(w).levi_coords for w in tup]
+            chis = [cx.deformed.chi(w).levi_coords for w in ws]
             dims = {str(n): cx.levi.invariant_dimension(chis, n=n)
                     for n in range(1, nmax + 1)}
             row["invariant_dims"] = dims
@@ -209,17 +212,13 @@ def _verify_rows(cx, tuples, nmax):
 
 def _verify_worker(chunk):
     # worker-side context rebuild: cheap for sweep-sized groups; the ring rows
-    # it computes go back, keyed by coset-table index, for the disk cache
-    letter, rank, crossed, nmax, indices = chunk
+    # it computes go back for the disk cache
+    letter, rank, crossed, nmax, tuples = chunk
     cx = flag_context(letter, rank, crossed)
     cache.load_table(cx.ring)
     had = set(cx.ring.known_rows())
-    els = cx.ct.elements
-    tuples = [tuple(els[i] for i in tup) for tup in indices]
-    ix = cx.ct.index
     return _verify_rows(cx, tuples, nmax), {
-        (ix[u], ix[v]): {ix[w]: c for w, c in row.items()}
-        for (u, v), row in cx.ring.known_rows().items() if (u, v) not in had}
+        key: row for key, row in cx.ring.known_rows().items() if key not in had}
 
 
 def cmd_verify(args):
@@ -232,29 +231,27 @@ def cmd_verify(args):
     letter, rank = _parse_group(args.group)
     crossed = _parse_ints(args.cross)
     cx = flag_context(letter, rank, crossed)
-    n_multisets = comb(len(cx.ct.elements) + args.s - 1, args.s)
-    if n_multisets > args.tuple_cap:
-        print(f"error: {n_multisets} candidate tuples exceed the cap {args.tuple_cap} "
+    need = (args.s - 1) * cx.parabolic.dim_gp
+    tuples = list(islice(_tuples([w.length for w in cx.ct.elements], args.s, need),
+                         args.tuple_cap + 1))
+    if len(tuples) > args.tuple_cap:
+        print(f"error: more than {args.tuple_cap} tuples of total length {need} "
               f"(raise --tuple-cap to proceed)", file=sys.stderr)
         return 2
     loaded = cache.load_table(cx.ring)
-    tuples = _tuples(cx.ct.elements, args.s, (args.s - 1) * cx.parabolic.dim_gp)
     # reports do not depend on the job count, so more workers than CPUs buy nothing
     jobs = min(args.jobs, os.cpu_count() or 1)
     if jobs > 1 and len(tuples) > 1:
         from multiprocessing import Pool
-        ix = cx.ct.index
-        indices = [tuple(ix[w] for w in tup) for tup in tuples]
-        step = max(1, len(indices) // (4 * jobs))
-        chunks = [(letter, rank, crossed, args.nmax, indices[i:i + step])
-                  for i in range(0, len(indices), step)]
+        step = max(1, len(tuples) // (4 * jobs))
+        chunks = [(letter, rank, crossed, args.nmax, tuples[i:i + step])
+                  for i in range(0, len(tuples), step)]
         with Pool(jobs) as pool:
             parts = pool.map(_verify_worker, chunks)
         rows = [r for part, _ in parts for r in part]
-        els = cx.ct.elements
         for _, computed in parts:
-            for (iu, iv), row in computed.items():
-                cx.ring.set_row(els[iu], els[iv], {els[iw]: c for iw, c in row.items()})
+            for (u, v), row in computed.items():
+                cx.ring.set_row(u, v, row)
     else:
         rows = _verify_rows(cx, tuples, args.nmax)
     rows.sort(key=lambda r: (r["lengths"], r["words"]))

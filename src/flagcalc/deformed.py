@@ -109,9 +109,15 @@ class DeformedRing(SchubertBasisRing):
                                if self.chi_balanced((u, v, self.ct.dual[w]))}
         return self._rows[key]
 
+    def tops(self, ws):
+        """(ordinary top, deformed top) of ws from one pairing: the deformed top
+        is the ordinary one when it is nonzero and chi_balanced(ws), else 0."""
+        top = self.ring.top_coefficient(ws)
+        return top, top if top and self.chi_balanced(ws) else 0
+
     def top_coefficient(self, ws):
-        """The ordinary top coefficient when chi_balanced(ws), and 0 otherwise."""
-        return self.ring.top_coefficient(ws) if len(ws) < 2 or self.chi_balanced(ws) else 0
+        """The deformed top coefficient of ws (the second entry of tops)."""
+        return self.tops(ws)[1]
 
     def is_levi_movable(self, ws):
         """Numeric criterion: nonzero deformed top (0 off the expected degree)."""

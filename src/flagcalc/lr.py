@@ -13,7 +13,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from .roots import ExactnessError
-from .weyl import minimal_coset_reps
 
 
 def normalize(parts):
@@ -187,13 +186,6 @@ def _word_from_oneline(perm):
     return tuple(reversed(rev))
 
 
-def grassmannian_table(R, P):
-    """Coset table for Gr(r, n): type A_{n-1} with only alpha_r crossed."""
-    if R.type_letter != "A" or len(P.crossed) != 1:
-        raise ValueError("Grassmannian dictionary needs type A with one crossed node")
-    return minimal_coset_reps(R, P)
-
-
 def grassmannian_cell(ct, lam):
     """The W^P element whose Schubert cell has dimension |lam|.
 
@@ -230,13 +222,6 @@ def grassmannian_partition(ct, w):
         if grassmannian_bijection(ct, lam) == w:
             return lam
     raise ValueError(f"{w!r} not indexed by the {r}x{k} box")
-
-
-def lagrangian_table(R, P):
-    """Coset table for LG(l, 2l): type C_l with only alpha_l crossed."""
-    if R.type_letter != "C" or P.crossed != (R.rank,):
-        raise ValueError("Lagrangian dictionary needs type C with the last node crossed")
-    return minimal_coset_reps(R, P)
 
 
 def _negated_values(ct, w):

@@ -210,6 +210,23 @@ def test_verify_tuple_cap(capsys):
     assert code == 2 and "--tuple-cap" in err
 
 
+def test_verify_tuple_cap_counts_run_tuples(capsys, monkeypatch):
+    """C3{2} at s = 3 runs 25 tuples (of 364 multisets): a cap of 25 lets the
+    sweep run, 24 refuses it before any row is computed."""
+    from flagcalc.schubert import CupRing
+    code, out, _ = run(capsys, "verify", "--group", "C3", "--cross", "2",
+                       "--s", "3", "--nmax", "1", "--tuple-cap", "25")
+    assert code == 0 and last_json(out)["tuple_count"] == 25
+
+    def refuse(*args):
+        raise AssertionError("row computed before the cap check")
+
+    monkeypatch.setattr(CupRing, "row", refuse)
+    code, out, err = run(capsys, "verify", "--group", "C3", "--cross", "2",
+                         "--s", "3", "--nmax", "1", "--tuple-cap", "24")
+    assert code == 2 and out == "" and "--tuple-cap" in err
+
+
 def test_verify_requires_s3(capsys):
     code, _, err = run(capsys, "verify", "--group", "A2", "--cross", "1", "--s", "2")
     assert code == 2 and "--s" in err
@@ -232,22 +249,29 @@ VERIFY_PARABOLICS = [("A", 4, (1, 2, 3, 4)), ("C", 4, (1, 4)), ("B", 3, (1, 2, 3
 
 
 def _check_tops_against_products(letter, rank, crossed, s):
-    """On every verify tuple, both top methods equal the coefficient of [X_e]
+    """On every verify index tuple, the cup_top and deformed_top that
+    _verify_rows reports, and both top methods, equal the coefficient of [X_e]
     in the iterated product, ordinary and deformed (the oracle), and the
     deformed top is the ordinary one exactly when chi_balanced holds."""
-    from flagcalc.cli import _tuples
+    from flagcalc.cli import _tuples, _verify_rows
     from flagcalc.context import flag_context
     cx = flag_context(letter, rank, crossed)
-    e = cx.ct.elements[0]
-    tuples = _tuples(cx.ct.elements, s, (s - 1) * cx.parabolic.dim_gp)
+    els = cx.ct.elements
+    e = els[0]
+    tuples = list(_tuples([w.length for w in els], s, (s - 1) * cx.parabolic.dim_gp))
     assert tuples
+    rows = _verify_rows(cx, tuples, 1)
+    assert len(rows) == len(tuples)
     kept = dropped = 0
-    for tup in tuples:
-        top = cx.ring.product(tup).coefficient(e)
-        deformed = cx.deformed.product(tup).coefficient(e)
-        assert cx.ring.top_coefficient(tup) == top
-        assert cx.deformed.top_coefficient(tup) == deformed
-        assert deformed == (top if cx.deformed.chi_balanced(tup) else 0)
+    for tup, row in zip(tuples, rows):
+        ws = [els[i] for i in tup]
+        top = cx.ring.product(ws).coefficient(e)
+        deformed = cx.deformed.product(ws).coefficient(e)
+        assert row["words"] == [w.word_str() for w in ws]
+        assert (row["cup_top"], row["deformed_top"]) == (top, deformed)
+        assert cx.ring.top_coefficient(ws) == top
+        assert cx.deformed.top_coefficient(ws) == deformed
+        assert deformed == (top if cx.deformed.chi_balanced(ws) else 0)
         kept += bool(deformed)
         dropped += bool(top) and not deformed
     return kept, dropped
@@ -271,6 +295,29 @@ def test_tops_match_iterated_products(letter, rank, crossed, s):
 
 
 @pytest.mark.parametrize("letter,rank,crossed,s", [
+    ("A", 4, (1, 2, 3, 4), 3), ("D", 4, (2,), 4), ("B", 3, (2,), 5)])
+def test_verify_rows_pair_once_per_tuple(monkeypatch, letter, rank, crossed, s):
+    """_verify_rows gets both tops of a tuple from one ordinary pairing."""
+    from flagcalc.cli import _tuples, _verify_rows
+    from flagcalc.context import flag_context
+    from flagcalc.schubert import SchubertBasisRing
+    cx = flag_context(letter, rank, crossed)
+    tuples = list(_tuples([w.length for w in cx.ct.elements], s,
+                          (s - 1) * cx.parabolic.dim_gp))
+    calls = []
+    top = SchubertBasisRing.top_coefficient
+
+    def counted(self, ws):
+        calls.append(len(ws))
+        return top(self, ws)
+
+    monkeypatch.setattr(SchubertBasisRing, "top_coefficient", counted)
+    rows = _verify_rows(cx, tuples, 1)
+    assert any(r["deformed_top"] for r in rows)
+    assert calls == [s] * len(tuples)
+
+
+@pytest.mark.parametrize("letter,rank,crossed,s", [
     (*p, 3) for p in VERIFY_PARABOLICS + [("A", 3, (1, 2, 3))]] + [
     ("A", 3, (1, 2, 3), 4), ("B", 3, (1, 2, 3), 4), ("G", 2, (1, 2), 4), ("C", 3, (2,), 4)])
 def test_tuples_match_multiset_filter(letter, rank, crossed, s):
@@ -278,10 +325,11 @@ def test_tuples_match_multiset_filter(letter, rank, crossed, s):
     from flagcalc.cli import _tuples
     from flagcalc.context import flag_context
     cx = flag_context(letter, rank, crossed)
+    lengths = [w.length for w in cx.ct.elements]
     need = (s - 1) * cx.parabolic.dim_gp
-    want = [tup for tup in combinations_with_replacement(cx.ct.elements, s)
-            if sum(w.length for w in tup) == need]
-    assert want and _tuples(cx.ct.elements, s, need) == want
+    want = [tup for tup in combinations_with_replacement(range(len(lengths)), s)
+            if sum(lengths[i] for i in tup) == need]
+    assert want and list(_tuples(lengths, s, need)) == want
 
 
 def test_verify_s4_report_bytes(capsys):
@@ -401,6 +449,21 @@ def _flagcalc(*argv, optimize=False):
     env = dict(os.environ, PYTHONPATH=str(Path(flagcalc.__file__).parents[1]))
     cmd = [sys.executable] + (["-O"] if optimize else []) + list(argv)
     return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=600)
+
+
+def test_main_sweep_script(capsys, tmp_path):
+    """scripts/run_main_sweep.py writes one report per maximal parabolic of
+    its battery, each the bytes of the matching `verify` run."""
+    script = Path(flagcalc.__file__).parents[2] / "scripts" / "run_main_sweep.py"
+    outdir = tmp_path / "reports"
+    proc = _flagcalc(str(script), "--nmax", "1", "--outdir", str(outdir))
+    assert proc.returncode == 0, proc.stderr
+    assert len(list(outdir.glob("*.json"))) == 15
+    code, _, _ = run(capsys, "verify", "--group", "C3", "--cross", "2", "--s", "3",
+                     "--nmax", "1", "--out", str(tmp_path / "direct.json"))
+    assert code == 0
+    assert ((outdir / "verify-C3-cross2.json").read_bytes()
+            == (tmp_path / "direct.json").read_bytes())
 
 
 def test_exactness_checks_survive_python_O(tmp_path, monkeypatch):
