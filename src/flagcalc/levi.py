@@ -15,6 +15,12 @@ Two independent routes are kept deliberately separate:
     the dominant chamber) run over all but the last two factors first;
   * oracle: the Kostant partition function + Steinberg's double Weyl sum.
 
+Production invariant counts run per simple factor: for L_ss = L_1 x ... x L_k,
+V(lam) is the outer tensor product of the V(lam|L_j), so the invariant
+dimension is the product of the factors' counts, each over its own |W_j|-term
+orbit.  `tensor_decompose` and the oracle act on the whole system they are
+called on, so on the unsplit Levi they check the per-factor product.
+
 Levi weights are tuples of pairings with the Levi simple coroots, ordered by
 ascending ambient node index; an ambient weight restricts by just reading
 those coordinates.  Central directions are dropped by construction, which is
@@ -49,6 +55,18 @@ class LeviSystem:
         self._tensor = {}
         self._walk = None
         self._wg = None
+        # (coordinate positions, LeviSystem) per connected component of the
+        # Levi diagram; a factor is memoised by levi_system, so parabolics of
+        # one group share it, and a simple Levi is its own single factor
+        comps = []
+        for i in range(self.rank):
+            linked = [c for c in comps if any(self.system.cartan[i][j] for j in c)]
+            comps = [c for c in comps if c not in linked] + [tuple(sorted({i}.union(*linked)))]
+        if len(comps) == 1:
+            self.factors = ((comps[0], self),)
+        else:
+            self.factors = tuple((pos, levi_system(ambient, tuple(self.nodes[p] for p in pos)))
+                                 for pos in comps)
 
     # -- plumbing --------------------------------------------------------------
 
@@ -183,6 +201,7 @@ class LeviSystem:
                 mults[mu] = val
         self._dom_mults[lam] = mults
         return mults
+
     def weight_multiplicities(self, lam):
         """{weight: multiplicity} over the full Weyl orbit closure of V(lam)."""
         out = {}
@@ -235,7 +254,24 @@ class LeviSystem:
         return out
 
     def invariant_dimension(self, weights, n=1):
-        """dim of the invariants of V(n w_1) (x) ... (x) V(n w_s).
+        """dim of the invariants of V(n w_1) (x) ... (x) V(n w_s): the product
+        of the counts of the simple factors on their coordinates, 0 as soon
+        as one factor gives 0."""
+        ws = [tuple(int(n) * x for x in w) for w in weights]
+        if any(not self.is_dominant(w) for w in ws):
+            raise ValueError("weights must be dominant for the Levi")
+        if self.rank == 0:
+            return 1
+        total = 1
+        for pos, factor in self.factors:
+            total *= factor._simple_invariants([tuple(w[p] for p in pos) for w in ws])
+            if not total:
+                break
+        return total
+
+    def _simple_invariants(self, ws):
+        """dim of the invariants of V(w_1) (x) ... (x) V(w_s) on this whole
+        system, for dominant w_i.
 
         Binary decompositions over all but the last two factors, pruning the
         summands that can no longer pair to the trivial representation
@@ -243,12 +279,7 @@ class LeviSystem:
         multiplicity times the three-factor count for (nu, w_{s-1}, w_s).
         Fewer than three factors are padded with trivial ones.
         """
-        ws = [tuple(int(n) * x for x in w) for w in weights]
-        if any(not self.is_dominant(w) for w in ws):
-            raise ValueError("weights must be dominant for the Levi")
-        if self.rank == 0:
-            return 1
-        ws += [(0,) * self.rank] * (3 - len(ws))
+        ws = list(ws) + [(0,) * self.rank] * (3 - len(ws))
         acc = {ws[0]: 1}
         for idx in range(1, len(ws) - 2):
             nxt = {}

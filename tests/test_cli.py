@@ -505,12 +505,16 @@ def test_exactness_checks_survive_python_O(tmp_path, monkeypatch):
              "b3._table = {top: b3.realization.seed()}\n"
              "probe('climb', lambda: b3.rep(b3.wg.identity))\n"
              "Realization.seed = lambda self: {(4, 0): 1}\n"
-             "probe('seed', lambda: SchubertEngine(roots.build('C', 2)))\n")
+             "probe('seed', lambda: SchubertEngine(roots.build('C', 2)))\n"
+             "from flagcalc.levi import levi_system\n"
+             "LeviSystem._simple_invariants = lambda self, ws: print('factor', self.nodes)\n"
+             "a5 = levi_system(roots.build('A', 5), (1, 2, 4, 5))\n"
+             "probe('dominance', lambda: a5.invariant_dimension([(1, 0, 0, -1)] * 3), ValueError)\n")
     res = _flagcalc("-c", probe, optimize=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["False"] + [
         word for name in ("leaf", "rules", "restrict", "packing", "remainder", "negative",
-                          "climb", "seed")
+                          "climb", "seed", "dominance")
         for word in (name, "raised")]
     # the same reports, byte for byte, with and without -O (each from a cold cache)
     for argv in (["verify", "--group", "C3", "--cross", "2", "--s", "3", "--nmax", "1"],

@@ -260,7 +260,13 @@ DIFF_LEVIS = {
     "A3": (("A", 3), (1, 2, 3)),
     "A5{3}": (("A", 5), (1, 2, 4, 5)),
     "C4{4}": (("C", 4), (1, 2, 3)),
+    "B4{2}": (("B", 4), (1, 3, 4)),  # A1 x B2
+    "D4{2}": (("D", 4), (1, 3, 4)),  # A1 x A1 x A1
+    "A4{2}": (("A", 4), (1, 3, 4)),  # A1 x A2
+    "B3{2}": (("B", 3), (1, 3)),  # A1 x A1
 }
+# products of SL(2) factors are multiplicity free
+MULTIPLICITY_FREE = {"A1xA1", "D4{2}", "B3{2}"}
 
 
 def _diff_levi(name):
@@ -298,15 +304,15 @@ def test_triple_sum_matches_full_decomposition(name, monkeypatch):
     want = [L.tensor_decompose(a, b).get(L.dual_weight(c), 0) for a, b, c in cases]
     want_n = [L.tensor_decompose(*(tuple(n * x for x in w) for w in (a, b))).get(
         L.dual_weight(tuple(n * x for x in c)), 0) for n, (a, b, c) in stretched]
-    monkeypatch.setattr(L, "tensor_decompose", _no_tensor)
+    monkeypatch.setattr(LeviSystem, "tensor_decompose", _no_tensor)  # the factors too
     assert [L.invariant_dimension([a, b, c]) for a, b, c in cases] == want
     assert [L.invariant_dimension(list(t), n=n) for n, t in stretched] == want_n
     assert sum(1 for x in want if x) >= 10
-    if name != "A1xA1":  # SL(2) x SL(2) products are multiplicity free
+    if name not in MULTIPLICITY_FREE:
         assert max(want) >= 2
 
 
-@pytest.mark.parametrize("name", ["A1xA1", "A2", "B2", "G2"])
+@pytest.mark.parametrize("name", ["A1xA1", "A2", "B2", "G2", "B4{2}", "D4{2}", "A4{2}", "B3{2}"])
 def test_triple_sum_matches_steinberg(name):
     L = _diff_levi(name)
     for a, b, c in _triples(L, seed=7 + len(name), count=12, top=3):
@@ -340,6 +346,62 @@ def test_four_factors_match_two_decompositions(name):
         assert L.invariant_dimension([a, b, c, d]) == want
         nonzero += bool(want)
     assert nonzero >= 5
+
+
+# -- per-factor counts against the unsplit system -------------------------------
+
+def test_levi_factors():
+    A5 = roots.build("A", 5)
+    L = levi_system(A5, (1, 2, 4, 5))
+    assert [(pos, f.nodes) for pos, f in L.factors] == [((0, 1), (1, 2)), ((2, 3), (4, 5))]
+    D4 = levi_system(roots.build("D", 4), (1, 3, 4))
+    assert [(pos, f.nodes) for pos, f in D4.factors] == [((0,), (1,)), ((1,), (3,)), ((2,), (4,))]
+    C4 = levi_system(roots.build("C", 4), (1, 2, 3))
+    assert len(C4.factors) == 1 and C4.factors[0] == ((0, 1, 2), C4)
+    G2 = levi_system(roots.build("G", 2), ())
+    assert G2.invariant_dimension([(), (), ()]) == 1
+    # A5{3} and A5{3,4} share the A2 factor on nodes (1, 2), with its memos
+    other = levi_system(A5, (1, 2, 5))
+    assert other.factors[0][1] is L.factors[0][1] is levi_system(A5, (1, 2))
+
+
+@pytest.mark.parametrize("letter,rank,crossed", [("A", 5, (3,)), ("B", 4, (2,)), ("D", 4, (2,)),
+                                                 ("A", 4, (2,)), ("B", 3, (2,))])
+def test_factor_product_matches_unsplit_count(letter, rank, crossed):
+    """On every W^P triple meeting the Belkale-Kumar criterion, the product
+    of the factors' counts equals the count on the whole, unsplit system."""
+    cx = flag_context(letter, rank, crossed)
+    dr = cx.deformed
+    whole = LeviSystem(cx.system, cx.levi.nodes)
+    checked, values = 0, set()
+    for tup in itertools.combinations_with_replacement(cx.ct.elements, 3):
+        if not dr.chi_balanced(tup):
+            continue
+        chis = [dr.chi(w).levi_coords for w in tup]
+        for n in (1, 2, 3):
+            got = cx.levi.invariant_dimension(chis, n=n)
+            assert got == whole._simple_invariants([tuple(n * x for x in c) for c in chis])
+            values.add(got)
+        checked += 1
+    assert checked >= 10 and 0 in values and max(values) >= 1
+
+
+def test_first_zero_factor_stops_the_product(monkeypatch):
+    L = levi_system(roots.build("A", 5), (1, 2, 4, 5))
+    first, second = (f for _, f in L.factors)
+    ran, entered = [], []
+    count, public = LeviSystem._simple_invariants, LeviSystem.invariant_dimension
+    monkeypatch.setattr(LeviSystem, "_simple_invariants",
+                        lambda self, ws: ran.append(self) or count(self, ws))
+    monkeypatch.setattr(LeviSystem, "invariant_dimension",
+                        lambda self, *a, **k: entered.append(self) or public(self, *a, **k))
+    # V(1, 0) of the first A2 has no invariants; the second A2 pairs (1, 0) with (0, 1)
+    assert L.invariant_dimension([(1, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0)]) == 0
+    assert ran == [first] and entered == [L]
+    ran.clear()
+    entered.clear()
+    assert L.invariant_dimension([(1, 0, 1, 0), (0, 1, 0, 1), (0, 0, 0, 0)], n=2) == 1
+    assert ran == [first, second] and entered == [L]
 
 
 def _kostant_multiplicities(L, lam):
