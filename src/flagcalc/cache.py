@@ -1,6 +1,8 @@
 """Deterministic JSON serialisation and the on-disk structure-constant cache.
 
-Cache files are keyed by a content hash of (type, rank, crossed nodes) and
+The cache is read and written by `product` only.  Files name classes by
+their words and rings by coset-table index; load_table and save_table
+convert.  Cache files are keyed by a content hash of (type, rank, crossed nodes) and
 carry a schema version and the sha256 of their entries; a file whose header
 or digest does not match is ignored and recomputed, never trusted.  Files
 are written to a temporary name and renamed into place, so a reader never
@@ -86,11 +88,9 @@ def save_table(ring):
     """Persist every structure-constant row the ring has computed so far."""
     R = ring.system
     crossed = list(ring.parabolic.crossed)
-    entries = []
-    for (u, v), row in ring.known_rows().items():
-        for w, c in sorted(row.items(), key=lambda kv: (kv[0].length, kv[0].word)):
-            entries.append({"u": u.word_str(), "v": v.word_str(),
-                            "w": w.word_str(), "c": c})
+    words = [w.word_str() for w in ring.ct.elements]
+    entries = [{"u": words[i], "v": words[j], "w": words[k], "c": c}
+               for (i, j), row in ring.known_rows().items() for k, c in row.items()]
     entries.sort(key=lambda e: (e["u"], e["v"], e["w"]))
     doc = {"schema_version": SCHEMA_VERSION,
            "group": f"{R.type_letter}{R.rank}",
@@ -136,17 +136,18 @@ def load_table(ring):
             or doc.get("entries_sha256") != _entries_digest(doc.get("entries", []))):
         return 0
     ct = ring.ct
+
+    def index(word):
+        return ct.index[ct.element_from_word(_parse_word(word))]
+
     rows = {}
     try:
         for e in doc.get("entries", []):
-            u = ct.element_from_word(_parse_word(e["u"]))
-            v = ct.element_from_word(_parse_word(e["v"]))
-            w = ct.element_from_word(_parse_word(e["w"]))
-            rows.setdefault((u, v), {})[w] = int(e["c"])
+            rows.setdefault((index(e["u"]), index(e["v"])), {})[index(e["w"])] = int(e["c"])
     except (ValueError, KeyError):
         return 0
-    for (u, v), row in rows.items():
-        ring.set_row(u, v, row)
+    for (i, j), row in rows.items():
+        ring.set_row(i, j, row)
     seen[path] = (sig, len(rows))
     return len(rows)
 

@@ -22,6 +22,7 @@ import argparse
 import functools
 import os
 import sys
+from bisect import bisect_left
 from itertools import islice
 
 from . import cache, lr
@@ -165,13 +166,16 @@ def _tuples(lengths, s, need):
     """The s-multisets of coset-table indices whose lengths sum to need, in
     the order of combinations_with_replacement(range(len(lengths)), s);
     lengths ascend with the index.  Each next index is bounded from both
-    sides by what the rest can still add; at k = 1 that leaves only the
-    indices of length rest."""
+    sides by what the rest can still add; the last one ranges over the block
+    of indices of length rest."""
     longest = lengths[-1]
+    # first[l]:first[l + 1] is the block of indices of length l
+    first = [bisect_left(lengths, l) for l in range(longest + 2)]
 
     def rec(start, k, rest):
-        if k == 0:
-            yield ()
+        if k == 1:
+            if rest <= longest:
+                yield from ((j,) for j in range(max(start, first[rest]), first[rest + 1]))
             return
         for j in range(start, len(lengths)):
             if k * lengths[j] > rest:
@@ -184,15 +188,15 @@ def _tuples(lengths, s, need):
 
 
 def _verify_rows(cx, tuples, nmax):
-    els = cx.ct.elements
+    ct, dr = cx.ct, cx.deformed
+    els, lengths = ct.elements, ct.lengths
     words = [w.word_str() for w in els]
     rows = []
     for tup in tuples:
-        ws = [els[i] for i in tup]
-        d, dt = cx.deformed.tops(ws)
+        d, dt = dr.tops(tup)
         row = {
             "words": [words[i] for i in tup],
-            "lengths": [w.length for w in ws],
+            "lengths": [lengths[i] for i in tup],
             "cup_top": d,
             "deformed_top": dt,
             "levi_movable": dt > 0,
@@ -200,7 +204,7 @@ def _verify_rows(cx, tuples, nmax):
             "status": "OK",
         }
         if dt == 1:
-            chis = [cx.deformed.chi(w).levi_coords for w in ws]
+            chis = [dr.chi(els[i]).levi_coords for i in tup]
             dims = {str(n): cx.levi.invariant_dimension(chis, n=n)
                     for n in range(1, nmax + 1)}
             row["invariant_dims"] = dims
@@ -211,14 +215,9 @@ def _verify_rows(cx, tuples, nmax):
 
 
 def _verify_worker(chunk):
-    # worker-side context rebuild: cheap for sweep-sized groups; the ring rows
-    # it computes go back for the disk cache
+    # worker-side context rebuild: cheap for sweep-sized groups
     letter, rank, crossed, nmax, tuples = chunk
-    cx = flag_context(letter, rank, crossed)
-    cache.load_table(cx.ring)
-    had = set(cx.ring.known_rows())
-    return _verify_rows(cx, tuples, nmax), {
-        key: row for key, row in cx.ring.known_rows().items() if key not in had}
+    return _verify_rows(flag_context(letter, rank, crossed), tuples, nmax)
 
 
 def cmd_verify(args):
@@ -232,13 +231,11 @@ def cmd_verify(args):
     crossed = _parse_ints(args.cross)
     cx = flag_context(letter, rank, crossed)
     need = (args.s - 1) * cx.parabolic.dim_gp
-    tuples = list(islice(_tuples([w.length for w in cx.ct.elements], args.s, need),
-                         args.tuple_cap + 1))
+    tuples = list(islice(_tuples(cx.ct.lengths, args.s, need), args.tuple_cap + 1))
     if len(tuples) > args.tuple_cap:
         print(f"error: more than {args.tuple_cap} tuples of total length {need} "
               f"(raise --tuple-cap to proceed)", file=sys.stderr)
         return 2
-    loaded = cache.load_table(cx.ring)
     # reports do not depend on the job count, so more workers than CPUs buy nothing
     jobs = min(args.jobs, os.cpu_count() or 1)
     if jobs > 1 and len(tuples) > 1:
@@ -247,17 +244,11 @@ def cmd_verify(args):
         chunks = [(letter, rank, crossed, args.nmax, tuples[i:i + step])
                   for i in range(0, len(tuples), step)]
         with Pool(jobs) as pool:
-            parts = pool.map(_verify_worker, chunks)
-        rows = [r for part, _ in parts for r in part]
-        for _, computed in parts:
-            for (u, v), row in computed.items():
-                cx.ring.set_row(u, v, row)
+            rows = [r for part in pool.map(_verify_worker, chunks) for r in part]
     else:
         rows = _verify_rows(cx, tuples, args.nmax)
     rows.sort(key=lambda r: (r["lengths"], r["words"]))
     violations = sum(1 for r in rows if r["status"] == "VIOLATION")
-    if cache.stored_rows(cx.ring) > loaded:
-        cache.save_table(cx.ring)
     _emit({
         "schema_version": cache.SCHEMA_VERSION,
         "group": args.group.upper(),

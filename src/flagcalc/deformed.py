@@ -57,8 +57,8 @@ class DeformedRing(SchubertBasisRing):
         self.ct = ring.ct
         self.parabolic = ring.parabolic
         self._chi = {}
-        self._crossed = {}  # w -> chi_w at the crossed nodes
-        self._rows = {}
+        self._columns = _Columns(self)
+        self._rows = {}  # (i, j) with i <= j -> the row of ring.row(i, j) kept
 
     # -- chi characters -------------------------------------------------------
 
@@ -90,38 +90,51 @@ class DeformedRing(SchubertBasisRing):
         self._chi[w] = out
         return out
 
-    def chi_balanced(self, ws):
-        """True iff ws meets the Belkale-Kumar criterion (module docstring)."""
-        at, cols = self._crossed, []
-        for w in (self.ct.elements[0], *ws):
-            if (c := at.get(w)) is None:
-                c = at[w] = tuple(self.chi(w).root_coords[k - 1] for k in self.parabolic.crossed)
-            cols.append(c)
-        return tuple(map(sum, zip(*cols[1:]))) == cols[0]
+    def chi_balanced(self, idx):
+        """True iff the classes with coset-table indices idx meet the
+        Belkale-Kumar criterion (module docstring)."""
+        cols = self._columns
+        return tuple(map(sum, zip(*(cols[i] for i in idx)))) == cols[0]
 
     # -- deformed multiplication ----------------------------------------------
 
-    def row(self, u, v):
-        key = self._pair(u, v)
-        if key not in self._rows:
-            u, v = key
-            self._rows[key] = {w: c for w, c in self.ring.row(u, v).items()
-                               if self.chi_balanced((u, v, self.ct.dual[w]))}
-        return self._rows[key]
+    def row(self, i, j):
+        key = (i, j) if i <= j else (j, i)
+        out = self._rows.get(key)
+        if out is None:
+            dual = self.ct.dual_index
+            out = self._rows[key] = {k: c for k, c in self.ring.row(i, j).items()
+                                     if self.chi_balanced((i, j, dual[k]))}
+        return out
 
-    def tops(self, ws):
-        """(ordinary top, deformed top) of ws from one pairing: the deformed top
-        is the ordinary one when it is nonzero and chi_balanced(ws), else 0."""
-        top = self.ring.top_coefficient(ws)
-        return top, top if top and self.chi_balanced(ws) else 0
+    def tops(self, idx):
+        """(ordinary top, deformed top) of the classes with coset-table indices
+        idx from one pairing: the deformed top is the ordinary one when it is
+        nonzero and chi_balanced(idx), else 0."""
+        top = self.ring.top(idx)
+        return top, top if top and self.chi_balanced(idx) else 0
 
-    def top_coefficient(self, ws):
-        """The deformed top coefficient of ws (the second entry of tops)."""
-        return self.tops(ws)[1]
+    def top(self, idx):
+        """The deformed top coefficient (the second entry of tops)."""
+        return self.tops(idx)[1]
 
     def is_levi_movable(self, ws):
         """Numeric criterion: nonzero deformed top (0 off the expected degree)."""
         return self.top_coefficient(ws) > 0
+
+
+class _Columns(dict):
+    """{coset-table index: chi at the crossed nodes} of one DeformedRing, each
+    column computed on first use."""
+
+    def __init__(self, ring):
+        self.ring = ring
+
+    def __missing__(self, i):
+        ring = self.ring
+        coords = ring.chi(ring.ct.elements[i]).root_coords
+        col = self[i] = tuple(coords[k - 1] for k in ring.parabolic.crossed)
+        return col
 
 
 def _is_neg(vec):

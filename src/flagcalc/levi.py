@@ -396,7 +396,7 @@ def hom_dimension(dr: DeformedRing, ws, n=1):
     """Multiplicity of V(n chi_e) in the tensor product of the V(n chi_{w_i}),
     as representations of the full Levi: the semisimple invariant count when
     the central characters match (dr.chi_balanced), and 0 otherwise."""
-    if not dr.chi_balanced(ws):
+    if not dr.chi_balanced([dr.ct.index_of(w) for w in ws]):
         return 0
     ls = levi_system(dr.ring.system, tuple(sorted(dr.parabolic.levi_simple)))
     return ls.invariant_dimension([dr.chi(w).levi_coords for w in ws], n=n)

@@ -476,56 +476,72 @@ class CohomClass:
 class SchubertBasisRing:
     """Products in the Schubert basis of H*(G/P) for one (G, P).
 
-    Subclasses supply row(u, v) = {w: c^w_{u,v}}; everything else here is
-    built from it.
+    Subclasses supply row(i, j) = {k: c^k_{i,j}} on coset-table indices, the
+    same object for (i, j) and (j, i); everything else here is built from it.
+    The element-level methods map W^P elements to indices and back.
     """
-
-    def _pair(self, u, v):
-        """The canonical ordered pair (u, v) with index[u] <= index[v]."""
-        ct = self.ct
-        u, v = ct.canonical(u), ct.canonical(v)
-        return (v, u) if ct.index[v] < ct.index[u] else (u, v)
 
     def basis(self, w):
         return CohomClass(self, {self.ct.canonical(w): 1})
 
+    def _classes(self, vec):
+        """{index: c} as a CohomClass."""
+        els = self.ct.elements
+        return CohomClass(self, {els[k]: c for k, c in vec.items()})
+
     def structure_constant(self, u, v, w):
         ct = self.ct
-        w = ct.canonical(w)
+        i, j, k = ct.index_of(u), ct.index_of(v), ct.index_of(w)
         if ct.codim(u) + ct.codim(v) != ct.codim(w):
             return 0
-        return self.row(u, v).get(w, 0)
+        return self.row(i, j).get(k, 0)
 
     def cup(self, a: CohomClass, b: CohomClass):
+        index_of = self.ct.index_of
         out = {}
         for u, cu in a.coeffs.items():
+            i = index_of(u)
             for v, cv in b.coeffs.items():
-                for w, c in self.row(u, v).items():
-                    out[w] = out.get(w, 0) + cu * cv * c
-        return CohomClass(self, out)
+                for k, c in self.row(i, index_of(v)).items():
+                    out[k] = out.get(k, 0) + cu * cv * c
+        return self._classes(out)
 
     def product(self, ws):
-        cls = self.basis(ws[0])
-        for w in ws[1:]:
-            cls = self.cup(cls, self.basis(w))
-        return cls
+        return self._classes(self._fold([self.ct.index_of(w) for w in ws]))
+
+    def _fold(self, idx):
+        """The product of the classes with indices idx as {index: c}, multiplied
+        left to right; a row is not copied."""
+        if len(idx) == 1:
+            return {idx[0]: 1}
+        out = self.row(idx[0], idx[1])
+        for j in idx[2:]:
+            acc = {}
+            for i, c in out.items():
+                for k, e in self.row(i, j).items():
+                    acc[k] = acc.get(k, 0) + c * e
+            out = acc
+        return out
 
     def top_coefficient(self, ws):
-        """Coefficient of [X_e] in the product of the classes ws, 0 unless the
-        lengths sum to (s-1) dim G/P: the first floor(s/2) classes and the rest,
-        each multiplied out, paired by duality as sum_x left[x] right[dual(x)]."""
-        if len(ws) < 2:
-            raise ValueError("need at least two classes")
-        if sum(w.length for w in ws) != (len(ws) - 1) * self.parabolic.dim_gp:
-            return 0
-        left, right = self._half(ws[:len(ws) // 2]), self._half(ws[len(ws) // 2:])
-        return sum(c * right.get(self.ct.dual[x], 0) for x, c in left.items())
+        """Coefficient of [X_e] in the product of the classes ws (see top)."""
+        return self.top(tuple(map(self.ct.index_of, ws)))
 
-    def _half(self, ws):
-        """The product of the classes ws as {w: coefficient}; a row is not copied."""
-        if len(ws) > 2:
-            return self.product(ws).coeffs
-        return self.row(*ws) if len(ws) == 2 else {self.ct.canonical(ws[0]): 1}
+    def top(self, idx):
+        """Coefficient of [X_e] in the product of the classes with indices idx,
+        0 unless the lengths sum to (s-1) dim G/P: the first floor(s/2) classes
+        and the rest, each multiplied out, paired by duality as
+        sum_k left[k] right[dual(k)]; for s = 3 that is row(b, c)[dual(a)]."""
+        if len(idx) < 2:
+            raise ValueError("need at least two classes")
+        ct = self.ct
+        if sum(map(ct.lengths.__getitem__, idx)) != (len(idx) - 1) * self.parabolic.dim_gp:
+            return 0
+        half, dual = len(idx) // 2, ct.dual_index
+        right = self._fold(idx[half:])
+        if half == 1:
+            return right.get(dual[idx[0]], 0)
+        return sum(c * right.get(dual[k], 0) for k, c in self._fold(idx[:half]).items())
 
 
 class CupRing(SchubertBasisRing):
@@ -536,82 +552,79 @@ class CupRing(SchubertBasisRing):
         self.parabolic = P
         self.ct = minimal_coset_reps(R, P)
         self.engine = SchubertEngine(R)
-        self._rows = {}
+        self._rows = {}     # (i, j) with i <= j -> {k: c^k_{i,j}}
         # packed monomials: exponent k in bits [k*width, (k+1)*width); every
         # rep monomial has degree <= dim G/P < 2^(width-1), so no product carries
         self.width = P.dim_gp.bit_length() + 1
-        self._packed = {}   # w -> rep(w) packed
-        self._tries = {}    # degree -> extraction trie of that degree's targets
+        self._packed = {}   # index k -> rep(elements[k]) packed
+        self._tries = {}    # length -> extraction trie of the targets of that length
         self._vectors = {}  # packed monomial m -> E[m] = engine.extract(trie, m)
 
-    def _pack(self, w):
-        """rep(w) as {packed monomial: coefficient}."""
-        if w not in self._packed:
+    def _pack(self, k):
+        """rep(elements[k]) as {packed monomial: coefficient}."""
+        if k not in self._packed:
             width = self.width
             out = {}
-            for m, c in self.engine.rep(w).items():
+            for m, c in self.engine.rep(self.ct.elements[k]).items():
                 if sum(m) >> (width - 1):
                     raise ExactnessError("monomial degree overflows the packing width")
                 key = 0
                 for e in reversed(m):
                     key = key << width | e
                 out[key] = c
-            self._packed[w] = out
-        return self._packed[w]
+            self._packed[k] = out
+        return self._packed[k]
 
-    def _targets(self, degree):
-        """The keys w of a row of that degree, in by_length order."""
-        return self.ct.by_length.get(self.parabolic.dim_gp - degree, [])
-
-    def _vector(self, m, degree):
-        """E[m] = {k: extraction of the packed monomial m at dual[targets[k]]},
-        computed on a memo miss."""
-        if degree not in self._tries:
-            dual = self.ct.dual
-            self._tries[degree] = extraction_trie(
-                {k: dual[w].word for k, w in enumerate(self._targets(degree))})
+    def _vector(self, m, length):
+        """E[m] = {t: extraction of the packed monomial m at the dual of the
+        t-th target of that length}, computed on a memo miss."""
+        if length not in self._tries:
+            ct = self.ct
+            self._tries[length] = extraction_trie(
+                {t: ct.elements[ct.dual_index[k]].word
+                 for t, k in enumerate(ct.block[length])})
         width = self.width
         mono = tuple(m >> (width * k) & ((1 << width) - 1)
                      for k in range(self.engine.realization.nvars))
-        vec = self._vectors[m] = self.engine.extract(self._tries[degree], mono)
+        vec = self._vectors[m] = self.engine.extract(self._tries[length], mono)
         return vec
 
-    def row(self, u, v):
-        """{w: c^w_{u,v}} over w in W^P; exact nonnegative integers."""
-        key = self._pair(u, v)
-        if key in self._rows:
-            return self._rows[key]
-        u, v = key
+    def row(self, i, j):
+        """{k: c^k_{i,j}} over coset-table indices; exact nonnegative integers."""
+        key = (i, j) if i <= j else (j, i)
+        out = self._rows.get(key)
+        if out is not None:
+            return out
         ct = self.ct
-        target = ct.codim(u) + ct.codim(v)
+        # codim(k) = codim(i) + codim(j), so ell(k) = ell(i) + ell(j) - dim G/P
+        length = ct.lengths[i] + ct.lengths[j] - self.parabolic.dim_gp
         out = {}
-        if target <= self.parabolic.dim_gp:
+        if length >= 0:
             # extraction is linear: the raw row is sum_m f[m] E[m] over f = rep * rep
-            targets = self._targets(target)
+            targets = ct.block[length]
             raw = [0] * len(targets)
-            vectors = self._vectors
-            for m, c in pmul_packed(self._pack(ct.dual[u]), self._pack(ct.dual[v])).items():
+            vectors, dual = self._vectors, ct.dual_index
+            for m, c in pmul_packed(self._pack(dual[i]), self._pack(dual[j])).items():
                 vec = vectors.get(m)
                 if vec is None:
-                    vec = self._vector(m, target)
-                for k, e in vec.items():
-                    raw[k] += c * e
+                    vec = self._vector(m, length)
+                for t, e in vec.items():
+                    raw[t] += c * e
             sc2 = self.engine.scale ** 2
-            for w, x in zip(targets, raw):
+            for k, x in zip(targets, raw):
                 c, r = divmod(x, sc2)
                 if r:
                     raise ExactnessError("noninteger structure constant (convention bug)")
                 if c < 0:
                     raise ExactnessError("negative structure constant (convention bug)")
                 if c:
-                    out[w] = c
+                    out[k] = c
         self._rows[key] = out
         return out
 
-    def set_row(self, u, v, row):
-        """Seed the product cache (disk-cache warm-up, rows from verify
-        workers); idempotent."""
-        self._rows.setdefault(self._pair(u, v), dict(row))
+    def set_row(self, i, j, row):
+        """Seed the product cache with {k: c} (disk-cache warm-up); idempotent."""
+        self._rows.setdefault((i, j) if i <= j else (j, i), dict(row))
 
     def known_rows(self):
         return dict(self._rows)

@@ -12,6 +12,7 @@ simple-root indices.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import cached_property, lru_cache
 
 from .roots import ExactnessError, RootSystem
@@ -237,8 +238,10 @@ def _ascending_closure(wg, levi):
 class CosetTable:
     """Minimal-length representatives of W/W_P with their Bruhat covers.
 
-    covers: triples (v, w, beta) with w = s_beta v, ell(w) = ell(v)+1,
-    both in W^P and beta a positive root; built on first use.
+    elements ascend by (length, word); index, lengths, block (length -> range
+    of indices) and dual_index name them by position.  covers: triples
+    (v, w, beta) with w = s_beta v, ell(w) = ell(v)+1, both in W^P and beta a
+    positive root; built on first use.
     """
 
     def __init__(self, wg: WeylGroup, P):
@@ -248,9 +251,10 @@ class CosetTable:
         self.elements = _ascending_closure(wg, levi)
         self.index = {w: k for k, w in enumerate(self.elements)}
         self._by_key = {w.key: w for w in self.elements}
-        self.by_length = {}
-        for w in self.elements:
-            self.by_length.setdefault(w.length, []).append(w)
+        self.lengths = lengths = [w.length for w in self.elements]
+        # elements ascend by (length, word), so each length is one block of indices
+        self.block = {n: range(bisect_left(lengths, n), bisect_right(lengths, n))
+                      for n in range(lengths[-1] + 1)}
         self.longest = self.elements[-1]
         if self.longest.length != P.dim_gp:
             raise ExactnessError(f"longest element of W^P has length {self.longest.length}, "
@@ -269,6 +273,7 @@ class CosetTable:
             if ww is None or ww.length != P.dim_gp - w.length:
                 raise ExactnessError(f"no dual of length {P.dim_gp - w.length} for {w!r}")
             self.dual[w] = ww
+        self.dual_index = [self.index[self.dual[w]] for w in self.elements]
 
     def _cover_of(self, v, beta):
         """w = s_beta v if it lies in W^P with ell(w) = ell(v) + 1, else None."""
@@ -292,6 +297,10 @@ class CosetTable:
             return self._by_key[w.key]
         except KeyError:
             raise ValueError(f"element {w!r} is not a minimal coset representative")
+
+    def index_of(self, w):
+        """The coset-table index of an element of W^P (ValueError otherwise)."""
+        return self.index[self.canonical(w)]
 
     def codim(self, w):
         return self.parabolic.dim_gp - w.length

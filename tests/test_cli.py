@@ -149,10 +149,6 @@ def test_verify_warm_cache_byte_identical(capsys, tmp_path):
                       "--s", "3", "--nmax", "2", "--out", str(b))
     assert code1 == code2 == 0
     assert a.read_bytes() == b.read_bytes()
-    # a cache file was actually written and reused
-    from flagcalc import roots
-    R = roots.build("B", 2)
-    assert cache.table_path(R, [2]).exists()
 
 
 def test_verify_jobs_deterministic(capsys, tmp_path):
@@ -271,7 +267,7 @@ def _check_tops_against_products(letter, rank, crossed, s):
         assert (row["cup_top"], row["deformed_top"]) == (top, deformed)
         assert cx.ring.top_coefficient(ws) == top
         assert cx.deformed.top_coefficient(ws) == deformed
-        assert deformed == (top if cx.deformed.chi_balanced(ws) else 0)
+        assert deformed == (top if cx.deformed.chi_balanced(tup) else 0)
         kept += bool(deformed)
         dropped += bool(top) and not deformed
     return kept, dropped
@@ -297,7 +293,8 @@ def test_tops_match_iterated_products(letter, rank, crossed, s):
 @pytest.mark.parametrize("letter,rank,crossed,s", [
     ("A", 4, (1, 2, 3, 4), 3), ("D", 4, (2,), 4), ("B", 3, (2,), 5)])
 def test_verify_rows_pair_once_per_tuple(monkeypatch, letter, rank, crossed, s):
-    """_verify_rows gets both tops of a tuple from one ordinary pairing."""
+    """_verify_rows gets both tops of a tuple from one ordinary pairing, on
+    the index tuple itself."""
     from flagcalc.cli import _tuples, _verify_rows
     from flagcalc.context import flag_context
     from flagcalc.schubert import SchubertBasisRing
@@ -305,16 +302,16 @@ def test_verify_rows_pair_once_per_tuple(monkeypatch, letter, rank, crossed, s):
     tuples = list(_tuples([w.length for w in cx.ct.elements], s,
                           (s - 1) * cx.parabolic.dim_gp))
     calls = []
-    top = SchubertBasisRing.top_coefficient
+    top = SchubertBasisRing.top
 
-    def counted(self, ws):
-        calls.append(len(ws))
-        return top(self, ws)
+    def counted(self, idx):
+        calls.append(idx)
+        return top(self, idx)
 
-    monkeypatch.setattr(SchubertBasisRing, "top_coefficient", counted)
+    monkeypatch.setattr(SchubertBasisRing, "top", counted)
     rows = _verify_rows(cx, tuples, 1)
     assert any(r["deformed_top"] for r in rows)
-    assert calls == [s] * len(tuples)
+    assert calls == tuples
 
 
 @pytest.mark.parametrize("letter,rank,crossed,s", [
@@ -423,25 +420,57 @@ def test_canonical_json_matches_encode_route_on_random_documents(doc):
     assert cache.canonical_json(doc) == _encode_route(doc)
 
 
-def test_corrupt_cache_ignored(capsys, tmp_path):
-    from flagcalc import roots
-    out1 = tmp_path / "r1.json"
-    run(capsys, "verify", "--group", "B2", "--cross", "1", "--s", "3",
-        "--nmax", "1", "--out", str(out1))
-    path = cache.table_path(roots.build("B", 2), [1])
-    assert path.exists()
-    path.write_text("{not json")
-    out2 = tmp_path / "r2.json"
-    code, _, _ = run(capsys, "verify", "--group", "B2", "--cross", "1", "--s", "3",
-                     "--nmax", "1", "--out", str(out2))
+def test_corrupt_cache_ignored(capsys, monkeypatch, fresh_contexts):
+    """product ignores a table that is not JSON or has the wrong schema
+    version, answers the same and writes the table it would have written."""
+    from flagcalc import context
+    argv = C3_2_PRODUCT + ["1,2,1,3,2", "3,2,1,3,2", "3,2"]
+    code, first, _ = run(capsys, *argv)
+    path = _c3_2_table()
+    assert code == 0 and path.exists()
+    good = path.read_bytes()
+    for bad in ("{not json", cache.canonical_json({"schema_version": 999, "group": "C3",
+                                                   "levi_simple": [1, 3], "entries": []})):
+        path.write_text(bad)
+        monkeypatch.setattr(context, "_contexts", {})  # no row in memory hides the file
+        code, again, _ = run(capsys, *argv)
+        assert code == 0 and again == first
+        assert path.read_bytes() == good
+
+
+VERIFY_ARGV = ["verify", "--group", "B3", "--cross", "2", "--s", "3", "--nmax", "1"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_leaves_cache_dir_empty(capsys, tmp_cache, jobs):
+    """verify neither reads nor writes the disk cache."""
+    cache_dir = tmp_cache / "cache"
+    cache_dir.mkdir()
+    code, out, _ = run(capsys, *VERIFY_ARGV, "--jobs", jobs)
+    assert code == 0 and last_json(out)["tuple_count"] > 0
+    assert list(cache_dir.iterdir()) == []
+
+
+def test_verify_report_ignores_existing_table(capsys, tmp_cache, monkeypatch,
+                                              fresh_contexts):
+    """A corrupt table, or one whose constants are wrong under a valid digest,
+    changes no byte of a verify report, and verify leaves the file as it is."""
+    from flagcalc import context, roots
+    code, want, _ = run(capsys, *VERIFY_ARGV)
     assert code == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    # wrong schema version is ignored too
-    path.write_text(cache.canonical_json({"schema_version": 999, "group": "B2",
-                                          "levi_simple": [2], "entries": []}))
-    code, _, _ = run(capsys, "verify", "--group", "B2", "--cross", "1", "--s", "3",
-                     "--nmax", "1", "--out", str(out2))
-    assert code == 0 and out1.read_bytes() == out2.read_bytes()
+    run(capsys, "product", "--group", "B3", "--cross", "2", "1,3,2", "2,3,2")
+    path = cache.table_path(roots.build("B", 3), [2])
+    doc = json.loads(path.read_text())
+    assert doc["entries"]
+    for e in doc["entries"]:
+        e["c"] = 64
+    doc["entries_sha256"] = cache._entries_digest(doc["entries"])
+    for bad in ("{not json", cache.canonical_json(doc)):
+        path.write_text(bad)
+        monkeypatch.setattr(context, "_contexts", {})
+        code, out, _ = run(capsys, *VERIFY_ARGV)
+        assert code == 0 and out == want
+        assert path.read_text() == bad
 
 
 def _flagcalc(*argv, optimize=False):
@@ -489,7 +518,7 @@ def test_exactness_checks_survive_python_O(tmp_path, monkeypatch):
              "def ring(letter, rank, crossed):\n"
              "    R = roots.build(letter, rank)\n"
              "    ring = CupRing(R, roots.parabolic(R, crossed=crossed))\n"
-             "    return ring, ring.ct.by_length[ring.parabolic.dim_gp - 2][0]\n"
+             "    return ring, ring.ct.block[ring.parabolic.dim_gp - 2][0]\n"
              "r, w = ring('C', 3, [3])\n"
              "r.width = 2\n"
              "probe('packing', lambda: r.row(w, w))\n"
@@ -497,8 +526,9 @@ def test_exactness_checks_survive_python_O(tmp_path, monkeypatch):
              "r.engine.scale = 2\n"
              "probe('remainder', lambda: r.row(w, w))\n"
              "r, w = ring('A', 3, [2])\n"
-             "r._packed[r.ct.dual[w]] = {m: -c for m, c in r._pack(r.ct.dual[w]).items()}\n"
-             "probe('negative', lambda: r.row(w, r.ct.longest))\n"
+             "d = r.ct.dual_index[w]\n"
+             "r._packed[d] = {m: -c for m, c in r._pack(d).items()}\n"
+             "probe('negative', lambda: r.row(w, len(r.ct) - 1))\n"
              "b3 = SchubertEngine(roots.build('B', 3))\n"
              "top, reflect = b3.wg.longest().inv, b3.wg._reflect\n"
              "b3.wg._reflect = lambda f, i0: reflect(f, (i0 + 1) % 3)\n"
@@ -575,22 +605,6 @@ def test_cache_file_rewritten_only_when_rows_are_added(tmp_path):
     assert other.returncode == 0, other.stderr
     assert path.stat().st_ino != before.st_ino
     assert len(json.loads(path.read_text())["entries"]) > entries
-
-
-def test_verify_jobs_fills_cold_cache(tmp_path, monkeypatch):
-    from flagcalc import roots
-
-    argv = ["-m", "flagcalc", "verify", "--group", "B3", "--cross", "2", "--s", "3",
-            "--nmax", "1", "--jobs"]
-    tables = []
-    for jobs in ("1", "2"):
-        monkeypatch.setenv("FLAGCALC_CACHE_DIR", str(tmp_path / f"cache-{jobs}"))
-        res = _flagcalc(*argv, jobs)
-        assert res.returncode == 0, res.stderr
-        path = cache.table_path(roots.build("B", 3), [2])
-        tables.append(path.read_bytes())
-    assert json.loads(tables[0])["entries"]
-    assert tables[0] == tables[1]
 
 
 def _same_as_fresh_process(capsys, argv, out):

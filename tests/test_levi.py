@@ -374,10 +374,11 @@ def test_factor_product_matches_unsplit_count(letter, rank, crossed):
     dr = cx.deformed
     whole = LeviSystem(cx.system, cx.levi.nodes)
     checked, values = 0, set()
-    for tup in itertools.combinations_with_replacement(cx.ct.elements, 3):
+    els = cx.ct.elements
+    for tup in itertools.combinations_with_replacement(range(len(els)), 3):
         if not dr.chi_balanced(tup):
             continue
-        chis = [dr.chi(w).levi_coords for w in tup]
+        chis = [dr.chi(els[i]).levi_coords for i in tup]
         for n in (1, 2, 3):
             got = cx.levi.invariant_dimension(chis, n=n)
             assert got == whole._simple_invariants([tuple(n * x for x in c) for c in chis])

@@ -53,7 +53,7 @@ def test_gr24_squares_and_lines():
     ring = ring_for("A", 3, [2])
     ct = ring.ct
     sigma1 = [w for w in ct.elements if ct.codim(w) == 1][0]
-    row = ring.row(sigma1, sigma1)
+    row = ring.row(ct.index[sigma1], ct.index[sigma1])
     assert sorted(row.values()) == [1, 1]
     assert ring.intersection_number([sigma1] * 4) == 2
 
@@ -78,12 +78,12 @@ def test_unit_degree_filter_nonnegativity(letter, rank, crossed):
     ring = ring_for(letter, rank, crossed)
     ct = ring.ct
     top = ct.longest
-    for u in ct.elements:
+    for a, u in enumerate(ct.elements):
         assert ring.structure_constant(u, top, u) == 1
-        for v in ct.elements:
-            for w, c in ring.row(u, v).items():
+        for b, v in enumerate(ct.elements):
+            for k, c in ring.row(a, b).items():
                 assert c >= 0
-                assert ct.codim(u) + ct.codim(v) == ct.codim(w)
+                assert ct.codim(u) + ct.codim(v) == ct.codim(ct.elements[k])
             for w in ct.elements:
                 if ct.codim(u) + ct.codim(v) != ct.codim(w):
                     assert ring.structure_constant(u, v, w) == 0
@@ -119,7 +119,7 @@ def test_engine_matches_reference_constants():
                 if target > ring.parabolic.dim_gp:
                     continue
                 f = pmul(ref.rep(ct.dual[u]), ref.rep(ct.dual[v]))
-                for w in ct.by_length.get(ring.parabolic.dim_gp - target, []):
+                for w in map(ct.elements.__getitem__, ct.block[ring.parabolic.dim_gp - target]):
                     g = dict(f)
                     for i in reversed(ct.dual[w].word):
                         g = ref.ddiff(i - 1, g)
@@ -151,18 +151,19 @@ def test_rows_match_per_target_extraction(letter, rank, crossed):
     dim = ring.parabolic.dim_gp
     els = ct.elements
     for a, u in enumerate(els):
-        for v in els[a:]:
+        for b in range(a, len(els)):
+            v = els[b]
             target = ct.codim(u) + ct.codim(v)
             if target > dim:
                 continue
             f = pmul(eng.rep(ct.dual[u]), eng.rep(ct.dual[v]))
             want = {}
-            for w in ct.by_length.get(dim - target, []):
+            for w in map(ct.elements.__getitem__, ct.block[dim - target]):
                 c, r = divmod(_extract_one(eng, ct.dual[w], f), eng.scale ** 2)
                 assert r == 0 and c >= 0
                 if c:
-                    want[w] = c
-            assert ring.row(u, v) == want
+                    want[ct.index[w]] = c
+            assert ring.row(a, b) == want
 
 
 @pytest.mark.parametrize("letter,rank,scale", [
@@ -185,9 +186,9 @@ def test_packing_width_too_small_rejected():
     ring = ring_for("C", 3, [3])
     ring.width -= 1
     with pytest.raises(ExactnessError):
-        for u in ring.ct.elements:
-            for v in ring.ct.elements:
-                ring.row(u, v)
+        for i in range(len(ring.ct)):
+            for j in range(len(ring.ct)):
+                ring.row(i, j)
 
 
 def _reflection_images(R, i0):
@@ -356,8 +357,9 @@ def test_lagrangian_constants_match_qfunction_oracle():
     # a broader row: sigma_{21} * sigma_{31} on LG(4,8) matches the oracle
     ring4 = ring_for("C", 4, [4])
     ct4 = ring4.ct
-    row = ring4.row(lr.lagrangian_bijection(ct4, (2, 1)), lr.lagrangian_bijection(ct4, (3, 1)))
-    got = {lr.lagrangian_partition(ct4, w): c for w, c in row.items()}
+    row = ring4.row(ct4.index[lr.lagrangian_bijection(ct4, (2, 1))],
+                    ct4.index[lr.lagrangian_bijection(ct4, (3, 1))])
+    got = {lr.lagrangian_partition(ct4, ct4.elements[k]): c for k, c in row.items()}
     exp = expand(mul(qfun((2, 1)), qfun((3, 1))))
     want = {lam: c for lam, c in exp.items() if not lam or lam[0] <= 4}
     assert got == want
@@ -472,8 +474,8 @@ def test_ascending_seed_keeps_rows(letter, rank, crossed, monkeypatch):
     def rows(ring):
         ct, dim = ring.ct, ring.parabolic.dim_gp
         els = ct.elements
-        return {(u, v): ring.row(u, v) for a, u in enumerate(els) for v in els[a:]
-                if ct.codim(u) + ct.codim(v) <= dim}
+        return {(a, b): ring.row(a, b) for a in range(len(els)) for b in range(a, len(els))
+                if ct.codim(els[a]) + ct.codim(els[b]) <= dim}
 
     ring = ring_for(letter, rank, crossed)
     new = rows(ring)
