@@ -20,6 +20,8 @@ V(lam) is the outer tensor product of the V(lam|L_j), so the invariant
 dimension is the product of the factors' counts, each over its own |W_j|-term
 orbit.  `tensor_decompose` and the oracle act on the whole system they are
 called on, so on the unsplit Levi they check the per-factor product.
+Every walk of a weight into the dominant chamber goes through one memo per
+system, `signed_dominant_conjugate`; the oracle walks none.
 
 Levi weights are tuples of pairings with the Levi simple coroots, ordered by
 ascending ambient node index; an ambient weight restricts by just reading
@@ -46,6 +48,11 @@ class LeviSystem:
         self.rank = len(self.nodes)
         self.system = ambient.sub_system(self.nodes) if self.nodes else None
         if self.system is not None:
+            cartan = self.system.cartan
+            # reflecting at i0 moves coordinate i0 and its Cartan neighbours only
+            self._links = tuple(tuple((k, cartan[k][i0]) for k in range(self.rank)
+                                      if k != i0 and cartan[k][i0])
+                                for i0 in range(self.rank))
             d = self.system.symmetrizers
             # (fund coords of beta, (d_j beta_j)_j): then (nu, beta) = sum_j nu_j d_j beta_j
             self._roots = tuple((self.system.fund_of_root(b), tuple(x * y for x, y in zip(d, b)))
@@ -53,6 +60,8 @@ class LeviSystem:
         self._dom_mults = {}
         self._kpf = {}
         self._tensor = {}
+        self._chamber = {}  # weight -> (dominant rep, sign): the chamber map
+        self._dims = {}  # dominant weight -> Weyl dimension
         self._walk = None
         self._wg = None
         # (coordinate positions, LeviSystem) per connected component of the
@@ -86,17 +95,29 @@ class LeviSystem:
         return (1,) * self.rank
 
     def _reflect(self, f, i0):
-        cartan = self.system.cartan
-        return tuple(f[k] - f[i0] * cartan[k][i0] for k in range(self.rank))
+        """s_i0(f) = f - f[i0] alpha_i0, the simple root in fundamental
+        coordinates being column i0 of the Cartan matrix."""
+        g = list(f)
+        c = g[i0]
+        g[i0] = -c
+        for k, a in self._links[i0]:
+            g[k] -= c * a
+        return tuple(g)
 
     def signed_dominant_conjugate(self, f):
-        """(dominant rep, sign) under the Weyl group; sign 0 on a wall."""
-        f, sign = tuple(f), 1
-        while True:
-            i0 = next((k for k in range(self.rank) if f[k] < 0), None)
-            if i0 is None:
-                return (f, 0) if 0 in f else (f, sign)
-            f, sign = self._reflect(f, i0), -sign
+        """(dominant rep, sign) under the Weyl group; sign 0 on a wall.
+        Memoised per system; a miss walks by simple reflections."""
+        f = tuple(f)
+        hit = self._chamber.get(f)
+        if hit is None:
+            g, sign = f, 1
+            while True:
+                i0 = next((k for k in range(self.rank) if g[k] < 0), None)
+                if i0 is None:
+                    break
+                g, sign = self._reflect(g, i0), -sign
+            hit = self._chamber[f] = (g, 0) if 0 in g else (g, sign)
+        return hit
 
     def dominant_conjugate(self, f):
         return self.signed_dominant_conjugate(f)[0]
@@ -139,6 +160,9 @@ class LeviSystem:
     def weyl_dim(self, lam):
         """prod over Levi positive roots of (lam+rho, beta) / (rho, beta)."""
         lam = tuple(lam)
+        out = self._dims.get(lam)
+        if out is not None:
+            return out
         if not self.is_dominant(lam):
             raise ValueError(f"{lam!r} is not dominant")
         if self.rank == 0:
@@ -150,6 +174,7 @@ class LeviSystem:
         out, rem = divmod(num, den)
         if rem:
             raise ExactnessError(f"noninteger Weyl dimension {num}/{den} (convention bug)")
+        self._dims[lam] = out
         return out
 
     def dominant_weight_multiplicities(self, lam):

@@ -1,0 +1,68 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+summarize = bench_pairs.summarize
+
+BASE = [100, 104, 96, 102, 98, 101, 99, 103, 97, 100]  # quartiles 98.25-101.75
+
+
+def test_summary_of_a_clear_gain():
+    r = summarize(BASE, [x + 20 for x in BASE], "higher")
+    assert r["pairs"] == 10 and r["wins"] == 10 and r["holds"]
+    assert r["base_median"] == 100 and r["change_median"] == 120
+    assert r["base_quartiles"] == pytest.approx((98.25, 101.75))
+    assert r["change_quartiles"] == pytest.approx((118.25, 121.75))
+
+
+def test_one_loss_in_ten_still_holds_two_do_not():
+    change = [x + 20 for x in BASE]
+    change[3] = 90
+    assert summarize(BASE, change, "higher")["wins"] == 9
+    assert summarize(BASE, change, "higher")["holds"]
+    change[4] = 90
+    assert summarize(BASE, change, "higher")["wins"] == 8
+    assert not summarize(BASE, change, "higher")["holds"]
+
+
+def test_ties_count_for_neither():
+    change = [x + 20 for x in BASE]
+    change[0] = BASE[0]
+    r = summarize(BASE, change, "higher")
+    assert r["wins"] == 9 and r["holds"]
+    change[1] = BASE[1]
+    assert not summarize(BASE, change, "higher")["holds"]
+
+
+def test_gap_must_exceed_the_base_spread():
+    # every pair won, but by less than the base's quartile spread of 3.5
+    r = summarize(BASE, [x + 3 for x in BASE], "higher")
+    assert r["wins"] == 10 and not r["holds"]
+    assert summarize(BASE, [x + 4 for x in BASE], "higher")["holds"]
+
+
+def test_lower_is_better_direction():
+    r = summarize(BASE, [x - 20 for x in BASE], "lower")
+    assert r["wins"] == 10 and r["holds"]
+    r = summarize(BASE, [x + 20 for x in BASE], "lower")
+    assert r["wins"] == 0 and not r["holds"]
+
+
+def test_fewer_than_ten_pairs_never_hold():
+    r = summarize(BASE[:9], [x + 20 for x in BASE[:9]], "higher")
+    assert r["wins"] == 9 and not r["holds"]
+    r = summarize([5.0], [9.0], "higher")
+    assert r["base_quartiles"] == (5.0, 5.0) and not r["holds"]
+
+
+def test_last_line_must_read_correct_true():
+    ok = 'workload line\n{"correct": true, "attempted": 3, "failed": 0, "metrics": {}}\n'
+    assert bench_pairs.last_json(ok)["attempted"] == 3
+    assert bench_pairs.last_json('{"correct": false, "metrics": {}}') is None
+    assert bench_pairs.last_json('{"correct": true}\nTraceback ...') is None
+    assert bench_pairs.last_json("") is None

@@ -340,6 +340,20 @@ def test_verify_s4_report_bytes(capsys):
         "26d5d5fb64311bb24fcc373481fb9bccd3d9d7147b58d5b5868eb9a4909efe40")
 
 
+@pytest.mark.parametrize("group,digest", [
+    ("D4", "df2074a09aabee7e6eb682ad61b9284e636470fa2a47be0a2f6a35303103ee1f"),  # A1^3
+    ("B4", "8372f0177de6f827eeae05958548cfcc150d98a64a431a9e75e514b57542e717"),  # A1 x B2
+])
+def test_verify_multi_factor_levi_report_bytes(capsys, group, digest):
+    # recorded before the chamber map was memoised; pins the per-factor
+    # counts of Levis with more than one simple factor
+    import hashlib
+    code, out, _ = run(capsys, "verify", "--group", group, "--cross", "2",
+                       "--s", "3", "--nmax", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_fulton_single_and_sweep(capsys):
     code, out, _ = run(capsys, "fulton", "--lam", "1", "--mu", "1", "--nu", "2",
                        "--nmax", "4")

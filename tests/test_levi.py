@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagcalc import lr, roots
 from flagcalc.context import flag_context
@@ -451,3 +453,75 @@ def test_restrict_rejects_nonintegral_pairings():
     assert L.restrict((1, 3, Fraction(7, 2))) == (1, 3)
     with pytest.raises(ValueError):
         L.restrict((Fraction(1, 2), 3, Fraction(7, 2)))
+
+
+# -- the memoised chamber map ----------------------------------------------------
+
+def _brute_chamber(L, f):
+    """(dominant image, sign) of f over every element of W_L: the sign is
+    (-1)^l(w) for the w taking f there, 0 when the image lies on a wall."""
+    wg = L._weyl_group()
+    hits = [(img, w.length % 2) for w in wg.all_elements()
+            for img in [wg.act_weight(w, f)] if min(img) >= 0]
+    images = {img for img, _ in hits}
+    assert len(images) == 1, (f, images)
+    (dom,) = images
+    parities = {p for _, p in hits}
+    if 0 in dom:
+        # a wall: its stabiliser holds a reflection, so both parities reach it
+        assert parities == {0, 1}
+        return dom, 0
+    assert len(hits) == 1
+    return dom, 1 - 2 * hits[0][1]
+
+
+@pytest.mark.parametrize("name", sorted(DIFF_LEVIS))
+def test_chamber_map_matches_brute_force(name):
+    L = _diff_levi(name)
+    span = range(-3, 4) if L.rank <= 3 else range(-2, 3)
+    walls = 0
+    for f in itertools.product(span, repeat=L.rank):
+        want = _brute_chamber(L, f)
+        assert L.signed_dominant_conjugate(f) == want  # a miss
+        assert L.signed_dominant_conjugate(f) == want  # a hit
+        assert L.signed_dominant_conjugate(list(f)) == want
+        assert L.dominant_conjugate(f) == want[0]
+        walls += want[1] == 0
+    assert 0 < walls < len(span) ** L.rank
+
+
+@pytest.mark.parametrize("letter,rank,nodes", [
+    ("A", 4, (1, 2, 3, 4)), ("B", 4, (1, 2, 3, 4)), ("D", 4, (1, 2, 3, 4)),
+    ("C", 5, (2, 3, 4, 5)), ("C", 5, (1, 2, 3, 4))])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_simple_reflection_negates_the_chamber_sign(letter, rank, nodes, data):
+    L = levi_system(roots.build(letter, rank), nodes)
+    wg = L._weyl_group()
+    f = data.draw(st.tuples(*[st.integers(-6, 6)] * L.rank))
+    dom, sign = L.signed_dominant_conjugate(f)
+    assert min(dom) >= 0 and (sign == 0) == (0 in dom)
+    for i in range(L.rank):
+        g = wg.act_weight(wg.from_word((i + 1,)), f)
+        assert L.signed_dominant_conjugate(g) == (dom, -sign)
+
+
+def test_chamber_memo_is_per_system():
+    """B2 (nodes 2, 3 of B3) and C2 (nodes 2, 3 of C3) have transposed Cartan
+    matrices, so one weight can have different conjugates in the two."""
+    B2 = levi_system(roots.build("B", 3), (2, 3))
+    C2 = levi_system(roots.build("C", 3), (2, 3))
+    differ = 0
+    for f in itertools.product(range(-3, 4), repeat=2):
+        got = [L.signed_dominant_conjugate(f) for L in (B2, C2, B2, C2)]
+        assert got[:2] == got[2:] == [_brute_chamber(B2, f), _brute_chamber(C2, f)]
+        differ += got[0] != got[1]
+    assert differ
+
+
+def test_weyl_dim_rejects_non_dominant_every_time():
+    L = levi_system(roots.build("B", 3), (2, 3))
+    assert L.weyl_dim((1, 0)) == L.weyl_dim([1, 0]) == 5
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            L.weyl_dim((1, -1))
