@@ -1,22 +1,26 @@
 #!/usr/bin/env python3
 """Alternated benchmark pairs: a base revision against the working tree.
 
-    python3 scripts/bench_pairs.py --base REV [--workload verify-levi]
+    python3 scripts/bench_pairs.py --base REV [--workload verify-levi ...]
         [--pairs 10] [--seconds 40] [--seed-start 1]
 
 Exports REV with `git archive` into a temporary directory and runs
 `python3 perfbench/run.py --workload W --seed S --seconds T` there and in the
 working tree, once each per pair, the base first on odd pairs; pair k runs
-seed seed-start + k - 1 on both sides.  Refuses to start when perfbench/ or
+seed seed-start + k - 1 on both sides.  --workload may be given more than
+once; the default is every workload BENCHMARK.json lists, each run on its own
+(never perfbench's "all").  Refuses to start when perfbench/ or
 BENCHMARK.json differ between REV and the working tree, so both sides run the
 same benchmark code.  Exits 1 as soon as a run's last output line is not a
 JSON object with "correct": true.
 
 Prints every pair's end-to-end metrics (those BENCHMARK.json names), then per
-metric both medians and quartiles, the change's wins (ties count for neither)
-and whether a gain may be claimed: at least ten pairs, the change ahead in at
-least nine tenths of them, and the medians apart by more than the spread
-between the base's quartiles, in the metric's better direction.
+workload and metric both medians and quartiles, the change's wins (ties count
+for neither), whether a gain may be claimed (at least ten pairs, the change
+ahead in at least nine tenths of them, and the medians apart by more than the
+spread between the base's quartiles, in the metric's better direction), and
+the no-regression verdict: the change's median is worse than the base's by
+at most the metric's BENCHMARK.json bound, a fraction of the base median.
 """
 
 import argparse
@@ -62,6 +66,13 @@ def summarize(base, change, better):
             "base_quartiles": q_b, "change_quartiles": q_c, "holds": holds}
 
 
+def within_bound(base_median, change_median, better, bound):
+    """False when the change's median is worse than the base's by more than
+    bound times the base median, in the metric's better direction."""
+    sign = 1 if better == "higher" else -1
+    return sign * (change_median - base_median) >= -bound * abs(base_median)
+
+
 def export(rev, dest):
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
                              check=True, capture_output=True).stdout
@@ -81,7 +92,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base", required=True, help="git revision to compare against")
-    ap.add_argument("--workload", default="verify-levi")
+    ap.add_argument("--workload", action="append",
+                    help="a workload of BENCHMARK.json; repeatable (default: all of them)")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=40)
     ap.add_argument("--seed-start", type=int, default=1)
@@ -93,37 +105,44 @@ def main():
         print(f"error: perfbench/ or BENCHMARK.json differ from {args.base} "
               f"(or {args.base} is not a revision)", file=sys.stderr)
         return 2
-    metrics = {m["name"]: m["better"]
-               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-    samples = {}  # metric key -> {"base": [...], "change": [...]}
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
+    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    samples = {}  # "workload.metric" -> {"base": [...], "change": [...]}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         export(args.base, tmp)
-        for k in range(1, args.pairs + 1):
-            seed = args.seed_start + k - 1
-            sides = [("base", tmp), ("change", ROOT)]
-            docs = {}
-            for side, tree in sides if k % 2 else sides[::-1]:
-                doc, proc = run_once(tree, args.workload, seed, args.seconds)
-                if doc is None:
-                    print(f"error: pair {k} {side} run (seed {seed}) is not correct:\n"
-                          f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}", file=sys.stderr)
-                    return 1
-                docs[side] = doc["metrics"]
-            for key in sorted(docs["base"]):
-                if key.rsplit(".", 1)[-1] in metrics and key in docs["change"]:
-                    b, c = docs["base"][key]["value"], docs["change"][key]["value"]
-                    samples.setdefault(key, {"base": [], "change": []})
-                    samples[key]["base"].append(b)
-                    samples[key]["change"].append(c)
-                    print(f"pair {k:2d} seed {seed:3d} {key:34s} {b:>12.6g} -> {c:<12.6g}",
-                          flush=True)
+        for workload in workloads:
+            for k in range(1, args.pairs + 1):
+                seed = args.seed_start + k - 1
+                sides = [("base", tmp), ("change", ROOT)]
+                docs = {}
+                for side, tree in sides if k % 2 else sides[::-1]:
+                    doc, proc = run_once(tree, workload, seed, args.seconds)
+                    if doc is None:
+                        print(f"error: {workload} pair {k} {side} run (seed {seed}) is not "
+                              f"correct:\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}",
+                              file=sys.stderr)
+                        return 1
+                    docs[side] = doc["metrics"]
+                for name in sorted(docs["base"]):
+                    if name.rsplit(".", 1)[-1] in metrics and name in docs["change"]:
+                        key = f"{workload}.{name}"
+                        b, c = docs["base"][name]["value"], docs["change"][name]["value"]
+                        samples.setdefault(key, {"base": [], "change": []})
+                        samples[key]["base"].append(b)
+                        samples[key]["change"].append(c)
+                        print(f"pair {k:2d} seed {seed:3d} {key:42s} {b:>12.6g} -> {c:<12.6g}",
+                              flush=True)
     print()
     for key, s in samples.items():
-        r = summarize(s["base"], s["change"], metrics[key.rsplit(".", 1)[-1]])
-        print(f"{key:34s} median {r['base_median']:.6g} -> {r['change_median']:.6g}  "
+        m = metrics[key.rsplit(".", 1)[-1]]
+        r = summarize(s["base"], s["change"], m["better"])
+        ok = within_bound(r["base_median"], r["change_median"], m["better"], m["bound"])
+        print(f"{key:42s} median {r['base_median']:.6g} -> {r['change_median']:.6g}  "
               f"quartiles {r['base_quartiles'][0]:.6g}-{r['base_quartiles'][1]:.6g} -> "
               f"{r['change_quartiles'][0]:.6g}-{r['change_quartiles'][1]:.6g}  "
-              f"wins {r['wins']}/{r['pairs']}  gain rule {'holds' if r['holds'] else 'fails'}")
+              f"wins {r['wins']}/{r['pairs']}  gain rule {'holds' if r['holds'] else 'fails'}  "
+              f"bound {m['bound']:g} {'kept' if ok else 'EXCEEDED'}")
     return 0
 
 

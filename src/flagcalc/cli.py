@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
-from bisect import bisect_left
-from itertools import islice
+from itertools import chain, combinations_with_replacement, groupby, product
+from math import comb, prod
 
 from . import cache, lr
 from .context import flag_context
@@ -140,9 +139,7 @@ def cmd_product(args):
 
 
 def cmd_invariants(args):
-    letter, rank = _parse_group(args.group)
-    crossed = _parse_ints(args.cross)
-    cx = flag_context(letter, rank, crossed)
+    cx = _context(args)
     weights = [_parse_ints(w) for w in args.weights]
     ls = cx.levi
     for w in weights:
@@ -162,29 +159,48 @@ def cmd_invariants(args):
     return 0
 
 
-def _tuples(lengths, s, need):
-    """The s-multisets of coset-table indices whose lengths sum to need, in
-    the order of combinations_with_replacement(range(len(lengths)), s);
-    lengths ascend with the index.  Each next index is bounded from both
-    sides by what the rest can still add; the last one ranges over the block
-    of indices of length rest."""
-    longest = lengths[-1]
-    # first[l]:first[l + 1] is the block of indices of length l
-    first = [bisect_left(lengths, l) for l in range(longest + 2)]
+def _profiles(dim, s):
+    """The length profiles of the s-tuples of total length (s - 1) * dim, as
+    lists of (length, multiplicity) with the lengths ascending, in ascending
+    lexicographic order of the nondecreasing length sequences.  The
+    codimensions dim - l of such a tuple form a partition of dim into at most
+    s parts, so the profiles are those partitions, largest part first, in
+    descending lexicographic order; the recursion is at most dim deep."""
 
-    def rec(start, k, rest):
-        if k == 1:
-            if rest <= longest:
-                yield from ((j,) for j in range(max(start, first[rest]), first[rest + 1]))
+    def parts(rest, largest, slots):
+        if rest == 0:
+            yield ()
             return
-        for j in range(start, len(lengths)):
-            if k * lengths[j] > rest:
-                break  # every later index is at least as long
-            if lengths[j] + (k - 1) * longest >= rest:
-                for tail in rec(j, k - 1, rest - lengths[j]):
-                    yield (j,) + tail
+        for c in range(min(rest, largest), 0, -1):
+            if c * slots < rest:
+                break  # the slots left cannot hold the rest
+            for tail in parts(rest - c, c, slots - 1):
+                yield (c,) + tail
 
-    return rec(0, s, need)
+    for codims in parts(dim, dim, s):
+        lengths = [dim - c for c in codims] + [dim] * (s - len(codims))
+        yield [(l, len(list(run))) for l, run in groupby(lengths)]
+
+
+def _tuples(ct, s):
+    """The s-multisets of coset-table indices whose lengths sum to
+    (s - 1) * dim G/P, in the report's (lengths, words) order: profile by
+    profile, each length block's multisets in index order, the blocks in
+    ascending length.  Inside a block, index order is word order
+    (elements ascend by (length, word)), and it is the order of the word
+    strings because every supported rank is at most 9, so each letter of a
+    word is one digit."""
+    for profile in _profiles(ct.parabolic.dim_gp, s):
+        blocks = [combinations_with_replacement(ct.block[l], k) for l, k in profile]
+        for parts in product(*blocks):
+            yield tuple(chain.from_iterable(parts))
+
+
+def _tuple_count(ct, s):
+    """len(list(_tuples(ct, s))) without enumerating: per profile, the
+    product of the multiset coefficients C(|block| + k - 1, k)."""
+    return sum(prod(comb(len(ct.block[l]) + k - 1, k) for l, k in profile)
+               for profile in _profiles(ct.parabolic.dim_gp, s))
 
 
 def _verify_rows(cx, tuples, nmax):
@@ -214,52 +230,30 @@ def _verify_rows(cx, tuples, nmax):
     return rows
 
 
-def _verify_worker(chunk):
-    # worker-side context rebuild: cheap for sweep-sized groups
-    letter, rank, crossed, nmax, tuples = chunk
-    return _verify_rows(flag_context(letter, rank, crossed), tuples, nmax)
-
-
 def cmd_verify(args):
     if args.s < 3:
         print("error: --s must be at least 3", file=sys.stderr)
         return 2
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
+    cx = _context(args)
+    count = _tuple_count(cx.ct, args.s)
+    if count > args.tuple_cap:
+        print(f"error: more than {args.tuple_cap} tuples of total length "
+              f"{(args.s - 1) * cx.parabolic.dim_gp} (raise --tuple-cap to proceed)",
+              file=sys.stderr)
         return 2
-    letter, rank = _parse_group(args.group)
-    crossed = _parse_ints(args.cross)
-    cx = flag_context(letter, rank, crossed)
-    need = (args.s - 1) * cx.parabolic.dim_gp
-    tuples = list(islice(_tuples(cx.ct.lengths, args.s, need), args.tuple_cap + 1))
-    if len(tuples) > args.tuple_cap:
-        print(f"error: more than {args.tuple_cap} tuples of total length {need} "
-              f"(raise --tuple-cap to proceed)", file=sys.stderr)
-        return 2
-    # reports do not depend on the job count, so more workers than CPUs buy nothing
-    jobs = min(args.jobs, os.cpu_count() or 1)
-    if jobs > 1 and len(tuples) > 1:
-        from multiprocessing import Pool
-        step = max(1, len(tuples) // (4 * jobs))
-        chunks = [(letter, rank, crossed, args.nmax, tuples[i:i + step])
-                  for i in range(0, len(tuples), step)]
-        with Pool(jobs) as pool:
-            rows = [r for part in pool.map(_verify_worker, chunks) for r in part]
-    else:
-        rows = _verify_rows(cx, tuples, args.nmax)
-    rows.sort(key=lambda r: (r["lengths"], r["words"]))
+    rows = _verify_rows(cx, _tuples(cx.ct, args.s), args.nmax)
     violations = sum(1 for r in rows if r["status"] == "VIOLATION")
     _emit({
         "schema_version": cache.SCHEMA_VERSION,
         "group": args.group.upper(),
-        "group_type": letter,
-        "rank": rank,
+        "group_type": cx.system.type_letter,
+        "rank": cx.system.rank,
         "crossed": sorted(cx.parabolic.crossed),
         "levi_simple": sorted(cx.parabolic.levi_simple),
         "s": args.s,
         "n_max": args.nmax,
         "dim_gp": cx.parabolic.dim_gp,
-        "tuple_count": len(rows),
+        "tuple_count": count,
         "violations": violations,
         "tuples": rows,
     }, args.out)
@@ -400,7 +394,6 @@ def _parser():
     common(p)
     p.add_argument("--s", type=int, default=3)
     p.add_argument("--nmax", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--tuple-cap", type=int, default=10**6)
     p.set_defaults(fn=cmd_verify)
 

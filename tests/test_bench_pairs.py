@@ -66,3 +66,45 @@ def test_last_line_must_read_correct_true():
     assert bench_pairs.last_json('{"correct": false, "metrics": {}}') is None
     assert bench_pairs.last_json('{"correct": true}\nTraceback ...') is None
     assert bench_pairs.last_json("") is None
+
+
+def test_bound_is_a_fraction_of_the_base_median():
+    within_bound = bench_pairs.within_bound
+    # higher is better: 25% below a median of 100 is the edge
+    assert within_bound(100, 75, "higher", 0.25)
+    assert not within_bound(100, 74.9, "higher", 0.25)
+    assert within_bound(100, 500, "higher", 0.25)
+    # lower is better: 15% above a median of 20 MB is the edge
+    assert within_bound(20, 23, "lower", 0.15)
+    assert not within_bound(20, 23.1, "lower", 0.15)
+    assert within_bound(20, 1, "lower", 0.15)
+
+
+def test_workloads_default_to_benchmark_json(monkeypatch):
+    """With no --workload, every BENCHMARK.json workload runs on its own, never
+    perfbench's "all"; a repeated --workload runs just those, in order."""
+    import json
+    import subprocess
+    import sys
+    ran = []
+
+    def fake_run_once(tree, workload, seed, seconds):
+        ran.append(workload)
+        return {"correct": True, "metrics": {"ops_per_s": {"value": 1.0, "unit": "1/s"}}}, None
+
+    def fake_subprocess_run(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 0)
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    listed = [w["name"] for w in json.loads(
+        (bench_pairs.ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--base", "HEAD", "--pairs", "1"])
+    assert bench_pairs.main() == 0
+    assert ran == [w for w in listed for side in ("base", "change")]
+    ran.clear()
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--base", "HEAD", "--pairs", "2",
+                                      "--workload", "queries", "--workload", "verify-levi"])
+    assert bench_pairs.main() == 0
+    assert ran == ["queries"] * 4 + ["verify-levi"] * 4

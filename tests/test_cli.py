@@ -151,55 +151,6 @@ def test_verify_warm_cache_byte_identical(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_verify_jobs_deterministic(capsys, tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    run(capsys, "verify", "--group", "B3", "--cross", "2", "--s", "3",
-        "--nmax", "1", "--jobs", "1", "--out", str(a))
-    run(capsys, "verify", "--group", "B3", "--cross", "2", "--s", "3",
-        "--nmax", "1", "--jobs", "2", "--out", str(b))
-    assert a.read_bytes() == b.read_bytes()
-
-
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_jobs_below_one_rejected(capsys, jobs):
-    code, out, err = run(capsys, "verify", "--group", "B3", "--cross", "2", "--s", "3",
-                         "--nmax", "1", "--jobs", jobs)
-    assert code == 2 and out == "" and "--jobs" in err
-
-
-def test_verify_jobs_capped_at_cpu_count(capsys, monkeypatch, tmp_path):
-    """--jobs asks for at most os.cpu_count() workers; a stand-in Pool records
-    the size it was asked for and maps in this process, so no pool starts."""
-    import multiprocessing
-
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return [fn(x) for x in items]
-
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    reports = []
-    for jobs in ("1", "2", "3", "64"):
-        out = tmp_path / f"jobs-{jobs}.json"
-        code, _, _ = run(capsys, "verify", "--group", "B3", "--cross", "2", "--s", "3",
-                         "--nmax", "1", "--jobs", jobs, "--out", str(out))
-        assert code == 0
-        reports.append(out.read_bytes())
-    assert sizes == [2, 3, 3]
-    assert len(set(reports)) == 1
-
-
 def test_verify_tuple_cap(capsys):
     code, _, err = run(capsys, "verify", "--group", "C3", "--cross", "2",
                        "--s", "3", "--nmax", "1", "--tuple-cap", "5")
@@ -254,7 +205,7 @@ def _check_tops_against_products(letter, rank, crossed, s):
     cx = flag_context(letter, rank, crossed)
     els = cx.ct.elements
     e = els[0]
-    tuples = list(_tuples([w.length for w in els], s, (s - 1) * cx.parabolic.dim_gp))
+    tuples = list(_tuples(cx.ct, s))
     assert tuples
     rows = _verify_rows(cx, tuples, 1)
     assert len(rows) == len(tuples)
@@ -299,8 +250,7 @@ def test_verify_rows_pair_once_per_tuple(monkeypatch, letter, rank, crossed, s):
     from flagcalc.context import flag_context
     from flagcalc.schubert import SchubertBasisRing
     cx = flag_context(letter, rank, crossed)
-    tuples = list(_tuples([w.length for w in cx.ct.elements], s,
-                          (s - 1) * cx.parabolic.dim_gp))
+    tuples = list(_tuples(cx.ct, s))
     calls = []
     top = SchubertBasisRing.top
 
@@ -318,15 +268,36 @@ def test_verify_rows_pair_once_per_tuple(monkeypatch, letter, rank, crossed, s):
     (*p, 3) for p in VERIFY_PARABOLICS + [("A", 3, (1, 2, 3))]] + [
     ("A", 3, (1, 2, 3), 4), ("B", 3, (1, 2, 3), 4), ("G", 2, (1, 2), 4), ("C", 3, (2,), 4)])
 def test_tuples_match_multiset_filter(letter, rank, crossed, s):
+    """_tuples yields the multisets of the right length sum already in the
+    report's (lengths, words) order, and _tuple_count counts them."""
     from itertools import combinations_with_replacement
-    from flagcalc.cli import _tuples
+    from flagcalc.cli import _tuple_count, _tuples
     from flagcalc.context import flag_context
     cx = flag_context(letter, rank, crossed)
-    lengths = [w.length for w in cx.ct.elements]
+    lengths = cx.ct.lengths
+    words = [w.word_str() for w in cx.ct.elements]
     need = (s - 1) * cx.parabolic.dim_gp
-    want = [tup for tup in combinations_with_replacement(range(len(lengths)), s)
-            if sum(lengths[i] for i in tup) == need]
-    assert want and list(_tuples(lengths, s, need)) == want
+    want = sorted((tup for tup in combinations_with_replacement(range(len(lengths)), s)
+                   if sum(lengths[i] for i in tup) == need),
+                  key=lambda tup: ([lengths[i] for i in tup], [words[i] for i in tup]))
+    assert want and list(_tuples(cx.ct, s)) == want
+    assert _tuple_count(cx.ct, s) == len(want)
+
+
+def test_word_letters_are_single_digits():
+    from flagcalc.roots import SUPPORTED_RANKS
+    wide = {letter: ranks[-1] for letter, ranks in SUPPORTED_RANKS.items() if ranks[-1] > 9}
+    assert not wide, (f"ranks {wide} give two-digit word letters, so index order is no "
+                      "longer word-string order: see the docstring of flagcalc.cli._tuples")
+
+
+def test_verify_many_classes(capsys):
+    """The enumeration recurses at most dim G/P deep, not once per class:
+    A2{1} (dim 2) at s = 2000 has the two tuples of lengths (0, 2, ..., 2)
+    and (1, 1, 2, ..., 2)."""
+    code, out, _ = run(capsys, "verify", "--group", "A2", "--cross", "1",
+                       "--s", "2000", "--nmax", "1")
+    assert code == 0 and last_json(out)["tuple_count"] == 2
 
 
 def test_verify_s4_report_bytes(capsys):
@@ -455,12 +426,11 @@ def test_corrupt_cache_ignored(capsys, monkeypatch, fresh_contexts):
 VERIFY_ARGV = ["verify", "--group", "B3", "--cross", "2", "--s", "3", "--nmax", "1"]
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_verify_leaves_cache_dir_empty(capsys, tmp_cache, jobs):
+def test_verify_leaves_cache_dir_empty(capsys, tmp_cache):
     """verify neither reads nor writes the disk cache."""
     cache_dir = tmp_cache / "cache"
     cache_dir.mkdir()
-    code, out, _ = run(capsys, *VERIFY_ARGV, "--jobs", jobs)
+    code, out, _ = run(capsys, *VERIFY_ARGV)
     assert code == 0 and last_json(out)["tuple_count"] > 0
     assert list(cache_dir.iterdir()) == []
 
