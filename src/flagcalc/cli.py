@@ -19,7 +19,10 @@ fundamental coordinates.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import json
+import os
 import sys
 from itertools import chain, combinations_with_replacement, groupby, product
 from math import comb, prod
@@ -43,13 +46,35 @@ def _parse_ints(s):
     return tuple(int(x) for x in s.split(","))
 
 
+@contextlib.contextmanager
+def _output(out=None):
+    """The stream a report goes to: sys.stdout as it is at call time (so a
+    redirect_stdout catches it), or a temporary file that replaces out only
+    once the report is complete.  An existing out that is not a regular file
+    (/dev/null, a pipe) is written directly."""
+    if not out:
+        yield sys.stdout
+        return
+    path = os.path.realpath(out)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as fh:
+            yield fh
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def _emit(doc, out=None):
     text = cache.canonical_json(doc)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _context(args):
@@ -203,31 +228,38 @@ def _tuple_count(ct, s):
                for profile in _profiles(ct.parabolic.dim_gp, s))
 
 
-def _verify_rows(cx, tuples, nmax):
-    ct, dr = cx.ct, cx.deformed
-    els, lengths = ct.elements, ct.lengths
-    words = [w.word_str() for w in els]
-    rows = []
+def _json_int(x):
+    """The integer x as cache.canonical_json writes it: a JSON string beyond
+    cache._BIG."""
+    return str(x) if -cache._BIG <= x <= cache._BIG else f'"{x}"'
+
+
+def _verify_rows(cx, tuples, nmax, write):
+    """Verify each tuple and write its report row, the rows comma-separated,
+    each the text cache.canonical_json gives the row's dict: keys sorted,
+    invariant_dims keys sorted as strings ("10" before "2"), integers beyond
+    cache._BIG as strings.  Returns the number of violations."""
+    ct, dr, ls = cx.ct, cx.deformed, cx.levi
+    els, tops, chi = ct.elements, dr.tops, dr.chi
+    words = [json.dumps(w.word_str()) for w in els]
+    lengths = [str(l) for l in ct.lengths]
+    violations, sep = 0, ""
     for tup in tuples:
-        d, dt = dr.tops(tup)
-        row = {
-            "words": [words[i] for i in tup],
-            "lengths": [lengths[i] for i in tup],
-            "cup_top": d,
-            "deformed_top": dt,
-            "levi_movable": dt > 0,
-            "invariant_dims": None,
-            "status": "OK",
-        }
+        d, dt = tops(tup)
+        dims, status = "null", "OK"
         if dt == 1:
-            chis = [dr.chi(els[i]).levi_coords for i in tup]
-            dims = {str(n): cx.levi.invariant_dimension(chis, n=n)
-                    for n in range(1, nmax + 1)}
-            row["invariant_dims"] = dims
-            if any(v != 1 for v in dims.values()):
-                row["status"] = "VIOLATION"
-        rows.append(row)
-    return rows
+            chis = [chi(els[i]).levi_coords for i in tup]
+            vals = {str(n): ls.invariant_dimension(chis, n=n) for n in range(1, nmax + 1)}
+            dims = "{" + ",".join(f'"{n}":{_json_int(v)}' for n, v in sorted(vals.items())) + "}"
+            if any(v != 1 for v in vals.values()):
+                status = "VIOLATION"
+                violations += 1
+        write(f'{sep}{{"cup_top":{_json_int(d)},"deformed_top":{_json_int(dt)},'
+              f'"invariant_dims":{dims},"lengths":[{",".join([lengths[i] for i in tup])}],'
+              f'"levi_movable":{"true" if dt > 0 else "false"},"status":"{status}",'
+              f'"words":[{",".join([words[i] for i in tup])}]}}')
+        sep = ","
+    return violations
 
 
 def cmd_verify(args):
@@ -241,9 +273,8 @@ def cmd_verify(args):
               f"{(args.s - 1) * cx.parabolic.dim_gp} (raise --tuple-cap to proceed)",
               file=sys.stderr)
         return 2
-    rows = _verify_rows(cx, _tuples(cx.ct, args.s), args.nmax)
-    violations = sum(1 for r in rows if r["status"] == "VIOLATION")
-    _emit({
+    # every header key sorts before "tuples", and "violations" after it
+    head = cache.canonical_json({
         "schema_version": cache.SCHEMA_VERSION,
         "group": args.group.upper(),
         "group_type": cx.system.type_letter,
@@ -254,9 +285,11 @@ def cmd_verify(args):
         "n_max": args.nmax,
         "dim_gp": cx.parabolic.dim_gp,
         "tuple_count": count,
-        "violations": violations,
-        "tuples": rows,
-    }, args.out)
+    })
+    with _output(args.out) as fh:
+        fh.write(head[:-2] + ',"tuples":[')  # head without its closing "}\n"
+        violations = _verify_rows(cx, _tuples(cx.ct, args.s), args.nmax, fh.write)
+        fh.write(f'],"violations":{violations}}}\n')
     return 0 if violations == 0 else 1
 
 

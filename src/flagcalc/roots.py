@@ -342,5 +342,9 @@ def parabolic(R, levi_simple=None, crossed=None):
     if (levi_simple is None) == (crossed is None):
         raise ValueError("give exactly one of levi_simple / crossed")
     if crossed is not None:
-        levi_simple = set(range(1, R.rank + 1)) - set(int(i) for i in crossed)
+        nodes, crossed = set(range(1, R.rank + 1)), {int(i) for i in crossed}
+        if not crossed <= nodes:
+            raise ValueError(f"crossed nodes {sorted(crossed - nodes)} are not among "
+                             f"the simple nodes 1..{R.rank}")
+        levi_simple = nodes - crossed
     return ParabolicData(R, levi_simple)

@@ -195,19 +195,29 @@ VERIFY_PARABOLICS = [("A", 4, (1, 2, 3, 4)), ("C", 4, (1, 4)), ("B", 3, (1, 2, 3
                      ("G", 2, (1, 2)), ("D", 4, (1, 3, 4))]
 
 
+def _streamed_rows(cx, tuples, nmax=1):
+    """The rows _verify_rows writes for tuples, each parsed from its text."""
+    from flagcalc.cli import _verify_rows
+    parts = []
+    _verify_rows(cx, tuples, nmax, parts.append)
+    assert len(parts) == len(tuples)
+    assert all(p.startswith(",{") for p in parts[1:])
+    return [json.loads(p.lstrip(",")) for p in parts]
+
+
 def _check_tops_against_products(letter, rank, crossed, s):
-    """On every verify index tuple, the cup_top and deformed_top that
-    _verify_rows reports, and both top methods, equal the coefficient of [X_e]
+    """On every verify index tuple, the cup_top and deformed_top of the row
+    _verify_rows writes, and both top methods, equal the coefficient of [X_e]
     in the iterated product, ordinary and deformed (the oracle), and the
     deformed top is the ordinary one exactly when chi_balanced holds."""
-    from flagcalc.cli import _tuples, _verify_rows
+    from flagcalc.cli import _tuples
     from flagcalc.context import flag_context
     cx = flag_context(letter, rank, crossed)
     els = cx.ct.elements
     e = els[0]
     tuples = list(_tuples(cx.ct, s))
     assert tuples
-    rows = _verify_rows(cx, tuples, 1)
+    rows = _streamed_rows(cx, tuples)
     assert len(rows) == len(tuples)
     kept = dropped = 0
     for tup, row in zip(tuples, rows):
@@ -246,7 +256,7 @@ def test_tops_match_iterated_products(letter, rank, crossed, s):
 def test_verify_rows_pair_once_per_tuple(monkeypatch, letter, rank, crossed, s):
     """_verify_rows gets both tops of a tuple from one ordinary pairing, on
     the index tuple itself."""
-    from flagcalc.cli import _tuples, _verify_rows
+    from flagcalc.cli import _tuples
     from flagcalc.context import flag_context
     from flagcalc.schubert import SchubertBasisRing
     cx = flag_context(letter, rank, crossed)
@@ -259,7 +269,7 @@ def test_verify_rows_pair_once_per_tuple(monkeypatch, letter, rank, crossed, s):
         return top(self, idx)
 
     monkeypatch.setattr(SchubertBasisRing, "top", counted)
-    rows = _verify_rows(cx, tuples, 1)
+    rows = _streamed_rows(cx, tuples)
     assert any(r["deformed_top"] for r in rows)
     assert calls == tuples
 
@@ -323,6 +333,150 @@ def test_verify_multi_factor_levi_report_bytes(capsys, group, digest):
                        "--s", "3", "--nmax", "3")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _dict_report(letter, rank, crossed, s, nmax):
+    """The oracle for verify's streamed report: every row built as a dict and
+    the whole document serialised at once by cache.canonical_json."""
+    from flagcalc.cli import _tuples
+    from flagcalc.context import flag_context
+    cx = flag_context(letter, rank, crossed)
+    rows = []
+    for tup in _tuples(cx.ct, s):
+        ws = [cx.ct.elements[i] for i in tup]
+        d, dt = cx.deformed.tops(tup)
+        dims = None
+        if dt == 1:
+            chis = [cx.deformed.chi(w).levi_coords for w in ws]
+            dims = {str(n): cx.levi.invariant_dimension(chis, n=n)
+                    for n in range(1, nmax + 1)}
+        rows.append({"words": [w.word_str() for w in ws], "lengths": [w.length for w in ws],
+                     "cup_top": d, "deformed_top": dt, "levi_movable": dt > 0,
+                     "invariant_dims": dims,
+                     "status": "VIOLATION" if dims and any(v != 1 for v in dims.values())
+                     else "OK"})
+    return cache.canonical_json({
+        "schema_version": cache.SCHEMA_VERSION, "group": f"{letter}{rank}",
+        "group_type": letter, "rank": rank, "crossed": sorted(crossed),
+        "levi_simple": sorted(set(range(1, rank + 1)) - set(crossed)), "s": s,
+        "n_max": nmax, "dim_gp": cx.parabolic.dim_gp, "tuple_count": len(rows),
+        "violations": sum(r["status"] == "VIOLATION" for r in rows), "tuples": rows})
+
+
+def _assert_same_text(got, want):
+    """got == want, failing at the first differing character: pytest's own
+    diff of two long reports takes minutes."""
+    if got != want:
+        i = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        pytest.fail(f"lengths {len(got)}, {len(want)}; first difference at {i}: "
+                    f"{got[max(i - 40, 0):i + 40]!r} != {want[max(i - 40, 0):i + 40]!r}")
+
+
+def _verify_argv(letter, rank, crossed, s, nmax):
+    return ["verify", "--group", f"{letter}{rank}", "--cross", ",".join(map(str, crossed)),
+            "--s", str(s), "--nmax", str(nmax)]
+
+
+STREAMED_SWEEPS = ([(*p, 3, 3) for p in VERIFY_PARABOLICS]
+                   + [("A", 3, (1, 2, 3), 4, 2), ("C", 3, (1, 3), 4, 2), ("D", 4, (2,), 4, 2),
+                      ("B", 3, (2,), 5, 2), ("A", 2, (1,), 3, 10), ("A", 3, (), 3, 3)])
+
+
+@pytest.mark.parametrize("letter,rank,crossed,s,nmax", STREAMED_SWEEPS)
+def test_streamed_report_matches_dict_document(capsys, letter, rank, crossed, s, nmax):
+    """verify writes its report row by row; the bytes are those of the dict
+    document serialised whole, including the string order of the
+    invariant_dims keys at --nmax 10 and the single tuple of P = G."""
+    code, out, _ = run(capsys, *_verify_argv(letter, rank, crossed, s, nmax))
+    assert code == 0
+    _assert_same_text(out, _dict_report(letter, rank, crossed, s, nmax))
+
+
+@pytest.mark.parametrize("top,dims", [
+    ((2**60, 1), 2**60), ((-(2**60), 2**60), 1), ((2**53 - 1, 1), 2**53), ((2**53, 1), -(2**53))])
+def test_streamed_report_renders_big_integers(capsys, monkeypatch, top, dims):
+    """Every integer of a row beyond 2**53 - 1 is written as a string, as
+    cache.canonical_json writes it."""
+    from flagcalc.deformed import DeformedRing
+    from flagcalc.levi import LeviSystem
+    monkeypatch.setattr(DeformedRing, "tops", lambda self, idx: top)
+    monkeypatch.setattr(LeviSystem, "invariant_dimension", lambda self, ws, n=1: dims)
+    code, out, _ = run(capsys, *_verify_argv("C", 3, (2,), 3, 10))
+    assert code == (0 if dims == 1 else 1)
+    _assert_same_text(out, _dict_report("C", 3, (2,), 3, 10))
+    assert str(max(abs(x) for x in (*top, dims))) in out
+
+
+def test_streamed_report_under_python_O():
+    argv = _verify_argv("B", 3, (1, 2, 3), 3, 2)
+    res = _flagcalc("-m", "flagcalc", *argv, optimize=True)
+    assert res.returncode == 0, res.stderr
+    _assert_same_text(res.stdout, _dict_report("B", 3, (1, 2, 3), 3, 2))
+
+
+@pytest.mark.parametrize("existing", [None, "an earlier report\n"])
+def test_verify_out_is_atomic(capsys, monkeypatch, tmp_path, existing):
+    """A sweep that fails after some rows leaves --out as it was: no file
+    where there was none, the old bytes where there was one, and no
+    temporary file."""
+    from flagcalc.deformed import DeformedRing
+    from flagcalc.roots import ExactnessError
+    outdir = tmp_path / "reports"
+    outdir.mkdir()
+    out = outdir / "r.json"
+    if existing is not None:
+        out.write_text(existing)
+    tops, calls = DeformedRing.tops, []
+
+    def failing(self, idx):
+        calls.append(idx)
+        if len(calls) > 5:
+            raise ExactnessError("injected")
+        return tops(self, idx)
+
+    monkeypatch.setattr(DeformedRing, "tops", failing)
+    with pytest.raises(ExactnessError):
+        main(_verify_argv("C", 3, (2,), 3, 1) + ["--out", str(out)])
+    assert capsys.readouterr().out == ""
+    assert [p.name for p in outdir.iterdir()] == ([] if existing is None else ["r.json"])
+    if existing is not None:
+        assert out.read_text() == existing
+
+
+def test_out_through_symlink_and_to_fifo(capsys, tmp_path):
+    """--out through a symlink replaces the file it points to and keeps the
+    link; an --out that is not a regular file (here a FIFO) is written, not
+    replaced."""
+    import stat
+    argv = _verify_argv("A", 2, (1,), 3, 1)
+    code, want, _ = run(capsys, *argv)
+    assert code == 0
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("an earlier report\n")
+    link.symlink_to(target)
+    assert run(capsys, *argv, "--out", str(link)) == (0, "", "")
+    assert link.is_symlink() and target.read_text() == want
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # a reader, so the writer's open returns
+    try:
+        assert run(capsys, *argv, "--out", str(fifo)) == (0, "", "")
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.read(fd, 1 << 16).decode() == want
+    finally:
+        os.close(fd)
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("cross", ["3", "0", "-1", "1,3"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--nmax", "1"], ["wp"], ["product", "1", "2"],
+    ["invariants", "--weights", "1", "1"]])
+def test_crossed_node_out_of_range_rejected(capsys, argv, cross):
+    code, out, err = run(capsys, *argv, "--group", "A2", "--cross", cross)
+    assert code == 2 and out == ""
+    assert err.startswith("error: crossed nodes") and "1..2" in err
 
 
 def test_fulton_single_and_sweep(capsys):
