@@ -12,12 +12,11 @@ Quick start::
 from .context import FlagContext, flag_context
 from .deformed import (DeformedRing, cell_in_stabilizer_orbit, cover_level_identity,
                        dj_profile, dj_profile_at_cover, stabilizer_simple_roots)
-from .levi import LeviSystem, hom_dimension, invariant_dimension, levi_system
+from .levi import LeviSystem, hom_dimension, levi_system
 from .roots import (ExactnessError, ParabolicData, RootSystem, build, parabolic, rho_levi,
                     weyl_order)
-from .schubert import (CohomClass, CupRing, MultiPoly, SchubertEngine,
-                       bgg_representatives)
-from .weyl import CosetTable, WeylElement, WeylGroup, dual_rep, group, minimal_coset_reps
+from .schubert import CohomClass, CupRing, ReferenceBGG, SchubertEngine
+from .weyl import CosetTable, WeylElement, WeylGroup, group, minimal_coset_reps
 
 __version__ = "0.1.0"
 
@@ -25,10 +24,10 @@ __all__ = [
     "FlagContext", "flag_context",
     "DeformedRing", "cell_in_stabilizer_orbit", "cover_level_identity",
     "dj_profile", "dj_profile_at_cover", "stabilizer_simple_roots",
-    "LeviSystem", "hom_dimension", "invariant_dimension", "levi_system",
+    "LeviSystem", "hom_dimension", "levi_system",
     "ExactnessError", "ParabolicData", "RootSystem", "build", "parabolic", "rho_levi",
     "weyl_order",
-    "CohomClass", "CupRing", "MultiPoly", "SchubertEngine", "bgg_representatives",
-    "CosetTable", "WeylElement", "WeylGroup", "dual_rep", "group", "minimal_coset_reps",
+    "CohomClass", "CupRing", "ReferenceBGG", "SchubertEngine",
+    "CosetTable", "WeylElement", "WeylGroup", "group", "minimal_coset_reps",
     "__version__",
 ]

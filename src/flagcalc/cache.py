@@ -138,7 +138,7 @@ def load_table(ring):
     ct = ring.ct
 
     def index(word):
-        return ct.index[ct.element_from_word(_parse_word(word))]
+        return ct.index_of(ct.element_from_word(_parse_word(word)))
 
     rows = {}
     try:

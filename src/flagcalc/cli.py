@@ -51,23 +51,27 @@ def _output(out=None):
     """The stream a report goes to: sys.stdout as it is at call time (so a
     redirect_stdout catches it), or a temporary file that replaces out only
     once the report is complete.  An existing out that is not a regular file
-    (/dev/null, a pipe) is written directly."""
+    (/dev/null, a pipe) is written directly.  An out that cannot be opened
+    is refused (ValueError)."""
     if not out:
         yield sys.stdout
         return
     path = os.path.realpath(out)
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w") as fh:
-            yield fh
-        return
-    tmp = f"{path}.{os.getpid()}.tmp"
+    direct = os.path.exists(path) and not os.path.isfile(path)
+    tmp = path if direct else f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
+        fh = open(tmp, "w")
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {out}: {exc.strerror}") from None
+    try:
+        with fh:
             yield fh
-        os.replace(tmp, path)
+        if not direct:
+            os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
+        if not direct:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
         raise
 
 
@@ -119,7 +123,7 @@ def cmd_wp(args):
             "codim": cx.ct.codim(w),
             "chi_fund_coords": [int(x) for x in chi.weight],
             "chi_levi_coords": [int(x) for x in chi.levi_coords],
-            "delta_qw": sorted(stabilizer_simple_roots(cx.ct, w).delta_qw),
+            "delta_qw": sorted(stabilizer_simple_roots(cx.ct, w)),
             "dj": list(dj_profile(cx.ct, w).d),
         }
         if labeller:
@@ -139,11 +143,7 @@ def cmd_wp(args):
 
 def cmd_product(args):
     cx = _context(args)
-    try:
-        ws = [cx.element(_parse_ints(word)) for word in args.words]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ws = [cx.element(_parse_ints(word)) for word in args.words]
     loaded = cache.load_table(cx.ring)
     ring = cx.deformed if args.deformed else cx.ring
     cls = ring.product(ws)
@@ -169,9 +169,7 @@ def cmd_invariants(args):
     ls = cx.levi
     for w in weights:
         if len(w) != ls.rank:
-            print(f"error: weight {w} has {len(w)} coordinates, Levi rank is {ls.rank}",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"weight {w} has {len(w)} coordinates, Levi rank is {ls.rank}")
     dims = {str(n): ls.invariant_dimension(weights, n=n)
             for n in range(1, args.nmax + 1)}
     _emit({
@@ -264,15 +262,12 @@ def _verify_rows(cx, tuples, nmax, write):
 
 def cmd_verify(args):
     if args.s < 3:
-        print("error: --s must be at least 3", file=sys.stderr)
-        return 2
+        raise ValueError("--s must be at least 3")
     cx = _context(args)
     count = _tuple_count(cx.ct, args.s)
     if count > args.tuple_cap:
-        print(f"error: more than {args.tuple_cap} tuples of total length "
-              f"{(args.s - 1) * cx.parabolic.dim_gp} (raise --tuple-cap to proceed)",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"more than {args.tuple_cap} tuples of total length "
+                         f"{(args.s - 1) * cx.parabolic.dim_gp} (raise --tuple-cap to proceed)")
     # every header key sorts before "tuples", and "violations" after it
     head = cache.canonical_json({
         "schema_version": cache.SCHEMA_VERSION,
@@ -296,21 +291,18 @@ def cmd_verify(args):
 def cmd_fulton(args):
     if args.lam or args.mu or args.nu:
         if not (args.lam and args.mu and args.nu):
-            print("error: give all of --lam/--mu/--nu or none", file=sys.stderr)
-            return 2
+            raise ValueError("give all of --lam/--mu/--nu or none")
         rep = lr.fulton_check(_parse_ints(args.lam), _parse_ints(args.mu),
                               _parse_ints(args.nu), args.nmax)
         doc = {"mode": "single", "n_max": args.nmax, "report": _fulton_json(rep)}
-        ok = not rep["violations"]
     else:
         rep = lr.fulton_sweep(args.rows, args.cols, args.nmax)
         doc = {"mode": "sweep", "rows": args.rows, "cols": args.cols,
                "n_max": args.nmax, "box_size": rep["box_size"],
                "checked": rep["checked"],
                "violations": [_fulton_json(v) for v in rep["violations"]]}
-        ok = not rep["violations"]
     _emit(doc, args.out)
-    return 0 if ok else 1
+    return 1 if rep["violations"] else 0
 
 
 def _fulton_json(rep):
@@ -399,11 +391,11 @@ def _parser():
             p.add_argument("--group", required=True, help="e.g. A3, C3, G2")
             p.add_argument("--cross", default="",
                            help="crossed-out simple nodes, e.g. '2' or '1,3'")
-        p.add_argument("--out", default=None, help="also write the JSON here")
+        p.add_argument("--out", default=None, help="write the JSON here, not to stdout")
 
     p = sub.add_parser("roots", help="root-system data")
     p.add_argument("--group", required=True)
-    p.add_argument("--out", default=None)
+    common(p, group=False)
     p.set_defaults(fn=cmd_roots)
 
     p = sub.add_parser("wp", help="list W^P")
@@ -437,25 +429,34 @@ def _parser():
     p.add_argument("--rows", type=int, default=3)
     p.add_argument("--cols", type=int, default=2)
     p.add_argument("--nmax", type=int, default=4)
-    p.add_argument("--out", default=None)
+    common(p, group=False)
     p.set_defaults(fn=cmd_fulton)
 
     p = sub.add_parser("examples", help="recompute the reference examples")
-    p.add_argument("--out", default=None)
+    common(p, group=False)
     p.set_defaults(fn=cmd_examples)
 
     return ap
 
 
 def main(argv=None):
+    """Run one command: its exit code, or 2 for refused input, an unwritable
+    --out or a closed stdout."""
     args = _parser().parse_args(argv)
-    if getattr(args, "nmax", 1) < 1:
-        print("error: --nmax must be at least 1", file=sys.stderr)
-        return 2
     try:
-        return args.fn(args)
+        if getattr(args, "nmax", 1) < 1:
+            raise ValueError("--nmax must be at least 1")
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader went away: send what is still buffered to /dev/null, so
+        # the interpreter's last flush of stdout cannot fail again
+        with contextlib.suppress(OSError):  # a stdout without a file descriptor
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

@@ -26,7 +26,6 @@ from .schubert import CupRing, SchubertBasisRing
 class ChiCharacter:
     weight: tuple          # fundamental coordinates (ambient)
     root_coords: tuple     # the same weight in simple-root coordinates (ints)
-    owner: object          # the W^P element
     levi_coords: tuple     # restriction: pairings with the Levi simple coroots
 
 
@@ -42,11 +41,6 @@ class DjProfile:
     @property
     def weighted(self):
         return sum((j + 1) * dj for j, dj in enumerate(self.d))
-
-
-@dataclass(frozen=True)
-class StabilizerData:
-    delta_qw: frozenset    # nodes i with alpha_i in Delta(Q_w)
 
 
 class DeformedRing(SchubertBasisRing):
@@ -86,7 +80,7 @@ class DeformedRing(SchubertBasisRing):
         if closed != fund:
             raise ExactnessError("chi expressions disagree (convention bug)")
         levi = tuple(fund[i - 1] for i in sorted(P.levi_simple))
-        out = ChiCharacter(weight=fund, root_coords=root_coords, owner=w, levi_coords=levi)
+        out = ChiCharacter(weight=fund, root_coords=root_coords, levi_coords=levi)
         self._chi[w] = out
         return out
 
@@ -148,10 +142,11 @@ def _is_neg(vec):
 # stabilizers of Schubert varieties
 
 
-def stabilizer_simple_roots(ct, w) -> StabilizerData:
-    """Delta(Q_w) for the largest standard parabolic Q_w stabilising X_w.
+def stabilizer_simple_roots(ct, w) -> frozenset:
+    """Delta(Q_w) for the largest standard parabolic Q_w stabilising X_w, as
+    the frozenset of nodes i with alpha_i in it.
 
-    Computed as Delta cap (w w_o^P) R-, and asserted against the equivalent
+    Computed as Delta cap (w w_o^P) R-, and checked against the equivalent
     description Delta cap w(R_l+ u R-).
     """
     w = ct.canonical(w)
@@ -159,22 +154,19 @@ def stabilizer_simple_roots(ct, w) -> StabilizerData:
     R = wg.system
     P = ct.parabolic
     w0p = wg.longest(sorted(P.levi_simple))
-    what = wg.mul(w, w0p)
-    out = set()
+    what_inv, w_inv = wg.inverse(wg.mul(w, w0p)), wg.inverse(w)
+    out, check = set(), set()
     for i in range(1, R.rank + 1):
         alpha = tuple(int(t == i - 1) for t in range(R.rank))
-        if _is_neg(wg.act_root(wg.inverse(what), alpha)):
+        if _is_neg(wg.act_root(what_inv, alpha)):
             out.add(i)
-    # cross-check: alpha_i in w(R_l+ u R-)  <=>  w^{-1} alpha_i in R_l+ u R-
-    check = set()
-    for i in range(1, R.rank + 1):
-        alpha = tuple(int(t == i - 1) for t in range(R.rank))
-        pre = wg.act_root(wg.inverse(w), alpha)
+        # cross-check: alpha_i in w(R_l+ u R-)  <=>  w^{-1} alpha_i in R_l+ u R-
+        pre = wg.act_root(w_inv, alpha)
         if _is_neg(pre) or (R.is_positive_root(pre) and P.in_levi(pre)):
             check.add(i)
     if out != check:
         raise ExactnessError("stabilizer descriptions disagree (convention bug)")
-    return StabilizerData(delta_qw=frozenset(out))
+    return frozenset(out)
 
 
 def cell_in_stabilizer_orbit(ct, v, beta, w):
@@ -183,8 +175,7 @@ def cell_in_stabilizer_orbit(ct, v, beta, w):
     beta is necessarily simple."""
     if not ct.is_cover(v, beta, w):
         raise ValueError("(v, beta, w) is not a cover in W^P")
-    nodes = stabilizer_simple_roots(ct, w).delta_qw
-    return sum(beta) == 1 and (beta.index(1) + 1) in nodes
+    return sum(beta) == 1 and (beta.index(1) + 1) in stabilizer_simple_roots(ct, w)
 
 
 # ---------------------------------------------------------------------------

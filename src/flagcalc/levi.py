@@ -411,12 +411,6 @@ def levi_system(R, nodes):
     return LeviSystem(R, nodes)
 
 
-def invariant_dimension(R, P, ambient_weights, n=1):
-    """Invariants of the restrictions of ambient L-dominant weights."""
-    ls = levi_system(R, tuple(sorted(P.levi_simple)))
-    return ls.invariant_dimension([ls.restrict(w) for w in ambient_weights], n=n)
-
-
 def hom_dimension(dr: DeformedRing, ws, n=1):
     """Multiplicity of V(n chi_e) in the tensor product of the V(n chi_{w_i}),
     as representations of the full Levi: the semisimple invariant count when

@@ -252,11 +252,9 @@ def lagrangian_cell(ct, a):
     if not is_strict(a) or (a and a[0] > l):
         raise ValueError(f"{a!r} is not a strict partition with parts <= {l}")
     want = frozenset(l + 1 - x for x in a)
-    if not hasattr(ct, "_negset_index"):
-        ct._negset_index = {_negated_values(ct, w): w for w in ct.elements}
-    w = ct._negset_index[want]
-    if w.length != sum(a):
-        raise ExactnessError(f"cell of {a!r} has length {w.length}")
+    w = next((w for w in ct.elements if _negated_values(ct, w) == want), None)
+    if w is None or w.length != sum(a):
+        raise ExactnessError(f"no cell of length {sum(a)} for {a!r}")
     return w
 
 
@@ -266,9 +264,11 @@ def lagrangian_bijection(ct, a):
 
 
 def lagrangian_partition(ct, w):
-    """Inverse of lagrangian_bijection."""
+    """Inverse of lagrangian_bijection: the strict partition {l+1-j} over the
+    coordinates j that the cell ct.dual[w] negates."""
     l = ct.parabolic.system.rank
-    for a in strict_partitions_max(l):
-        if lagrangian_bijection(ct, a) == w:
-            return a
-    raise ValueError(f"{w!r} not indexed by strict partitions")
+    cell = ct.dual[ct.canonical(w)]
+    a = tuple(sorted((l + 1 - j for j in _negated_values(ct, cell)), reverse=True))
+    if sum(a) != cell.length:
+        raise ExactnessError(f"cell {cell!r} of length {cell.length} negates {a!r}")
+    return a

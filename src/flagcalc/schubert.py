@@ -35,7 +35,7 @@ divided difference vanishes, and is memoised per ring.  The product itself
 runs on packed monomials (Kronecker substitution: exponent k sits in bit
 field k of one int), so multiplying two monomials is one integer addition.
 
-`bgg_representatives` is a separate small reference path that follows the
+`ReferenceBGG` is a separate small reference path that follows the
 textbook normalisation (top = prod(R+)/|W|, polynomials in the simple
 roots, s_i applied by substitution and the difference divided out); it
 doubles as an independent cross-check of the fast engine.
@@ -347,41 +347,6 @@ class SchubertEngine:
         return out
 
 
-class MultiPoly:
-    """Exact polynomial in the simple roots alpha_1..alpha_l, rational coeffs."""
-
-    def __init__(self, terms=None):
-        self.terms = {m: Fraction(c) for m, c in (terms or {}).items() if c}
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, 0) + c
-            if v:
-                out[m] = v
-            else:
-                del out[m]
-        return MultiPoly(out)
-
-    def __mul__(self, other):
-        return MultiPoly(pmul(self.terms, other.terms))
-
-    def __eq__(self, other):
-        return isinstance(other, MultiPoly) and self.terms == other.terms
-
-    def degree(self):
-        return max((sum(m) for m in self.terms), default=0)
-
-    def constant(self):
-        return self.terms.get(tuple(0 for _ in range(self._nvars())), Fraction(0))
-
-    def _nvars(self):
-        return len(next(iter(self.terms), ()))
-
-    def __repr__(self):
-        return f"MultiPoly({self.terms!r})"
-
-
 class ReferenceBGG:
     """Textbook-normalised representatives in simple-root variables.
 
@@ -429,19 +394,9 @@ class ReferenceBGG:
         return out
 
     def rep(self, w):
+        """{exponent tuple in the simple roots: Fraction}, of degree ell(w);
+        rep(w0) = prod(R+)/|W| and rep(e) = 1."""
         return walk_down(self.wg, self._table, w, self.ddiff)
-
-
-def bgg_representatives(R, elements=None):
-    """{w: MultiPoly} with top = prod(R+)/|W|, S_e = 1, deg S_w = ell(w).
-
-    Materialises the full table over W when elements is None; intended for
-    small groups (reference/cross-check use).
-    """
-    ref = ReferenceBGG(R)
-    if elements is None:
-        elements = group(R).all_elements()
-    return {w: MultiPoly(ref.rep(w)) for w in elements}
 
 
 class CohomClass:

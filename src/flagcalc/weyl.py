@@ -238,8 +238,9 @@ def _ascending_closure(wg, levi):
 class CosetTable:
     """Minimal-length representatives of W/W_P with their Bruhat covers.
 
-    elements ascend by (length, word); index, lengths, block (length -> range
-    of indices) and dual_index name them by position.  covers: triples
+    elements ascend by (length, word); lengths, block (length -> range of
+    indices) and dual_index name them by position, and index_of finds the
+    position of an element.  covers: triples
     (v, w, beta) with w = s_beta v, ell(w) = ell(v)+1, both in W^P and beta a
     positive root; built on first use.
     """
@@ -249,8 +250,7 @@ class CosetTable:
         self.parabolic = P
         levi = sorted(P.levi_simple)
         self.elements = _ascending_closure(wg, levi)
-        self.index = {w: k for k, w in enumerate(self.elements)}
-        self._by_key = {w.key: w for w in self.elements}
+        self._pos = {w.key: k for k, w in enumerate(self.elements)}  # w(rho) -> index
         self.lengths = lengths = [w.length for w in self.elements]
         # elements ascend by (length, word), so each length is one block of indices
         self.block = {n: range(bisect_left(lengths, n), bisect_right(lengths, n))
@@ -273,12 +273,12 @@ class CosetTable:
             if ww is None or ww.length != P.dim_gp - w.length:
                 raise ExactnessError(f"no dual of length {P.dim_gp - w.length} for {w!r}")
             self.dual[w] = ww
-        self.dual_index = [self.index[self.dual[w]] for w in self.elements]
+        self.dual_index = [self._pos[self.dual[w].key] for w in self.elements]
 
     def _cover_of(self, v, beta):
         """w = s_beta v if it lies in W^P with ell(w) = ell(v) + 1, else None."""
-        w = self._by_key.get(self.wg.reflect(v.key, beta))
-        return w if w is not None and w.length == v.length + 1 else None
+        k = self._pos.get(self.wg.reflect(v.key, beta))
+        return self.elements[k] if k is not None and self.lengths[k] == v.length + 1 else None
 
     @cached_property
     def covers(self):
@@ -288,29 +288,29 @@ class CosetTable:
 
     def is_cover(self, v, beta, w):
         """(v, w, beta) in covers, tested on that one triple."""
-        return (v.key in self._by_key and self.wg.system.is_positive_root(beta)
+        return (v.key in self._pos and self.wg.system.is_positive_root(beta)
                 and self._cover_of(v, beta) == w)
 
     def canonical(self, w):
         """The stored (canonical-word) copy of an element of W^P."""
-        try:
-            return self._by_key[w.key]
-        except KeyError:
-            raise ValueError(f"element {w!r} is not a minimal coset representative")
+        return self.elements[self.index_of(w)]
 
     def index_of(self, w):
         """The coset-table index of an element of W^P (ValueError otherwise)."""
-        return self.index[self.canonical(w)]
+        try:
+            return self._pos[w.key]
+        except KeyError:
+            raise ValueError(f"element {w!r} is not a minimal coset representative")
 
     def codim(self, w):
         return self.parabolic.dim_gp - w.length
 
     def element_from_word(self, word):
-        w = self._by_key.get(self.wg._key_of_word(word))
-        if w is None:
+        k = self._pos.get(self.wg._key_of_word(word))
+        if k is None:
             raise ValueError(
                 f"word {','.join(map(str, word))} does not reduce to a W^P element")
-        return w
+        return self.elements[k]
 
     def __len__(self):
         return len(self.elements)
@@ -328,8 +328,3 @@ def minimal_coset_reps(R, P):
     if key not in wg._coset_tables:
         wg._coset_tables[key] = CosetTable(wg, P)
     return wg._coset_tables[key]
-
-
-def dual_rep(R, P, w):
-    """Poincare-dual indexing: minimal representative of w0 w w0^P."""
-    return minimal_coset_reps(R, P).dual[w]

@@ -165,12 +165,12 @@ def test_criterion_8_oracle_equivalence():
                 for mu in box:
                     if sum(lam) + sum(mu) > r * (n - r):
                         continue
-                    row = cx.ring.row(cx.ct.index[bij[lam]], cx.ct.index[bij[mu]])
+                    row = cx.ring.row(cx.ct.index_of(bij[lam]), cx.ct.index_of(bij[mu]))
                     for nu in box:
                         if sum(nu) != sum(lam) + sum(mu):
                             continue
                         constants += 1
-                        if row.get(cx.ct.index[bij[nu]], 0) != lr.lr_coefficient(lam, mu, nu):
+                        if row.get(cx.ct.index_of(bij[nu]), 0) != lr.lr_coefficient(lam, mu, nu):
                             mismatches += 1
     # Steinberg vs the production decomposition on >= 100 random triples
     rng = random.Random(2024)

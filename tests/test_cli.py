@@ -29,6 +29,13 @@ def last_json(stdout):
     return json.loads(stdout.strip().splitlines()[-1])
 
 
+def test_every_public_name_resolves():
+    """`from flagcalc import *` finds every name in flagcalc.__all__."""
+    names = {}
+    exec("from flagcalc import *", names)
+    assert sorted(set(names) - {"__builtins__"}) == sorted(flagcalc.__all__)
+
+
 def test_roots_command(capsys):
     code, out, _ = run(capsys, "roots", "--group", "C3")
     doc = last_json(out)
@@ -467,6 +474,58 @@ def test_out_through_symlink_and_to_fifo(capsys, tmp_path):
     finally:
         os.close(fd)
     assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("target,existing", [
+    ("a directory", None), ("a directory", "an earlier report\n"),
+    ("in a missing directory", None)])
+def test_unwritable_out_refused(capsys, tmp_path, target, existing):
+    """An --out that cannot be opened is refused with exit 2 and one error
+    line; it leaves no temporary file and the target as it was."""
+    if target == "a directory":
+        out = tmp_path / "reports"
+        out.mkdir()
+        if existing is not None:
+            (out / "kept.json").write_text(existing)
+    else:
+        out = tmp_path / "missing" / "r.json"
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    code, out_text, err = run(capsys, "roots", "--group", "A2", "--out", str(out))
+    assert (code, out_text) == (2, "")
+    assert err.startswith(f"error: cannot write --out {out}: ") and err.count("\n") == 1
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+    if existing is not None:
+        assert (out / "kept.json").read_text() == existing
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--group", "B4", "--cross", "1,2,3,4", "--nmax", "1"],
+    ["wp", "--group", "C5", "--cross", "5"]])
+def test_closed_stdout_exits_2_quietly(argv):
+    """A stdout whose reader has gone (here a pipe with its read end closed)
+    ends the command with exit 2: no traceback, and no "Exception ignored"
+    from the interpreter's last flush."""
+    r, w = os.pipe()
+    os.close(r)
+    env = dict(os.environ, PYTHONPATH=str(Path(flagcalc.__file__).parents[1]))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "flagcalc", *argv], stdout=w,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=600)
+    finally:
+        os.close(w)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def test_closed_stdout_in_a_shell_pipeline(tmp_path):
+    """verify | head -c 100: head reads the start of the report and leaves,
+    and verify exits 2 without a traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(flagcalc.__file__).parents[1]))
+    cmd = (f"{sys.executable} -m flagcalc verify --group B4 --cross 1,2,3,4 --nmax 1 "
+           f"2>{tmp_path / 'err'} | head -c 100; exit ${{PIPESTATUS[0]}}")
+    proc = subprocess.run(["bash", "-c", cmd], capture_output=True, env=env, timeout=600)
+    assert proc.returncode == 2 and proc.stdout.startswith(b'{"crossed":[1,2,3,4]')
+    assert len(proc.stdout) == 100 and (tmp_path / "err").read_text() == ""
 
 
 @pytest.mark.parametrize("cross", ["3", "0", "-1", "1,3"])

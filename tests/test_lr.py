@@ -94,21 +94,27 @@ def test_transported_constants_equal_lr(rank, cross):
                         == lr.lr_coefficient(lam, mu, nu))
 
 
-def test_lagrangian_bijection():
-    R = roots.build("C", 3)
-    P = roots.parabolic(R, crossed=[3])
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_lagrangian_bijection(rank):
+    """On LG(l, 2l) the strict partitions with parts <= l and W^P are in
+    bijection both ways, on every element."""
+    R = roots.build("C", rank)
+    P = roots.parabolic(R, crossed=[rank])
     ct = minimal_coset_reps(R, P)
-    strict = lr.strict_partitions_max(3)
-    assert len(strict) == len(ct) == 8
+    strict = lr.strict_partitions_max(rank)
+    assert len(strict) == len(ct) == 2 ** rank
     assert lr.lagrangian_bijection(ct, ()) == ct.longest
+    images = set()
     for a in strict:
         w = lr.lagrangian_bijection(ct, a)
         assert ct.codim(w) == sum(a)
         assert lr.lagrangian_partition(ct, w) == a
+        images.add(w)
+    assert images == set(ct.elements)
     with pytest.raises(ValueError):
         lr.lagrangian_cell(ct, (2, 2))
     with pytest.raises(ValueError):
-        lr.lagrangian_cell(ct, (4,))
+        lr.lagrangian_cell(ct, (rank + 1,))
 
 
 def test_fulton_check_basic():

@@ -4,8 +4,8 @@ import pytest
 
 from flagcalc import roots
 from flagcalc.roots import ExactnessError
-from flagcalc.schubert import (CupRing, MultiPoly, Realization, ReferenceBGG, SchubertEngine,
-                               bgg_representatives, padd, pmul, pmul_linear, psub)
+from flagcalc.schubert import (CupRing, Realization, ReferenceBGG, SchubertEngine, padd, pmul,
+                               pmul_linear, psub)
 from flagcalc.weyl import group
 
 
@@ -18,12 +18,11 @@ def ring_for(letter, rank, crossed):
 @pytest.mark.parametrize("letter,rank", [("A", 1), ("A", 2), ("B", 2), ("G", 2)])
 def test_reference_table_normalisation(letter, rank):
     R = roots.build(letter, rank)
-    reps = bgg_representatives(R)
+    ref = ReferenceBGG(R)
     wg = group(R)
-    one = MultiPoly({tuple(0 for _ in range(R.rank)): 1})
-    assert reps[wg.identity] == one
-    for w, poly in reps.items():
-        assert poly.degree() == w.length or not poly.terms
+    assert ref.rep(wg.identity) == {(0,) * R.rank: 1}
+    for w in wg.all_elements():
+        assert {sum(m) for m in ref.rep(w)} == {w.length}
 
 
 def test_reference_divided_difference_a1():
@@ -53,7 +52,7 @@ def test_gr24_squares_and_lines():
     ring = ring_for("A", 3, [2])
     ct = ring.ct
     sigma1 = [w for w in ct.elements if ct.codim(w) == 1][0]
-    row = ring.row(ct.index[sigma1], ct.index[sigma1])
+    row = ring.row(ct.index_of(sigma1), ct.index_of(sigma1))
     assert sorted(row.values()) == [1, 1]
     assert ring.intersection_number([sigma1] * 4) == 2
 
@@ -162,7 +161,7 @@ def test_rows_match_per_target_extraction(letter, rank, crossed):
                 c, r = divmod(_extract_one(eng, ct.dual[w], f), eng.scale ** 2)
                 assert r == 0 and c >= 0
                 if c:
-                    want[ct.index[w]] = c
+                    want[ct.index_of(w)] = c
             assert ring.row(a, b) == want
 
 
@@ -357,8 +356,8 @@ def test_lagrangian_constants_match_qfunction_oracle():
     # a broader row: sigma_{21} * sigma_{31} on LG(4,8) matches the oracle
     ring4 = ring_for("C", 4, [4])
     ct4 = ring4.ct
-    row = ring4.row(ct4.index[lr.lagrangian_bijection(ct4, (2, 1))],
-                    ct4.index[lr.lagrangian_bijection(ct4, (3, 1))])
+    row = ring4.row(ct4.index_of(lr.lagrangian_bijection(ct4, (2, 1))),
+                    ct4.index_of(lr.lagrangian_bijection(ct4, (3, 1))))
     got = {lr.lagrangian_partition(ct4, ct4.elements[k]): c for k, c in row.items()}
     exp = expand(mul(qfun((2, 1)), qfun((3, 1))))
     want = {lam: c for lam, c in exp.items() if not lam or lam[0] <= 4}
@@ -432,16 +431,15 @@ def test_table_climb_is_path_independent(letter, rank):
 
 @pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
 def test_reference_climb_is_path_independent(letter, rank):
-    """The same relation on bgg_representatives, whose table ReferenceBGG fills
-    with the same climb (D4 is left to the engine test: its reference table
-    takes seconds to check)."""
+    """The same relation on ReferenceBGG, whose table fills with the same
+    climb (D4 is left to the engine test: its reference table takes seconds
+    to check)."""
     R = roots.build(letter, rank)
     wg = group(R)
     ref = ReferenceBGG(R)
-    reps = bgg_representatives(R)
     for w, i0, ws in _right_ascents(wg):
-        assert ref.ddiff(i0, reps[ws].terms) == reps[w].terms
-    assert reps[wg.identity] == MultiPoly({(0,) * rank: 1})
+        assert ref.ddiff(i0, ref.rep(ws)) == ref.rep(w)
+    assert ref.rep(wg.identity) == {(0,) * rank: 1}
 
 
 def test_table_climb_is_bounded(monkeypatch):
