@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""sha256 of the verify reports that a change to the sweep must leave as they are.
+
+    python3 scripts/report_digests.py [--base REV]
+
+Runs `python3 -m flagcalc verify ...` for each sweep of SWEEPS, in a fresh
+process with the working tree's src/ on PYTHONPATH, and prints one line per
+sweep: the sha256 of its stdout, its exit code and its arguments.  With
+--base, also exports REV with `git archive` into a temporary directory, runs
+the same sweeps there, prints both digests per sweep, and exits 1 when any
+digest or exit code differs.  A sweep's stderr passes through.
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import ROOT, export
+
+# (group, crossed nodes, s, nmax): the benchmark's parabolics, Levis with
+# several factors, s = 4 and 5, long tuples, P = G, a wide --nmax, and the
+# 243,670 tuples of B4{1,2,3,4}
+SWEEPS = [
+    ("A4", "1,2,3,4", 3, 3), ("C4", "1,4", 3, 3), ("B3", "1,2,3", 3, 3), ("G2", "1,2", 3, 3),
+    ("A5", "3", 3, 5), ("C4", "4", 3, 5), ("D4", "1,3,4", 3, 3), ("C5", "5", 3, 3),
+    ("D4", "2", 3, 3), ("B4", "2", 3, 3), ("A7", "1,4", 3, 3),
+    ("A3", "1,2,3", 4, 3), ("C3", "1,3", 4, 2), ("D4", "2", 4, 2), ("C3", "2", 4, 3),
+    ("B4", "2", 4, 1), ("B3", "2", 5, 2), ("C3", "2", 5, 3),
+    ("A2", "1", 900, 1), ("A2", "1", 3, 10), ("A3", "", 3, 3), ("B3", "2", 3, 12),
+    ("B4", "1,2,3,4", 3, 1),
+]
+
+
+def argv_of(sweep):
+    group, crossed, s, nmax = sweep
+    return ["verify", "--group", group, "--cross", crossed, "--s", str(s), "--nmax", str(nmax)]
+
+
+def digest(tree, argv):
+    """(sha256 of stdout, exit code) of `python3 -m flagcalc *argv` on tree's src/."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"))
+    h = hashlib.sha256()
+    with subprocess.Popen([sys.executable, "-m", "flagcalc", *argv], cwd=tree, env=env,
+                          stdout=subprocess.PIPE) as proc:
+        for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+            h.update(chunk)
+    return h.hexdigest(), proc.returncode
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--base", help="git revision whose digests must match the working tree's")
+    args = ap.parse_args(argv)
+    differ = 0
+    with tempfile.TemporaryDirectory(prefix="report-digests-") as tmp:
+        if args.base:
+            export(args.base, tmp)
+        for sweep in SWEEPS:
+            cmd = argv_of(sweep)
+            got, code = digest(ROOT, cmd)
+            line = f"{got} exit {code}"
+            if args.base:
+                want, base_code = digest(tmp, cmd)
+                same = (got, code) == (want, base_code)
+                differ += not same
+                line = (f"{'same' if same else 'DIFFER'}  {got} exit {code}  "
+                        f"base {want} exit {base_code}")
+            print(f"{line}  {' '.join(cmd)}", flush=True)
+    if args.base:
+        print(f"{len(SWEEPS) - differ} of {len(SWEEPS)} sweeps match {args.base}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -205,23 +205,29 @@ def _profiles(dim, s):
         yield [(l, len(list(run))) for l, run in groupby(lengths)]
 
 
-def _tuples(ct, s):
+def _runs(ct, s):
     """The s-multisets of coset-table indices whose lengths sum to
-    (s - 1) * dim G/P, in the report's (lengths, words) order: profile by
-    profile, each length block's multisets in index order, the blocks in
-    ascending length.  Inside a block, index order is word order
-    (elements ascend by (length, word)), and it is the order of the word
-    strings because every supported rank is at most 9, so each letter of a
-    word is one digit."""
+    (s - 1) * dim G/P, in the report's (lengths, words) order, as runs
+    (profile, prefix, lasts): the run's tuples are prefix + (c,) for c in the
+    range lasts.  Profile by profile, each length block's multisets in index
+    order, the blocks in ascending length, so the last class varies fastest:
+    over block[l] from the prefix's last class on when the last length l
+    appears more than once, else over all of block[l].  Inside a block,
+    index order is word order (elements ascend by (length, word)), and it is
+    the order of the word strings because every supported rank is at most 9,
+    so each letter of a word is one digit."""
     for profile in _profiles(ct.parabolic.dim_gp, s):
-        blocks = [combinations_with_replacement(ct.block[l], k) for l, k in profile]
-        for parts in product(*blocks):
-            yield tuple(chain.from_iterable(parts))
+        *head, (l, k) = profile
+        last = ct.block[l]
+        blocks = [combinations_with_replacement(ct.block[m], j) for m, j in head]
+        for parts in product(*blocks, combinations_with_replacement(last, k - 1)):
+            yield profile, tuple(chain.from_iterable(parts)), (
+                range(parts[-1][-1], last.stop) if k > 1 else last)
 
 
 def _tuple_count(ct, s):
-    """len(list(_tuples(ct, s))) without enumerating: per profile, the
-    product of the multiset coefficients C(|block| + k - 1, k)."""
+    """The number of tuples _runs(ct, s) yields, without enumerating: per
+    profile, the product of the multiset coefficients C(|block| + k - 1, k)."""
     return sum(prod(comb(len(ct.block[l]) + k - 1, k) for l, k in profile)
                for profile in _profiles(ct.parabolic.dim_gp, s))
 
@@ -232,30 +238,43 @@ def _json_int(x):
     return str(x) if -cache._BIG <= x <= cache._BIG else f'"{x}"'
 
 
-def _verify_rows(cx, tuples, nmax, write):
-    """Verify each tuple and write its report row, the rows comma-separated,
-    each the text cache.canonical_json gives the row's dict: keys sorted,
-    invariant_dims keys sorted as strings ("10" before "2"), integers beyond
-    cache._BIG as strings.  Returns the number of violations."""
+def _verify_rows(cx, runs, nmax, write):
+    """Verify each tuple of each run and write the report rows,
+    comma-separated, one write per run; each row is the text
+    cache.canonical_json gives the row's dict: keys sorted, invariant_dims
+    keys sorted as strings ("10" before "2"), integers beyond cache._BIG as
+    strings.  A row whose tops are 0 is the run's template plus the last
+    class's word.  Returns the number of violations."""
     ct, dr, ls = cx.ct, cx.deformed, cx.levi
-    els, tops, chi = ct.elements, dr.tops, dr.chi
+    els, tops_run = ct.elements, dr.tops_run
+    levi_coords = functools.cache(lambda i: dr.chi(els[i]).levi_coords)
     words = [json.dumps(w.word_str()) for w in els]
-    lengths = [str(l) for l in ct.lengths]
-    violations, sep = 0, ""
-    for tup in tuples:
-        d, dt = tops(tup)
-        dims, status = "null", "OK"
-        if dt == 1:
-            chis = [chi(els[i]).levi_coords for i in tup]
-            vals = {str(n): ls.invariant_dimension(chis, n=n) for n in range(1, nmax + 1)}
-            dims = "{" + ",".join(f'"{n}":{_json_int(v)}' for n, v in sorted(vals.items())) + "}"
-            if any(v != 1 for v in vals.values()):
-                status = "VIOLATION"
-                violations += 1
-        write(f'{sep}{{"cup_top":{_json_int(d)},"deformed_top":{_json_int(dt)},'
-              f'"invariant_dims":{dims},"lengths":[{",".join([lengths[i] for i in tup])}],'
-              f'"levi_movable":{"true" if dt > 0 else "false"},"status":"{status}",'
-              f'"words":[{",".join([words[i] for i in tup])}]}}')
+    violations, sep, shown = 0, "", None
+    for profile, prefix, lasts in runs:
+        if profile is not shown:  # one profile's runs share their lengths
+            shown = profile
+            lens = ",".join(str(l) for l, k in profile for _ in range(k))
+        head = "".join([words[i] + "," for i in prefix])
+        zero = (f'{{"cup_top":0,"deformed_top":0,"invariant_dims":null,"lengths":[{lens}],'
+                f'"levi_movable":false,"status":"OK","words":[{head}')
+        rows = []
+        for c, (d, dt) in zip(lasts, tops_run(prefix, lasts)):
+            if not d and not dt:
+                rows.append(f"{zero}{words[c]}]}}")
+                continue
+            dims, status = "null", "OK"
+            if dt == 1:
+                ws = [levi_coords(i) for i in prefix] + [levi_coords(c)]
+                vals = {str(n): ls.invariant_dimension(ws, n=n) for n in range(1, nmax + 1)}
+                dims = "{" + ",".join(f'"{n}":{_json_int(v)}' for n, v in sorted(vals.items())) + "}"
+                if any(v != 1 for v in vals.values()):
+                    status = "VIOLATION"
+                    violations += 1
+            rows.append(f'{{"cup_top":{_json_int(d)},"deformed_top":{_json_int(dt)},'
+                        f'"invariant_dims":{dims},"lengths":[{lens}],'
+                        f'"levi_movable":{"true" if dt > 0 else "false"},"status":"{status}",'
+                        f'"words":[{head}{words[c]}]}}')
+        write(sep + ",".join(rows))
         sep = ","
     return violations
 
@@ -283,7 +302,7 @@ def cmd_verify(args):
     })
     with _output(args.out) as fh:
         fh.write(head[:-2] + ',"tuples":[')  # head without its closing "}\n"
-        violations = _verify_rows(cx, _tuples(cx.ct, args.s), args.nmax, fh.write)
+        violations = _verify_rows(cx, _runs(cx.ct, args.s), args.nmax, fh.write)
         fh.write(f'],"violations":{violations}}}\n')
     return 0 if violations == 0 else 1
 

@@ -6,6 +6,7 @@ The character chi_w attached to w in W^P is computed by both of its defining
 expressions and the two are checked equal (ExactnessError otherwise):
 
     chi_w = sum of (R+ \\ R_l+) cap w^{-1} R+        (root-sum form)
+          = sum of R+ \\ R_l+  -  sum of N(w),  N(w) = R+ cap w^{-1} R-
     chi_w = rho - 2 rho^L + w^{-1} rho               (closed form)
 
 Belkale-Kumar criterion (Invent. Math. 166, 2006; DeformedRing.chi_balanced):
@@ -51,6 +52,9 @@ class DeformedRing(SchubertBasisRing):
         self.ct = ring.ct
         self.parabolic = ring.parabolic
         self._chi = {}
+        R, P = ring.system, ring.parabolic
+        self._outside = [sum(beta[j] for beta in R.positive_roots if not P.in_levi(beta))
+                         for j in range(R.rank)]  # sum of R+ minus R_l+
         self._columns = _Columns(self)
         self._rows = {}  # (i, j) with i <= j -> the row of ring.row(i, j) kept
 
@@ -64,14 +68,18 @@ class DeformedRing(SchubertBasisRing):
         R = ct.wg.system
         P = self.parabolic
         n = R.rank
-        total = [0] * n
-        for beta in R.positive_roots:
-            if P.in_levi(beta):
-                continue
-            img = ct.wg.act_root(w, beta)
-            if not _is_neg(img):
-                for j in range(n):
-                    total[j] += beta[j]
+        # N(w) = R+ cap w^{-1} R-, built along the reduced word as
+        # N(v s_i) = s_i N(v) u {alpha_i}; then chi_w = sum(R+ minus R_l+) - sum N(w)
+        inversions, reflect = [], ct.wg._reflect_root
+        for i in w.word:
+            inversions = [reflect(beta, i - 1) for beta in inversions]
+            inversions.append(tuple(int(t == i - 1) for t in range(n)))
+        if any(P.in_levi(beta) for beta in inversions):
+            raise ExactnessError("Levi root in the inversion set of a minimal rep")
+        total = list(self._outside)
+        for beta in inversions:
+            for j in range(n):
+                total[j] -= beta[j]
         root_coords = tuple(total)
         fund = R.fund_of_root(root_coords)
         # closed form rho - 2 rho^L + w^{-1} rho
@@ -87,8 +95,13 @@ class DeformedRing(SchubertBasisRing):
     def chi_balanced(self, idx):
         """True iff the classes with coset-table indices idx meet the
         Belkale-Kumar criterion (module docstring)."""
+        return self._columns[idx[-1]] == self._completing_column(idx[:-1])
+
+    def _completing_column(self, prefix):
+        """The column at the crossed nodes of the one class c for which
+        prefix + (c,) meets the criterion: chi_e's minus the prefix's sum."""
         cols = self._columns
-        return tuple(map(sum, zip(*(cols[i] for i in idx)))) == cols[0]
+        return tuple(e - sum(x) for e, *x in zip(cols[0], *(cols[i] for i in prefix)))
 
     # -- deformed multiplication ----------------------------------------------
 
@@ -101,12 +114,21 @@ class DeformedRing(SchubertBasisRing):
                                      if self.chi_balanced((i, j, dual[k]))}
         return out
 
+    def tops_run(self, prefix, lasts):
+        """[(ordinary top, deformed top) of prefix + (c,)] for c in lasts, from
+        one pairing per tuple (SchubertBasisRing.top_run): the deformed top is
+        the ordinary one when it is nonzero and the classes meet the
+        criterion, which is read off one column per run (chi_balanced)."""
+        tops = self.ring.top_run(prefix, lasts)
+        if not any(tops):
+            return [(0, 0)] * len(tops)
+        cols, need = self._columns, self._completing_column(prefix)
+        return [(t, t if t and cols[c] == need else 0) for t, c in zip(tops, lasts)]
+
     def tops(self, idx):
         """(ordinary top, deformed top) of the classes with coset-table indices
-        idx from one pairing: the deformed top is the ordinary one when it is
-        nonzero and chi_balanced(idx), else 0."""
-        top = self.ring.top(idx)
-        return top, top if top and self.chi_balanced(idx) else 0
+        idx: tops_run on one tuple, (0, 0) off the degree (s-1) dim G/P."""
+        return self.tops_run(idx[:-1], idx[-1:])[0] if self._in_top_degree(idx) else (0, 0)
 
     def top(self, idx):
         """The deformed top coefficient (the second entry of tops)."""

@@ -21,7 +21,7 @@ dimension is the product of the factors' counts, each over its own |W_j|-term
 orbit.  `tensor_decompose` and the oracle act on the whole system they are
 called on, so on the unsplit Levi they check the per-factor product.
 Every walk of a weight into the dominant chamber goes through one memo per
-system, `signed_dominant_conjugate`; the oracle walks none.
+Cartan matrix, `signed_dominant_conjugate`; the oracle walks none.
 
 Levi weights are tuples of pairings with the Levi simple coroots, ordered by
 ascending ambient node index; an ambient weight restricts by just reading
@@ -57,11 +57,13 @@ class LeviSystem:
             # (fund coords of beta, (d_j beta_j)_j): then (nu, beta) = sum_j nu_j d_j beta_j
             self._roots = tuple((self.system.fund_of_root(b), tuple(x * y for x, y in zip(d, b)))
                                 for b in self.system.positive_roots)
-        self._dom_mults = {}
+        # Freudenthal tables, tensor products, the chamber map (weight ->
+        # (dominant rep, sign)) and Weyl dimensions depend on the Cartan matrix
+        # and its invariant form alone, so isomorphic systems (A5{3}'s two A2
+        # factors) share them
+        form = (self.system.cartan, self.system.symmetrizers) if self.system is not None else ()
+        self._dom_mults, self._tensor, self._chamber, self._dims = _memos(form)
         self._kpf = {}
-        self._tensor = {}
-        self._chamber = {}  # weight -> (dominant rep, sign): the chamber map
-        self._dims = {}  # dominant weight -> Weyl dimension
         self._walk = None
         self._wg = None
         # (coordinate positions, LeviSystem) per connected component of the
@@ -106,7 +108,7 @@ class LeviSystem:
 
     def signed_dominant_conjugate(self, f):
         """(dominant rep, sign) under the Weyl group; sign 0 on a wall.
-        Memoised per system; a miss walks by simple reflections."""
+        Memoised per Cartan matrix; a miss walks by simple reflections."""
         f = tuple(f)
         hit = self._chamber.get(f)
         if hit is None:
@@ -404,6 +406,12 @@ class LeviSystem:
         if total < 0:
             raise ExactnessError("negative Steinberg multiplicity (convention bug)")
         return total
+
+
+@lru_cache(maxsize=None)
+def _memos(form):
+    """The memos of every LeviSystem whose (Cartan matrix, symmetrizers) is form."""
+    return {}, {}, {}, {}
 
 
 @lru_cache(maxsize=None)

@@ -214,14 +214,18 @@ def grassmannian_bijection(ct, lam):
 
 
 def grassmannian_partition(ct, w):
-    """Inverse of grassmannian_bijection."""
-    P = ct.parabolic
-    r = P.crossed[0]
-    k = P.system.rank + 1 - r
-    for lam in partitions_in_box(r, k):
-        if grassmannian_bijection(ct, lam) == w:
-            return lam
-    raise ValueError(f"{w!r} not indexed by the {r}x{k} box")
+    """Inverse of grassmannian_bijection: the partition read off the one-line
+    notation of the cell ct.dual[w], whose first r values are the ascending
+    head[i - 1] = lam[r - i] + i of grassmannian_cell."""
+    r = ct.parabolic.crossed[0]
+    cell = ct.dual[ct.canonical(w)]
+    oneline = list(range(1, ct.parabolic.system.rank + 2))
+    for i in cell.word:  # (v s_i)(j) = v(s_i(j)): swap positions i and i + 1
+        oneline[i - 1], oneline[i] = oneline[i], oneline[i - 1]
+    lam = normalize(tuple(oneline[r - i] - (r + 1 - i) for i in range(1, r + 1)))
+    if sum(lam) != cell.length:
+        raise ExactnessError(f"cell {cell!r} of length {cell.length} reads as {lam!r}")
+    return lam
 
 
 def _negated_values(ct, w):

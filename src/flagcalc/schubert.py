@@ -482,21 +482,41 @@ class SchubertBasisRing:
         """Coefficient of [X_e] in the product of the classes ws (see top)."""
         return self.top(tuple(map(self.ct.index_of, ws)))
 
-    def top(self, idx):
-        """Coefficient of [X_e] in the product of the classes with indices idx,
-        0 unless the lengths sum to (s-1) dim G/P: the first floor(s/2) classes
-        and the rest, each multiplied out, paired by duality as
-        sum_k left[k] right[dual(k)]; for s = 3 that is row(b, c)[dual(a)]."""
+    def _in_top_degree(self, idx):
+        """True iff the lengths of the classes with indices idx (at least two)
+        sum to (s-1) dim G/P, the only degree with a nonzero top coefficient."""
         if len(idx) < 2:
             raise ValueError("need at least two classes")
-        ct = self.ct
-        if sum(map(ct.lengths.__getitem__, idx)) != (len(idx) - 1) * self.parabolic.dim_gp:
-            return 0
-        half, dual = len(idx) // 2, ct.dual_index
-        right = self._fold(idx[half:])
-        if half == 1:
-            return right.get(dual[idx[0]], 0)
-        return sum(c * right.get(dual[k], 0) for k, c in self._fold(idx[:half]).items())
+        lengths = self.ct.lengths
+        return sum(map(lengths.__getitem__, idx)) == (len(idx) - 1) * self.parabolic.dim_gp
+
+    def top(self, idx):
+        """Coefficient of [X_e] in the product of the classes with indices idx
+        (see top_run), 0 off the degree (s-1) dim G/P."""
+        return self.top_run(idx[:-1], idx[-1:])[0] if self._in_top_degree(idx) else 0
+
+    def top_run(self, prefix, lasts):
+        """[top(prefix + (c,)) for c in lasts], for classes whose lengths sum
+        to (s-1) dim G/P: the first floor(s/2) classes and the rest, each
+        multiplied out, paired by duality as sum_k left[k] right[dual(k)]; for
+        s = 3 that is row(b, c)[dual(a)].  The left product and the right one
+        without its last class are multiplied out once per run; per last class
+        c, right = sum_i f[i] row(i, c), so the rows computed are those of
+        the left-to-right products of each tuple's two halves."""
+        half, dual = (len(prefix) + 1) // 2, self.ct.dual_index
+        pairs = [(dual[k], e) for k, e in self._fold(prefix[:half]).items()]
+        rest = prefix[half:]
+        if not rest:  # s = 2: the right product is the last class itself
+            return [sum(e for k, e in pairs if k == c) for c in lasts]
+        terms, row, out = self._fold(rest).items(), self.row, []
+        for c in lasts:
+            top = 0
+            for i, f in terms:
+                r = row(i, c)
+                for k, e in pairs:
+                    top += f * e * r.get(k, 0)
+            out.append(top)
+        return out
 
 
 class CupRing(SchubertBasisRing):

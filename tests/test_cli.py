@@ -202,35 +202,47 @@ VERIFY_PARABOLICS = [("A", 4, (1, 2, 3, 4)), ("C", 4, (1, 4)), ("B", 3, (1, 2, 3
                      ("G", 2, (1, 2)), ("D", 4, (1, 3, 4))]
 
 
-def _streamed_rows(cx, tuples, nmax=1):
-    """The rows _verify_rows writes for tuples, each parsed from its text."""
-    from flagcalc.cli import _verify_rows
-    parts = []
-    _verify_rows(cx, tuples, nmax, parts.append)
-    assert len(parts) == len(tuples)
-    assert all(p.startswith(",{") for p in parts[1:])
-    return [json.loads(p.lstrip(",")) for p in parts]
+def _tuples(ct, s):
+    """The tuples of _runs(ct, s), run after run."""
+    from flagcalc.cli import _runs
+    return [prefix + (c,) for _, prefix, lasts in _runs(ct, s) for c in lasts]
+
+
+def _streamed_rows(cx, s, nmax=1):
+    """The rows _verify_rows writes for the runs of the s-tuples, parsed from
+    its text: one write per run, holding one row per tuple of the run."""
+    from flagcalc.cli import _runs, _verify_rows
+    parts, runs = [], list(_runs(cx.ct, s))
+    _verify_rows(cx, iter(runs), nmax, parts.append)
+    assert len(parts) == len(runs)
+    assert parts[0].startswith("{") and all(p.startswith(",{") for p in parts[1:])
+    rows = [json.loads(f"[{p.lstrip(',')}]") for p in parts]
+    assert [len(r) for r in rows] == [len(lasts) for _, _, lasts in runs]
+    return [row for run in rows for row in run]
 
 
 def _check_tops_against_products(letter, rank, crossed, s):
     """On every verify index tuple, the cup_top and deformed_top of the row
     _verify_rows writes, and both top methods, equal the coefficient of [X_e]
     in the iterated product, ordinary and deformed (the oracle), and the
-    deformed top is the ordinary one exactly when chi_balanced holds."""
-    from flagcalc.cli import _tuples
+    deformed top is the ordinary one exactly when chi_balanced holds.  So do
+    top_run and tops_run, run by run."""
+    from flagcalc.cli import _runs
     from flagcalc.context import flag_context
     cx = flag_context(letter, rank, crossed)
     els = cx.ct.elements
     e = els[0]
-    tuples = list(_tuples(cx.ct, s))
+    tuples = _tuples(cx.ct, s)
     assert tuples
-    rows = _streamed_rows(cx, tuples)
+    rows = _streamed_rows(cx, s)
     assert len(rows) == len(tuples)
     kept = dropped = 0
+    want = {}
     for tup, row in zip(tuples, rows):
         ws = [els[i] for i in tup]
         top = cx.ring.product(ws).coefficient(e)
         deformed = cx.deformed.product(ws).coefficient(e)
+        want[tup] = top, deformed
         assert row["words"] == [w.word_str() for w in ws]
         assert (row["cup_top"], row["deformed_top"]) == (top, deformed)
         assert cx.ring.top_coefficient(ws) == top
@@ -238,6 +250,10 @@ def _check_tops_against_products(letter, rank, crossed, s):
         assert deformed == (top if cx.deformed.chi_balanced(tup) else 0)
         kept += bool(deformed)
         dropped += bool(top) and not deformed
+    for _, prefix, lasts in _runs(cx.ct, s):
+        pairs = [want[prefix + (c,)] for c in lasts]
+        assert cx.ring.top_run(prefix, lasts) == [top for top, _ in pairs]
+        assert cx.deformed.tops_run(prefix, lasts) == pairs
     return kept, dropped
 
 
@@ -258,54 +274,92 @@ def test_tops_match_iterated_products(letter, rank, crossed, s):
     assert kept and dropped
 
 
+@pytest.mark.parametrize("letter,rank,crossed", [("C", 3, (2,)), ("A", 3, (1, 2, 3)),
+                                                 ("G", 2, (1,))])
+def test_two_class_tops_are_poincare_duality(letter, rank, crossed):
+    """At s = 2 the right half is the last class itself: top((i, j)) is 1
+    exactly when j is the dual of i, as the products say, and the
+    criterion keeps every such pair."""
+    from flagcalc.context import flag_context
+    cx = flag_context(letter, rank, crossed)
+    els, dual = cx.ct.elements, cx.ct.dual_index
+    for i, u in enumerate(els):
+        for j, v in enumerate(els):
+            top = cx.ring.product([u, v]).coefficient(els[0])
+            assert top == int(j == dual[i])
+            assert cx.ring.top((i, j)) == top and cx.deformed.tops((i, j)) == (top, top)
+
+
 @pytest.mark.parametrize("letter,rank,crossed,s", [
     ("A", 4, (1, 2, 3, 4), 3), ("D", 4, (2,), 4), ("B", 3, (2,), 5)])
 def test_verify_rows_pair_once_per_tuple(monkeypatch, letter, rank, crossed, s):
-    """_verify_rows gets both tops of a tuple from one ordinary pairing, on
-    the index tuple itself."""
-    from flagcalc.cli import _tuples
+    """_verify_rows gets both tops of every tuple from one ordinary pairing:
+    one top_run per run, on the run itself, never top; the runs' tuples are
+    the multiset-filter oracle's, each once."""
+    from flagcalc.cli import _runs
     from flagcalc.context import flag_context
     from flagcalc.schubert import SchubertBasisRing
     cx = flag_context(letter, rank, crossed)
-    tuples = list(_tuples(cx.ct, s))
+    runs = [(prefix, lasts) for _, prefix, lasts in _runs(cx.ct, s)]
     calls = []
-    top = SchubertBasisRing.top
+    top_run = SchubertBasisRing.top_run
 
-    def counted(self, idx):
-        calls.append(idx)
-        return top(self, idx)
+    def counted(self, prefix, lasts):
+        calls.append((prefix, lasts))
+        return top_run(self, prefix, lasts)
 
-    monkeypatch.setattr(SchubertBasisRing, "top", counted)
-    rows = _streamed_rows(cx, tuples)
+    def refused(self, idx):
+        raise AssertionError("top called in a sweep")
+
+    monkeypatch.setattr(SchubertBasisRing, "top_run", counted)
+    monkeypatch.setattr(SchubertBasisRing, "top", refused)
+    rows = _streamed_rows(cx, s)
     assert any(r["deformed_top"] for r in rows)
-    assert calls == tuples
+    assert calls == runs
+    assert [p + (c,) for p, lasts in calls for c in lasts] == _multiset_filter(cx, s)
+
+
+def _multiset_filter(cx, s):
+    """The oracle for _runs: every s-multiset of indices, filtered by its
+    length sum and sorted by (lengths, words)."""
+    from itertools import combinations_with_replacement
+    lengths = cx.ct.lengths
+    words = [w.word_str() for w in cx.ct.elements]
+    need = (s - 1) * cx.parabolic.dim_gp
+    return sorted((tup for tup in combinations_with_replacement(range(len(lengths)), s)
+                   if sum(lengths[i] for i in tup) == need),
+                  key=lambda tup: ([lengths[i] for i in tup], [words[i] for i in tup]))
 
 
 @pytest.mark.parametrize("letter,rank,crossed,s", [
     (*p, 3) for p in VERIFY_PARABOLICS + [("A", 3, (1, 2, 3))]] + [
     ("A", 3, (1, 2, 3), 4), ("B", 3, (1, 2, 3), 4), ("G", 2, (1, 2), 4), ("C", 3, (2,), 4)])
 def test_tuples_match_multiset_filter(letter, rank, crossed, s):
-    """_tuples yields the multisets of the right length sum already in the
-    report's (lengths, words) order, and _tuple_count counts them."""
-    from itertools import combinations_with_replacement
-    from flagcalc.cli import _tuple_count, _tuples
+    """The runs of _runs, flattened, are the multisets of the right length
+    sum already in the report's (lengths, words) order, and _tuple_count
+    counts them.  Each run is one profile's tuples that differ in the last
+    class only, a range of one length block, and no two runs share a prefix."""
+    from flagcalc.cli import _profiles, _runs, _tuple_count
     from flagcalc.context import flag_context
     cx = flag_context(letter, rank, crossed)
-    lengths = cx.ct.lengths
-    words = [w.word_str() for w in cx.ct.elements]
-    need = (s - 1) * cx.parabolic.dim_gp
-    want = sorted((tup for tup in combinations_with_replacement(range(len(lengths)), s)
-                   if sum(lengths[i] for i in tup) == need),
-                  key=lambda tup: ([lengths[i] for i in tup], [words[i] for i in tup]))
-    assert want and list(_tuples(cx.ct, s)) == want
+    want = _multiset_filter(cx, s)
+    assert want and _tuples(cx.ct, s) == want
     assert _tuple_count(cx.ct, s) == len(want)
+    runs = list(_runs(cx.ct, s))
+    assert len({prefix for _, prefix, _ in runs}) == len(runs)
+    profiles = list(_profiles(cx.parabolic.dim_gp, s))
+    for profile, prefix, lasts in runs:
+        assert profile in profiles and isinstance(lasts, range) and lasts
+        assert [cx.ct.lengths[i] for i in prefix + (lasts[-1],)] == [
+            l for l, k in profile for _ in range(k)]
+        assert lasts.stop == cx.ct.block[profile[-1][0]].stop
 
 
 def test_word_letters_are_single_digits():
     from flagcalc.roots import SUPPORTED_RANKS
     wide = {letter: ranks[-1] for letter, ranks in SUPPORTED_RANKS.items() if ranks[-1] > 9}
     assert not wide, (f"ranks {wide} give two-digit word letters, so index order is no "
-                      "longer word-string order: see the docstring of flagcalc.cli._tuples")
+                      "longer word-string order: see the docstring of flagcalc.cli._runs")
 
 
 def test_verify_many_classes(capsys):
@@ -345,11 +399,10 @@ def test_verify_multi_factor_levi_report_bytes(capsys, group, digest):
 def _dict_report(letter, rank, crossed, s, nmax):
     """The oracle for verify's streamed report: every row built as a dict and
     the whole document serialised at once by cache.canonical_json."""
-    from flagcalc.cli import _tuples
     from flagcalc.context import flag_context
     cx = flag_context(letter, rank, crossed)
     rows = []
-    for tup in _tuples(cx.ct, s):
+    for tup in _multiset_filter(cx, s):
         ws = [cx.ct.elements[i] for i in tup]
         d, dt = cx.deformed.tops(tup)
         dims = None
@@ -407,7 +460,7 @@ def test_streamed_report_renders_big_integers(capsys, monkeypatch, top, dims):
     cache.canonical_json writes it."""
     from flagcalc.deformed import DeformedRing
     from flagcalc.levi import LeviSystem
-    monkeypatch.setattr(DeformedRing, "tops", lambda self, idx: top)
+    monkeypatch.setattr(DeformedRing, "tops_run", lambda self, prefix, lasts: [top] * len(lasts))
     monkeypatch.setattr(LeviSystem, "invariant_dimension", lambda self, ws, n=1: dims)
     code, out, _ = run(capsys, *_verify_argv("C", 3, (2,), 3, 10))
     assert code == (0 if dims == 1 else 1)
@@ -434,15 +487,15 @@ def test_verify_out_is_atomic(capsys, monkeypatch, tmp_path, existing):
     out = outdir / "r.json"
     if existing is not None:
         out.write_text(existing)
-    tops, calls = DeformedRing.tops, []
+    tops_run, calls = DeformedRing.tops_run, []
 
-    def failing(self, idx):
-        calls.append(idx)
+    def failing(self, prefix, lasts):
+        calls.append(prefix)
         if len(calls) > 5:
             raise ExactnessError("injected")
-        return tops(self, idx)
+        return tops_run(self, prefix, lasts)
 
-    monkeypatch.setattr(DeformedRing, "tops", failing)
+    monkeypatch.setattr(DeformedRing, "tops_run", failing)
     with pytest.raises(ExactnessError):
         main(_verify_argv("C", 3, (2,), 3, 1) + ["--out", str(out)])
     assert capsys.readouterr().out == ""

@@ -26,6 +26,24 @@ def test_chi_identity_and_dominance(letter, rank, crossed):
     assert not any(top_chi.root_coords)
 
 
+@pytest.mark.parametrize("letter,rank,crossed", SWEEP + [
+    ("A", 4, (1, 2, 3, 4)), ("C", 4, (1, 4)), ("B", 3, (1, 2, 3)), ("G", 2, (1, 2)),
+    ("D", 4, (1, 3, 4)), ("A", 5, (3,)), ("C", 4, (4,)), ("B", 4, (2,)), ("A", 3, ())])
+def test_chi_root_sum_matches_per_root_route(letter, rank, crossed):
+    """chi's root-sum form, from the inversion set built along the word,
+    equals the sum of the non-Levi positive roots that w keeps positive,
+    found root by root with act_root, on every element of the coset table."""
+    cx = flag_context(letter, rank, crossed)
+    R, P, wg = cx.system, cx.parabolic, cx.wg
+    for w in cx.ct.elements:
+        want = [0] * R.rank
+        for beta in R.positive_roots:
+            img = wg.act_root(w, beta)
+            if not P.in_levi(beta) and next(x for x in img if x) > 0:
+                want = [t + b for t, b in zip(want, beta)]
+        assert cx.deformed.chi(w).root_coords == tuple(want)
+
+
 def test_sp6_reference_values():
     cx = flag_context("C", 3, (2,))
     w1 = cx.element((1, 3, 2, 1, 3, 2))

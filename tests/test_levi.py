@@ -367,6 +367,19 @@ def test_levi_factors():
     assert other.factors[0][1] is L.factors[0][1] is levi_system(A5, (1, 2))
 
 
+def test_isomorphic_factors_share_their_memos():
+    """A5{3}'s two A2 factors build each Freudenthal table and chamber entry
+    once between them; B2 and C2, with transposed Cartan matrices, do not share."""
+    first, second = (f for _, f in levi_system(roots.build("A", 5), (1, 2, 4, 5)).factors)
+    assert first.nodes != second.nodes
+    assert first._dom_mults is second._dom_mults and first._chamber is second._chamber
+    lam = (3, 4)
+    assert second.dominant_weight_multiplicities(lam) is first.dominant_weight_multiplicities(lam)
+    B2 = levi_system(roots.build("B", 3), (2, 3))
+    C2 = levi_system(roots.build("C", 3), (2, 3))
+    assert B2._dom_mults is not C2._dom_mults and B2._chamber is not C2._chamber
+
+
 @pytest.mark.parametrize("letter,rank,crossed", [("A", 5, (3,)), ("B", 4, (2,)), ("D", 4, (2,)),
                                                  ("A", 4, (2,)), ("B", 3, (2,))])
 def test_factor_product_matches_unsplit_count(letter, rank, crossed):

@@ -78,6 +78,20 @@ def test_grassmannian_bijection_endpoints():
         lr.grassmannian_bijection(ct, (3,))
 
 
+@pytest.mark.parametrize("rank", range(1, 8))
+def test_grassmannian_partition_matches_box_search(rank):
+    """On every Grassmannian of A1 to A7, the partition read off the one-line
+    notation is the one whose cell the box search finds, on every element."""
+    R = roots.build("A", rank)
+    for r in range(1, rank + 1):
+        ct = minimal_coset_reps(R, roots.parabolic(R, crossed=[r]))
+        box = {lr.grassmannian_bijection(ct, lam): lam
+               for lam in lr.partitions_in_box(r, rank + 1 - r)}
+        assert len(box) == len(ct)
+        for w in ct.elements:
+            assert lr.grassmannian_partition(ct, w) == box[w]
+
+
 @pytest.mark.parametrize("rank,cross", [(3, 2), (4, 2), (5, 2)])
 def test_transported_constants_equal_lr(rank, cross):
     R = roots.build("A", rank)
