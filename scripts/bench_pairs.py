@@ -4,15 +4,17 @@
     python3 scripts/bench_pairs.py --base REV [--workload verify-levi ...]
         [--pairs 10] [--seconds 40] [--seed-start 1]
 
-Exports REV with `git archive` into a temporary directory and runs
-`python3 perfbench/run.py --workload W --seed S --seconds T` there and in the
-working tree, once each per pair, the base first on odd pairs; pair k runs
-seed seed-start + k - 1 on both sides.  --workload may be given more than
-once; the default is every workload BENCHMARK.json lists, each run on its own
-(never perfbench's "all").  Refuses to start when perfbench/ or
-BENCHMARK.json differ between REV and the working tree, so both sides run the
-same benchmark code.  Exits 1 as soon as a run's last output line is not a
-JSON object with "correct": true.
+Exports REV and the working tree with `git archive` into two temporary
+directories and runs `python3 perfbench/run.py --workload W --seed S --seconds
+T` in each, once each per pair, the base first on odd pairs; pair k runs seed
+seed-start + k - 1 on both sides.  The working tree is taken as `git add -A`
+would stage it (tracked edits and untracked files that are not ignored),
+through a scratch index that leaves the repository's own index as it is.
+--workload may be given more than once; the default is every workload
+BENCHMARK.json lists, each run on its own (never perfbench's "all").  Refuses
+to start when perfbench/ or BENCHMARK.json differ between REV and the working
+tree, so both sides run the same benchmark code.  Exits 1 as soon as a run's
+last output line is not a JSON object with "correct": true.
 
 Prints every pair's end-to-end metrics (those BENCHMARK.json names), then per
 workload and metric both medians and quartiles, the change's wins (ties count
@@ -26,6 +28,7 @@ at most the metric's BENCHMARK.json bound, a fraction of the base median.
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -81,6 +84,16 @@ def export(rev, dest):
         tar.extractall(dest, **safe)
 
 
+def snapshot():
+    """A git tree object of the working tree as `git add -A` would stage it,
+    built in a scratch index."""
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-index-") as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=str(Path(tmp) / "index"))
+        subprocess.run(["git", "add", "-A"], cwd=ROOT, env=env, check=True)
+        return subprocess.run(["git", "write-tree"], cwd=ROOT, env=env, check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+
 def run_once(tree, workload, seed, seconds):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds)]
@@ -99,7 +112,8 @@ def main():
     ap.add_argument("--seed-start", type=int, default=1)
     args = ap.parse_args()
 
-    same = subprocess.run(["git", "diff", "--quiet", args.base, "--", "perfbench",
+    change = snapshot()
+    same = subprocess.run(["git", "diff", "--quiet", args.base, change, "--", "perfbench",
                            "BENCHMARK.json"], cwd=ROOT)
     if same.returncode != 0:
         print(f"error: perfbench/ or BENCHMARK.json differ from {args.base} "
@@ -110,11 +124,13 @@ def main():
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     samples = {}  # "workload.metric" -> {"base": [...], "change": [...]}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        export(args.base, tmp)
+        trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
+        export(args.base, trees["base"])
+        export(change, trees["change"])
         for workload in workloads:
             for k in range(1, args.pairs + 1):
                 seed = args.seed_start + k - 1
-                sides = [("base", tmp), ("change", ROOT)]
+                sides = list(trees.items())
                 docs = {}
                 for side, tree in sides if k % 2 else sides[::-1]:
                     doc, proc = run_once(tree, workload, seed, args.seconds)

@@ -68,12 +68,8 @@ class DeformedRing(SchubertBasisRing):
         R = ct.wg.system
         P = self.parabolic
         n = R.rank
-        # N(w) = R+ cap w^{-1} R-, built along the reduced word as
-        # N(v s_i) = s_i N(v) u {alpha_i}; then chi_w = sum(R+ minus R_l+) - sum N(w)
-        inversions, reflect = [], ct.wg._reflect_root
-        for i in w.word:
-            inversions = [reflect(beta, i - 1) for beta in inversions]
-            inversions.append(tuple(int(t == i - 1) for t in range(n)))
+        # chi_w = sum(R+ minus R_l+) - sum N(w)
+        inversions = ct.wg.inversion_set(w)
         if any(P.in_levi(beta) for beta in inversions):
             raise ExactnessError("Levi root in the inversion set of a minimal rep")
         total = list(self._outside)

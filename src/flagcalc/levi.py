@@ -21,7 +21,9 @@ dimension is the product of the factors' counts, each over its own |W_j|-term
 orbit.  `tensor_decompose` and the oracle act on the whole system they are
 called on, so on the unsplit Levi they check the per-factor product.
 Every walk of a weight into the dominant chamber goes through one memo per
-Cartan matrix, `signed_dominant_conjugate`; the oracle walks none.
+Cartan matrix, `signed_dominant_conjugate`; the oracle walks none.  The
+simple reflection, the signed orbits and the oracle's elements all come from
+the Levi system's `weyl.WeylGroup` (`self.wg`); this module walks W no other way.
 
 Levi weights are tuples of pairings with the Levi simple coroots, ordered by
 ascending ambient node index; an ambient weight restricts by just reading
@@ -36,7 +38,7 @@ from functools import lru_cache
 
 from .deformed import DeformedRing
 from .roots import ExactnessError, RootSystem
-from .weyl import WeylGroup
+from .weyl import group
 
 
 class LeviSystem:
@@ -47,12 +49,8 @@ class LeviSystem:
         self.nodes = tuple(sorted(int(i) for i in levi_simple))
         self.rank = len(self.nodes)
         self.system = ambient.sub_system(self.nodes) if self.nodes else None
+        self.wg = group(self.system) if self.system is not None else None
         if self.system is not None:
-            cartan = self.system.cartan
-            # reflecting at i0 moves coordinate i0 and its Cartan neighbours only
-            self._links = tuple(tuple((k, cartan[k][i0]) for k in range(self.rank)
-                                      if k != i0 and cartan[k][i0])
-                                for i0 in range(self.rank))
             d = self.system.symmetrizers
             # (fund coords of beta, (d_j beta_j)_j): then (nu, beta) = sum_j nu_j d_j beta_j
             self._roots = tuple((self.system.fund_of_root(b), tuple(x * y for x, y in zip(d, b)))
@@ -64,8 +62,6 @@ class LeviSystem:
         form = (self.system.cartan, self.system.symmetrizers) if self.system is not None else ()
         self._dom_mults, self._tensor, self._chamber, self._dims = _memos(form)
         self._kpf = {}
-        self._walk = None
-        self._wg = None
         # (coordinate positions, LeviSystem) per connected component of the
         # Levi diagram; a factor is memoised by levi_system, so parabolics of
         # one group share it, and a simple Levi is its own single factor
@@ -92,20 +88,6 @@ class LeviSystem:
     def is_dominant(self, lam):
         return all(x >= 0 for x in lam)
 
-    @property
-    def rho(self):
-        return (1,) * self.rank
-
-    def _reflect(self, f, i0):
-        """s_i0(f) = f - f[i0] alpha_i0, the simple root in fundamental
-        coordinates being column i0 of the Cartan matrix."""
-        g = list(f)
-        c = g[i0]
-        g[i0] = -c
-        for k, a in self._links[i0]:
-            g[k] -= c * a
-        return tuple(g)
-
     def signed_dominant_conjugate(self, f):
         """(dominant rep, sign) under the Weyl group; sign 0 on a wall.
         Memoised per Cartan matrix; a miss walks by simple reflections."""
@@ -117,7 +99,7 @@ class LeviSystem:
                 i0 = next((k for k in range(self.rank) if g[k] < 0), None)
                 if i0 is None:
                     break
-                g, sign = self._reflect(g, i0), -sign
+                g, sign = self.wg._reflect(g, i0), -sign
             hit = self._chamber[f] = (g, 0) if 0 in g else (g, sign)
         return hit
 
@@ -132,30 +114,6 @@ class LeviSystem:
         """mu <= top: top - mu is a nonnegative integer sum of simple roots."""
         gap = self.system.lattice_coords(tuple(t - m for t, m in zip(top, mu)))
         return gap is not None and min(gap) >= 0
-
-    def _signed_orbit(self, v):
-        """[(w(v), eps(w)) for w in W_L], one pair per element, by replaying
-        a spanning tree of the regular orbit of rho (built once)."""
-        if self._walk is None:
-            steps = []
-            seen = {self.rho}
-            frontier = [(self.rho, 0)]
-            while frontier:
-                nxt = []
-                for f, k in frontier:
-                    for i0 in range(self.rank):
-                        g = self._reflect(f, i0)
-                        if g not in seen:
-                            seen.add(g)
-                            steps.append((k, i0))
-                            nxt.append((g, len(steps)))
-                frontier = nxt
-            self._walk = tuple(steps)
-        out = [(tuple(v), 1)]
-        for k, i0 in self._walk:
-            f, sign = out[k]
-            out.append((self._reflect(f, i0), -sign))
-        return out
 
     # -- dimensions and weight multiplicities -----------------------------------
 
@@ -233,24 +191,9 @@ class LeviSystem:
         """{weight: multiplicity} over the full Weyl orbit closure of V(lam)."""
         out = {}
         for mu, m in self.dominant_weight_multiplicities(lam).items():
-            for nu in self._orbit(mu):
+            for nu, _ in self.wg.signed_orbit(mu):
                 out[nu] = m
         return out
-
-    def _orbit(self, mu):
-        seen = {tuple(mu)}
-        frontier = [tuple(mu)]
-        while frontier:
-            nxt = []
-            for f in frontier:
-                for i0 in range(self.rank):
-                    if f[i0] != 0:
-                        g = self._reflect(f, i0)
-                        if g not in seen:
-                            seen.add(g)
-                            nxt.append(g)
-            frontier = nxt
-        return seen
 
     # -- tensor decomposition (production path) ---------------------------------
 
@@ -328,7 +271,7 @@ class LeviSystem:
         mults = self.dominant_weight_multiplicities(a)
         b_rho = tuple(x + 1 for x in b)
         total = 0
-        for f, sign in self._signed_orbit(tuple(x + 1 for x in c_dual)):
+        for f, sign in self.wg.signed_orbit(tuple(x + 1 for x in c_dual)):
             m = mults.get(self.dominant_conjugate(tuple(x - y for x, y in zip(f, b_rho))))
             if m:
                 total += sign * m
@@ -371,11 +314,6 @@ class LeviSystem:
 
         return count(vec, 0)
 
-    def _weyl_group(self) -> WeylGroup:
-        if self._wg is None:
-            self._wg = WeylGroup(self.system)
-        return self._wg
-
     def tensor_multiplicity(self, lam, mu, nu):
         """Multiplicity of V(nu) in V(lam) (x) V(mu) by Steinberg's formula:
         sum over (u, v) in W x W of sign(uv) P(u(lam+rho)+v(mu+rho)-nu-2rho)."""
@@ -386,7 +324,7 @@ class LeviSystem:
         if self.rank == 0:
             return 1
         R = self.system
-        wg = self._weyl_group()
+        wg = self.wg
         lam_rho = tuple(x + 1 for x in lam)
         mu_rho = tuple(x + 1 for x in mu)
         shift = tuple(n + 2 for n in nu)  # nu + 2 rho

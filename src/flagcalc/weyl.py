@@ -8,6 +8,11 @@ alpha_i^vee> < 0 first), which is the lexicographically smallest reduced
 word; w^{-1}(rho) is collected along the same loop.  Everything else applies
 one simple reflection at a time along the word.  All words are 1-based
 simple-root indices.
+
+The Levi and deformed layers walk W through this module alone: the simple
+reflection moves one coordinate and its Cartan neighbours, signed_orbit gives
+every (w(v), (-1)^ell(w)) and inversion_set builds N(w) along the word.  Only
+reflect(f, beta) reads the coroot table, which is built on first use.
 """
 
 from __future__ import annotations
@@ -54,15 +59,11 @@ class WeylGroup:
         self.system = R
         self._sk = (R.label, R.cartan)
         n = R.rank
-        # alpha_i in fundamental coordinates is column i of the Cartan matrix
-        self._alpha_fund = [tuple(R.cartan[k][i] for k in range(n)) for i in range(n)]
-        # beta -> (coefficients of beta^vee in the simple coroots, beta in fund coords)
-        self._coroots = {
-            beta: (tuple(R.coroot_pairing(tuple(int(k == j) for k in range(n)), beta)
-                         for j in range(n)),
-                   R.fund_of_root(beta))
-            for beta in R.positive_roots
-        }
+        # alpha_i in fundamental coordinates is column i of the Cartan matrix, so
+        # reflecting at i moves coordinate i and its Cartan neighbours only
+        self._links = tuple(tuple((k, R.cartan[k][i]) for k in range(n)
+                                  if k != i and R.cartan[k][i])
+                            for i in range(n))
         self.identity = WeylElement(R.rho, R.rho, 0, (), self._sk)
         self._coset_tables = {}
         self._all = None
@@ -75,7 +76,11 @@ class WeylGroup:
         c = f[i0]
         if not c:
             return f
-        return tuple(x - c * a for x, a in zip(f, self._alpha_fund[i0]))
+        g = list(f)
+        g[i0] = -c
+        for k, a in self._links[i0]:
+            g[k] -= c * a
+        return tuple(g)
 
     def _reflect_root(self, beta, i0):
         """s_{i0+1} on a root-lattice vector in simple-root coordinates."""
@@ -86,6 +91,16 @@ class WeylGroup:
         out = list(beta)
         out[i0] -= c
         return tuple(out)
+
+    @cached_property
+    def _coroots(self):
+        """beta -> (coefficients of beta^vee in the simple coroots, beta in fund
+        coords), for every positive root."""
+        R, n = self.system, self.system.rank
+        return {beta: (tuple(R.coroot_pairing(tuple(int(k == j) for k in range(n)), beta)
+                             for j in range(n)),
+                       R.fund_of_root(beta))
+                for beta in R.positive_roots}
 
     def reflect(self, f, beta):
         """s_beta on a weight in fundamental coordinates: f - <f, beta^vee> beta."""
@@ -158,9 +173,41 @@ class WeylGroup:
         return f
 
     def inversion_set(self, w):
-        """R+ cap w^{-1} R-  =  {beta > 0 : <w^{-1} rho, beta^vee> < 0};  size ell(w)."""
-        return frozenset(b for b, (coroot, _) in self._coroots.items()
-                         if sum(a * x for a, x in zip(coroot, w.inv)) < 0)
+        """N(w) = R+ cap w^{-1} R-, of size ell(w), built along the reduced word
+        as N(v s_i) = s_i N(v) u {alpha_i}."""
+        n = self.system.rank
+        out = []
+        for i in w.word:
+            out = [self._reflect_root(beta, i - 1) for beta in out]
+            out.append(tuple(int(t == i - 1) for t in range(n)))
+        return frozenset(out)
+
+    def signed_orbit(self, v):
+        """[(w(v), (-1)^ell(w)) for w in W], one pair per element, by replaying
+        a spanning tree of the regular orbit of rho."""
+        out = [(tuple(v), 1)]
+        for k, i0 in self._walk:
+            f, sign = out[k]
+            out.append((self._reflect(f, i0), -sign))
+        return out
+
+    @cached_property
+    def _walk(self):
+        """The spanning tree of signed_orbit, breadth first from rho: the m-th
+        (k, i0) makes entry m + 1 by reflecting entry k at i0."""
+        rho = self.system.rho
+        steps, seen, frontier = [], {rho}, [(rho, 0)]
+        while frontier:
+            nxt = []
+            for f, k in frontier:
+                for i0 in range(self.system.rank):
+                    g = self._reflect(f, i0)
+                    if g not in seen:
+                        seen.add(g)
+                        steps.append((k, i0))
+                        nxt.append((g, len(steps)))
+            frontier = nxt
+        return tuple(steps)
 
     def ascends_left(self, w, i):
         """ell(s_i w) > ell(w), i.e. w^{-1}(alpha_i) > 0."""

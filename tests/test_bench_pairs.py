@@ -97,6 +97,7 @@ def test_workloads_default_to_benchmark_json(monkeypatch):
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
     monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "snapshot", lambda: "TREE")
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
     listed = [w["name"] for w in json.loads(
         (bench_pairs.ROOT / "BENCHMARK.json").read_text())["workloads"]]
@@ -108,3 +109,50 @@ def test_workloads_default_to_benchmark_json(monkeypatch):
                                       "--workload", "queries", "--workload", "verify-levi"])
     assert bench_pairs.main() == 0
     assert ran == ["queries"] * 4 + ["verify-levi"] * 4
+
+
+def test_both_sides_run_exports_and_the_change_carries_uncommitted_work(tmp_path, monkeypatch):
+    """The base runs an export of REV and the change an export of the working
+    tree: a tracked edit and an untracked file reach it, an ignored file does
+    not, neither side runs in the checkout, and its index is left as it was."""
+    import json
+    import subprocess
+    import sys
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                              cwd=repo, check=True, capture_output=True, text=True).stdout
+
+    (repo / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.25}]}))
+    (repo / ".gitignore").write_text("ignored.txt\n")
+    (repo / "mod.py").write_text("committed\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "mod.py").write_text("edited\n")
+    (repo / "new.py").write_text("untracked\n")
+    (repo / "ignored.txt").write_text("ignored\n")
+    status = git("status", "--porcelain")
+    seen = []
+
+    def fake_run_once(tree, workload, seed, seconds):
+        tree = Path(tree)
+        seen.append((tree, (tree / "mod.py").read_text(), (tree / "new.py").exists(),
+                     (tree / "ignored.txt").exists()))
+        return {"correct": True, "metrics": {"ops_per_s": {"value": 1.0, "unit": "1/s"}}}, None
+
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--base", "HEAD", "--pairs", "2"])
+    assert bench_pairs.main() == 0
+    # pair 1 runs the base first, pair 2 the change first
+    base, change = seen[0], seen[1]
+    assert seen[2:] == [change, base]
+    assert base[1:] == ("committed\n", False, False)
+    assert change[1:] == ("edited\n", True, False)
+    assert all(repo not in tree.parents and tree != repo for tree, *_ in seen)
+    assert git("status", "--porcelain") == status

@@ -423,7 +423,7 @@ def test_first_zero_factor_stops_the_product(monkeypatch):
 def _kostant_multiplicities(L, lam):
     """{dominant mu: m_lam(mu)} by Kostant's formula,
     m_lam(mu) = sum_w eps(w) P(w(lam + rho) - (mu + rho))."""
-    wg = L._weyl_group()
+    wg = L.wg
     R = L.system
     lam_rho = tuple(x + 1 for x in lam)
     images = [(1 - 2 * (w.length % 2), wg.act_weight(w, lam_rho)) for w in wg.all_elements()]
@@ -441,7 +441,7 @@ def _kostant_multiplicities(L, lam):
 @pytest.mark.parametrize("name", sorted(DIFF_LEVIS))
 def test_integer_freudenthal_matches_kostant(name):
     L = _diff_levi(name)
-    wg = L._weyl_group()
+    wg = L.wg
     rng = random.Random(3 + L.rank)
     top = 3 if L.rank <= 2 else 2
     for _ in range(4):
@@ -473,7 +473,7 @@ def test_restrict_rejects_nonintegral_pairings():
 def _brute_chamber(L, f):
     """(dominant image, sign) of f over every element of W_L: the sign is
     (-1)^l(w) for the w taking f there, 0 when the image lies on a wall."""
-    wg = L._weyl_group()
+    wg = L.wg
     hits = [(img, w.length % 2) for w in wg.all_elements()
             for img in [wg.act_weight(w, f)] if min(img) >= 0]
     images = {img for img, _ in hits}
@@ -510,7 +510,7 @@ def test_chamber_map_matches_brute_force(name):
 @given(data=st.data())
 def test_simple_reflection_negates_the_chamber_sign(letter, rank, nodes, data):
     L = levi_system(roots.build(letter, rank), nodes)
-    wg = L._weyl_group()
+    wg = L.wg
     f = data.draw(st.tuples(*[st.integers(-6, 6)] * L.rank))
     dom, sign = L.signed_dominant_conjugate(f)
     assert min(dom) >= 0 and (sign == 0) == (0 in dom)

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagcalc import roots, weyl_order
+from flagcalc.levi import levi_system
 from flagcalc.weyl import group, minimal_coset_reps
 
 
@@ -323,3 +325,67 @@ def test_dual_matches_projection(letter, rank, crossed):
     for w in ct.elements:
         assert ct.dual[w] == _projected_dual(wg, levi, w)
         assert ct.dual[ct.dual[w]] == w
+
+
+# -- the walkers the Levi and deformed layers share, against their oracles --------
+
+SUPPORTED = {f"{letter}{rank}": (letter, rank)
+             for letter, ranks in roots.SUPPORTED_RANKS.items() for rank in ranks}
+
+
+def _levi_factors(cases):
+    """{"G{crossed}|nodes": LeviSystem} for each simple factor of each Levi,
+    as levi_system splits it."""
+    out = {}
+    for (letter, rank), crossed in cases:
+        R = roots.build(letter, rank)
+        L = levi_system(R, tuple(sorted(roots.parabolic(R, crossed=crossed).levi_simple)))
+        for _, factor in L.factors:
+            out[f"{letter}{rank}{{{','.join(map(str, crossed))}}}|{','.join(map(str, factor.nodes))}"] = factor
+    return out
+
+
+LEVI_FACTORS = _levi_factors([(("D", 4), (2,)), (("B", 4), (2,)), (("A", 5), (3,)),
+                              (("A", 6), (3,)), (("C", 4), (1, 4))])
+
+
+def _walked_group(name):
+    if name in LEVI_FACTORS:
+        return LEVI_FACTORS[name].wg
+    return group(roots.build(*SUPPORTED[name]))
+
+
+@pytest.mark.parametrize("name", sorted(SUPPORTED) + sorted(LEVI_FACTORS))
+def test_simple_reflection_subtracts_a_cartan_column(name):
+    """s_i f = f - f_i alpha_i, alpha_i in fundamental coordinates being
+    column i of the Cartan matrix, on random weights (zeros included)."""
+    wg = _walked_group(name)
+    cartan, n = wg.system.cartan, wg.system.rank
+    rng = random.Random(name)
+    for _ in range(40):
+        f = tuple(rng.randint(-5, 5) for _ in range(n))
+        for i0 in range(n):
+            want = tuple(x - f[i0] * cartan[k][i0] for k, x in enumerate(f))
+            assert wg._reflect(f, i0) == want
+
+
+@pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)])
+def test_inversion_set_matches_coroot_pairings(letter, rank):
+    """N(w) along the word against {beta > 0 : <w^{-1} rho, beta^vee> < 0}."""
+    R = roots.build(letter, rank)
+    wg = group(R)
+    for w in wg.all_elements():
+        want = frozenset(b for b in R.positive_roots if R.coroot_pairing(w.inv, b) < 0)
+        assert wg.inversion_set(w) == want
+
+
+@pytest.mark.parametrize("name", sorted(LEVI_FACTORS))
+def test_signed_orbit_matches_all_elements(name):
+    wg = LEVI_FACTORS[name].wg
+    n = wg.system.rank
+    rng = random.Random(name)
+    weights = [(0,) * n, (1,) * n, (1,) + (0,) * (n - 1)]
+    weights += [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(6)]
+    for v in weights:
+        want = Counter((wg.act_weight(w, v), 1 - 2 * (w.length % 2)) for w in wg.all_elements())
+        assert Counter(wg.signed_orbit(v)) == want
