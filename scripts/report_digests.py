@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""sha256 of the verify reports that a change to the sweep must leave as they are.
+"""sha256 of the reports that a change to flagcalc must leave as they are.
 
     python3 scripts/report_digests.py [--base REV]
 
-Runs `python3 -m flagcalc verify ...` for each sweep of SWEEPS, in a fresh
-process with the working tree's src/ on PYTHONPATH, and prints one line per
-sweep: the sha256 of its stdout, its exit code and its arguments.  With
---base, also exports REV with `git archive` into a temporary directory, runs
-the same sweeps there, prints both digests per sweep, and exits 1 when any
-digest or exit code differs.  A sweep's stderr passes through.
+Runs `python3 -m flagcalc ...` for each `verify` sweep of SWEEPS and each
+command line of COMMANDS, in a fresh process with the working tree's src/ on
+PYTHONPATH, and prints one line per run: the sha256 of its stdout, its exit
+code and its arguments.  With --base, also exports REV with `git archive`
+into a temporary directory, runs the same command lines there, prints both
+digests per run, and exits 1 when any digest or exit code differs.  Each side
+gets its own empty FLAGCALC_CACHE_DIR, so `product` starts cold on both and
+writes nothing outside the temporary directory.  A run's stderr passes
+through.
 """
 
 import argparse
@@ -34,15 +37,36 @@ SWEEPS = [
     ("B4", "1,2,3,4", 3, 1),
 ]
 
+# the other commands, one run each: wp with the Lagrangian and the
+# Grassmannian labeller of lr, product plain and deformed, invariants,
+# fulton in single and sweep mode, and examples (exit 1: its intentional
+# FAIL row)
+WORDS = ["1,3,2,1,3,2", "1,3,2,1,3,2", "3,2"]
+COMMANDS = [
+    ["wp", "--group", "C3", "--cross", "3"],
+    ["wp", "--group", "A3", "--cross", "2"],
+    ["product", "--group", "C3", "--cross", "2", *WORDS],
+    ["product", "--group", "C3", "--cross", "2", "--deformed", *WORDS],
+    ["invariants", "--group", "G2", "--weights", "6,0", "0,6", "0,7", "--nmax", "2"],
+    ["fulton", "--lam", "2,1", "--mu", "2,1", "--nu", "4,2", "--nmax", "3"],
+    ["fulton", "--rows", "3", "--cols", "2", "--nmax", "4"],
+    ["examples"],
+]
+
 
 def argv_of(sweep):
     group, crossed, s, nmax = sweep
     return ["verify", "--group", group, "--cross", crossed, "--s", str(s), "--nmax", str(nmax)]
 
 
-def digest(tree, argv):
+def runs():
+    """Every command line whose stdout and exit code are compared."""
+    return [argv_of(sweep) for sweep in SWEEPS] + COMMANDS
+
+
+def digest(tree, argv, cache_dir):
     """(sha256 of stdout, exit code) of `python3 -m flagcalc *argv` on tree's src/."""
-    env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"))
+    env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"), FLAGCALC_CACHE_DIR=cache_dir)
     h = hashlib.sha256()
     with subprocess.Popen([sys.executable, "-m", "flagcalc", *argv], cwd=tree, env=env,
                           stdout=subprocess.PIPE) as proc:
@@ -56,23 +80,23 @@ def main(argv=None):
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base", help="git revision whose digests must match the working tree's")
     args = ap.parse_args(argv)
-    differ = 0
+    differ, cmds = 0, runs()
     with tempfile.TemporaryDirectory(prefix="report-digests-") as tmp:
+        base, caches = Path(tmp) / "base", Path(tmp) / "caches"
         if args.base:
-            export(args.base, tmp)
-        for sweep in SWEEPS:
-            cmd = argv_of(sweep)
-            got, code = digest(ROOT, cmd)
+            export(args.base, base)
+        for cmd in cmds:
+            got, code = digest(ROOT, cmd, str(caches / "tree"))
             line = f"{got} exit {code}"
             if args.base:
-                want, base_code = digest(tmp, cmd)
+                want, base_code = digest(base, cmd, str(caches / "base"))
                 same = (got, code) == (want, base_code)
                 differ += not same
                 line = (f"{'same' if same else 'DIFFER'}  {got} exit {code}  "
                         f"base {want} exit {base_code}")
             print(f"{line}  {' '.join(cmd)}", flush=True)
     if args.base:
-        print(f"{len(SWEEPS) - differ} of {len(SWEEPS)} sweeps match {args.base}")
+        print(f"{len(cmds) - differ} of {len(cmds)} runs match {args.base}")
     return 1 if differ else 0
 
 

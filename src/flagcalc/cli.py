@@ -27,7 +27,7 @@ import sys
 from itertools import chain, combinations_with_replacement, groupby, product
 from math import comb, prod
 
-from . import cache, lr
+from . import cache
 from .context import flag_context
 from .levi import levi_system
 
@@ -105,6 +105,7 @@ def cmd_roots(args):
 
 def cmd_wp(args):
     cx = _context(args)
+    from . import lr
     from .deformed import dj_profile, stabilizer_simple_roots
     R, P = cx.system, cx.parabolic
     labeller = None
@@ -130,7 +131,7 @@ def cmd_wp(args):
             row.update(labeller(w))
         rows.append(row)
     _emit({
-        "group": args.group.upper(),
+        "group": cx.system.label,
         "crossed": sorted(cx.parabolic.crossed),
         "levi_simple": sorted(cx.parabolic.levi_simple),
         "dim_gp": cx.parabolic.dim_gp,
@@ -153,7 +154,7 @@ def cmd_product(args):
     if cache.stored_rows(cx.ring) > loaded:
         cache.save_table(cx.ring)
     _emit({
-        "group": args.group.upper(),
+        "group": cx.system.label,
         "crossed": sorted(cx.parabolic.crossed),
         "deformed": bool(args.deformed),
         "words": [w.word_str() for w in ws],
@@ -173,7 +174,7 @@ def cmd_invariants(args):
     dims = {str(n): ls.invariant_dimension(weights, n=n)
             for n in range(1, args.nmax + 1)}
     _emit({
-        "group": args.group.upper(),
+        "group": cx.system.label,
         "crossed": sorted(cx.parabolic.crossed),
         "levi_simple": sorted(cx.parabolic.levi_simple),
         "weights": [list(w) for w in weights],
@@ -290,7 +291,7 @@ def cmd_verify(args):
     # every header key sorts before "tuples", and "violations" after it
     head = cache.canonical_json({
         "schema_version": cache.SCHEMA_VERSION,
-        "group": args.group.upper(),
+        "group": cx.system.label,
         "group_type": cx.system.type_letter,
         "rank": cx.system.rank,
         "crossed": sorted(cx.parabolic.crossed),
@@ -308,6 +309,10 @@ def cmd_verify(args):
 
 
 def cmd_fulton(args):
+    for name in ("rows", "cols"):
+        if getattr(args, name) < 0:
+            raise ValueError(f"--{name} must be at least 0")
+    from . import lr
     if args.lam or args.mu or args.nu:
         if not (args.lam and args.mu and args.nu):
             raise ValueError("give all of --lam/--mu/--nu or none")
@@ -333,6 +338,7 @@ def _fulton_json(rep):
 
 def reference_example_rows():
     """The four built-in examples; each row carries expected vs computed."""
+    from . import lr
     rows = []
 
     cx = flag_context("C", 3, (3,))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import roots
 from .deformed import DeformedRing
 from .levi import LeviSystem, levi_system
@@ -11,15 +9,17 @@ from .schubert import CupRing
 from .weyl import CosetTable, WeylGroup, group, minimal_coset_reps
 
 
-@dataclass
 class FlagContext:
-    system: roots.RootSystem
-    parabolic: roots.ParabolicData
-    wg: WeylGroup
-    ct: CosetTable
-    ring: CupRing
-    deformed: DeformedRing
-    levi: LeviSystem
+    """The root system, parabolic, Weyl group, coset table, rings and Levi
+    system of one (G, P); a plain class, so importing it loads no dataclasses."""
+
+    __slots__ = ("system", "parabolic", "wg", "ct", "ring", "deformed", "levi")
+
+    def __init__(self, system: roots.RootSystem, parabolic: roots.ParabolicData,
+                 wg: WeylGroup, ct: CosetTable, ring: CupRing, deformed: DeformedRing,
+                 levi: LeviSystem):
+        self.system, self.parabolic, self.wg, self.ct = system, parabolic, wg, ct
+        self.ring, self.deformed, self.levi = ring, deformed, levi
 
     def element(self, word):
         return self.ct.element_from_word(word)

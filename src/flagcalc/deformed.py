@@ -17,23 +17,61 @@ chi_dual(w) = chi_e there, c^w_{u,v} survives iff (u, v, dual(w)) meets it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .roots import ExactnessError
 from .schubert import CupRing, SchubertBasisRing
 
 
-@dataclass(frozen=True)
-class ChiCharacter:
-    weight: tuple          # fundamental coordinates (ambient)
-    root_coords: tuple     # the same weight in simple-root coordinates (ints)
-    levi_coords: tuple     # restriction: pairings with the Levi simple coroots
+class _Record:
+    """An immutable record whose fields are its __slots__, compared and hashed
+    by value as a frozen dataclass is; a plain class, so importing it loads no
+    dataclasses."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen record")
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class DjProfile:
-    d: tuple               # d_1 .. d_{m_o}
-    subject: tuple         # ("w-at-w", w) or ("w-at-v", v, beta, w)
+class ChiCharacter(_Record):
+    __slots__ = ("weight",       # fundamental coordinates (ambient)
+                 "root_coords",  # the same weight in simple-root coordinates (ints)
+                 "levi_coords")  # restriction: pairings with the Levi simple coroots
+
+    def __init__(self, weight, root_coords, levi_coords):
+        super().__init__(weight, root_coords, levi_coords)
+
+
+class DjProfile(_Record):
+    __slots__ = ("d",        # d_1 .. d_{m_o}
+                 "subject")  # ("w-at-w", w) or ("w-at-v", v, beta, w)
+
+    def __init__(self, d, subject):
+        super().__init__(d, subject)
 
     @property
     def total(self):

@@ -190,6 +190,7 @@ class RootSystem:
         self.symmetrizers = _symmetrizers(self.cartan)
         self.positive_roots = _positive_roots(self.cartan)
         self._posroot_set = set(self.positive_roots)
+        self._weyl_group = None  # weyl.group(self), built on first use
         self.rho = (1,) * n
         maximal = [b for b in self.positive_roots
                    if sum(b) == max((sum(r) for r in self.positive_roots), default=0)]

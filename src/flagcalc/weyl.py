@@ -18,7 +18,7 @@ reflect(f, beta) reads the coroot table, which is built on first use.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .roots import ExactnessError, RootSystem
 
@@ -363,9 +363,13 @@ class CosetTable:
         return len(self.elements)
 
 
-@lru_cache(maxsize=None)
 def group(R: RootSystem):
-    return WeylGroup(R)
+    """The WeylGroup of R, built on the first call and kept on R, so that it
+    lives as long as R does: a root system built and dropped (the subsystem
+    of a LeviSystem made without levi_system) leaves no group behind."""
+    if R._weyl_group is None:
+        R._weyl_group = WeylGroup(R)
+    return R._weyl_group
 
 
 def minimal_coset_reps(R, P):

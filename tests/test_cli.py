@@ -607,6 +607,65 @@ def test_fulton_partial_triple_rejected(capsys):
     assert code == 2 and "--lam" in err
 
 
+@pytest.mark.parametrize("option,other", [("--rows", "--cols"), ("--cols", "--rows")])
+def test_fulton_negative_box_rejected(capsys, option, other):
+    """A negative box side is refused with exit 2 and one error line, before
+    any partition is listed (--rows -1 used to recurse until RecursionError,
+    and --cols -1 was swept as a box holding only the empty partition)."""
+    code, out, err = run(capsys, "fulton", option, "-1", other, "2")
+    assert code == 2 and out == ""
+    assert err == f"error: {option} must be at least 0\n"
+
+
+# each command's report names the group as roots.build does, whatever the
+# spelling of --group
+@pytest.mark.parametrize("argv", [
+    ["verify", "--cross", "2", "--nmax", "1"],
+    ["product", "--cross", "2", "2", "1,2"],
+    ["product", "--cross", "2", "--deformed", "2", "1,2"],
+    ["wp", "--cross", "2"],
+    ["invariants", "--cross", "2", "--weights", "1,1", "1,1", "2,2"]],
+    ids=["verify", "product", "product-deformed", "wp", "invariants"])
+def test_report_group_is_canonical(capsys, argv):
+    code, want, _ = run(capsys, *argv, "--group", "A3")
+    assert code == 0 and json.loads(want)["group"] == "A3"
+    for spelling in ("A03", " a3", "a3 "):
+        assert run(capsys, *argv, "--group", spelling) == (0, want, "")
+
+
+# modules `import flagcalc.cli` must not load: dataclasses drags in inspect,
+# ast and dis, and lr is for wp, fulton and examples only
+IMPORT_FLOOR_PROBE = """
+import contextlib, hashlib, io, json, sys
+before = set(sys.modules)
+from flagcalc.cli import main
+added = sorted(set(sys.modules) - before)
+digests = []
+for argv in (["wp", "--group", "C3", "--cross", "3"],
+             ["fulton", "--rows", "2", "--cols", "2", "--nmax", "3"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    digests.append([code, hashlib.sha256(out.getvalue().encode()).hexdigest()])
+print(json.dumps({"added": added, "digests": digests, "lr": "flagcalc.lr" in sys.modules}))
+"""
+
+
+def test_import_floor():
+    """A fresh `import flagcalc.cli` loads none of dataclasses, inspect, ast,
+    dis or flagcalc.lr; wp and fulton load lr on demand, and their reports
+    keep the sha256 they had when cli imported lr eagerly."""
+    res = _flagcalc("-c", IMPORT_FLOOR_PROBE)
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert "flagcalc.cli" in doc["added"]
+    assert not {"dataclasses", "inspect", "ast", "dis", "flagcalc.lr"} & set(doc["added"])
+    assert doc["digests"] == [
+        [0, "279c97d3a4456e02d11819ddd4c426f314e52289cb3ec30db32c7bd9920f99f5"],
+        [0, "2a58a821fe21f9a2d8ebc0cecd7f41d6c8de31e2cbe1284ac3e9c590b092e860"]]
+    assert doc["lr"]
+
+
 def test_examples_command(capsys):
     code, out, _ = run(capsys, "examples")
     doc = last_json(out)

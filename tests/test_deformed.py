@@ -1,11 +1,13 @@
+import pickle
 import random
 
 import pytest
 
 from flagcalc import lr, roots
-from flagcalc.context import flag_context
-from flagcalc.deformed import (cell_in_stabilizer_orbit, cover_level_identity,
-                               dj_profile, dj_profile_at_cover, stabilizer_simple_roots)
+from flagcalc.context import FlagContext, flag_context
+from flagcalc.deformed import (ChiCharacter, DjProfile, cell_in_stabilizer_orbit,
+                               cover_level_identity, dj_profile, dj_profile_at_cover,
+                               stabilizer_simple_roots)
 
 SWEEP = [("A", 2, (1,)), ("A", 3, (2,)), ("B", 2, (2,)), ("B", 3, (1,)),
          ("B", 3, (2,)), ("C", 3, (2,)), ("C", 3, (3,)), ("G", 2, (1,)), ("G", 2, (2,))]
@@ -237,3 +239,37 @@ def test_non_simple_cover_roots_are_outside():
                 found += 1
                 assert not cell_in_stabilizer_orbit(cx.ct, v, beta, w)
     assert found >= 4
+
+
+def test_records_are_frozen_values():
+    """ChiCharacter and DjProfile behave as the frozen dataclasses they were:
+    keyword construction, value equality and hashing (never equal to a bare
+    tuple), no assignment or deletion, a pickle round trip; FlagContext keeps
+    its keyword construction."""
+    cx = flag_context("C", 3, (2,))
+    w = cx.ct.longest
+    chi = cx.deformed.chi(w)
+    twin = ChiCharacter(weight=chi.weight, root_coords=chi.root_coords,
+                        levi_coords=chi.levi_coords)
+    prof = dj_profile(cx.ct, w)
+    assert twin == chi and hash(twin) == hash(chi) and twin is not chi
+    assert chi != ChiCharacter(chi.weight, chi.root_coords, (-1,) * len(chi.levi_coords))
+    assert chi != (chi.weight, chi.root_coords, chi.levi_coords)
+    assert prof == DjProfile(d=prof.d, subject=prof.subject) and len({prof, prof}) == 1
+    assert (prof.total, prof.weighted) == (sum(prof.d), sum(j * d for j, d in
+                                                           enumerate(prof.d, 1)))
+    assert repr(prof) == f"DjProfile(d={prof.d!r}, subject={prof.subject!r})"
+    for rec, name in ((chi, "weight"), (prof, "d")):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, ())
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+        assert pickle.loads(pickle.dumps(rec)) == rec
+    with pytest.raises(TypeError):
+        DjProfile(d=prof.d)
+    fields = ("system", "parabolic", "wg", "ct", "ring", "deformed", "levi")
+    copy = FlagContext(**{f: getattr(cx, f) for f in fields})
+    assert all(getattr(copy, f) is getattr(cx, f) for f in fields)
+    assert copy.element((3, 2)) is cx.element((3, 2))

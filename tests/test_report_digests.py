@@ -8,6 +8,7 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 TINY = [("A2", "1", 3, 1), ("B2", "2", 4, 2)]
+TINY_COMMANDS = [["fulton", "--rows", "1", "--cols", "1", "--nmax", "2"]]
 
 
 def _load(monkeypatch):
@@ -16,6 +17,7 @@ def _load(monkeypatch):
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     monkeypatch.setattr(mod, "SWEEPS", TINY)
+    monkeypatch.setattr(mod, "COMMANDS", TINY_COMMANDS)
     return mod
 
 
@@ -29,15 +31,17 @@ def _in_process_digest(argv):
 
 def test_digests_match_the_report_bytes_and_a_copy_of_the_tree(monkeypatch, capsys):
     """Each printed digest is the sha256 of the report flagcalc writes, and a
-    base tree with the same src/ matches on every sweep."""
+    base tree with the same src/ matches on every run."""
     mod = _load(monkeypatch)
     monkeypatch.setattr(mod, "export", lambda rev, dest: shutil.copytree(
         mod.ROOT / "src", Path(dest) / "src"))
     assert mod.main(["--base", "REV"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == f"{len(TINY)} of {len(TINY)} sweeps match REV"
-    for sweep, line in zip(TINY, lines):
-        want = _in_process_digest(mod.argv_of(sweep))
+    cmds = mod.runs()
+    assert len(cmds) == len(lines) - 1 == 3 and cmds[-1] == TINY_COMMANDS[0]
+    assert lines[-1] == "3 of 3 runs match REV"
+    for argv, line in zip(cmds, lines):
+        want = _in_process_digest(argv)
         assert line.split()[:5] == ["same", want, "exit", "0", "base"]
         assert line.split()[5] == want
 
@@ -55,4 +59,4 @@ def test_a_differing_base_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(mod, "export", fake_export)
     assert mod.main(["--base", "REV"]) == 1
     out = capsys.readouterr().out
-    assert out.count("DIFFER") == len(TINY) and "0 of 2 sweeps match REV" in out
+    assert out.count("DIFFER") == 3 and "0 of 3 runs match REV" in out

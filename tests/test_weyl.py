@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagcalc import roots, weyl_order
-from flagcalc.levi import levi_system
+from flagcalc.levi import LeviSystem, levi_system
 from flagcalc.weyl import group, minimal_coset_reps
 
 
@@ -389,3 +391,17 @@ def test_signed_orbit_matches_all_elements(name):
     for v in weights:
         want = Counter((wg.act_weight(w, v), 1 - 2 * (w.length % 2)) for w in wg.all_elements())
         assert Counter(wg.signed_orbit(v)) == want
+
+
+def test_dropped_levi_systems_leave_no_weyl_group():
+    """A root system keeps its own Weyl group: repeated calls share it, and
+    the groups of LeviSystems built directly and then dropped are freed, so
+    no process-wide memo grows with each build."""
+    R = roots.build("A", 3)
+    assert group(R) is group(R)
+    levis = [LeviSystem(R, (1, 2, 3)) for _ in range(3)]
+    assert all(L.wg is group(L.system) for L in levis)
+    refs = [weakref.ref(L.wg) for L in levis]
+    del levis
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 3
