@@ -38,13 +38,16 @@ SWEEPS = [
 ]
 
 # the other commands, one run each: wp with the Lagrangian and the
-# Grassmannian labeller of lr, product plain and deformed, invariants,
+# Grassmannian labeller of lr, on G2 (the "subst" realization) and on a
+# three-factor Levi of D4, product plain and deformed, invariants,
 # fulton in single and sweep mode, and examples (exit 1: its intentional
 # FAIL row)
 WORDS = ["1,3,2,1,3,2", "1,3,2,1,3,2", "3,2"]
 COMMANDS = [
     ["wp", "--group", "C3", "--cross", "3"],
     ["wp", "--group", "A3", "--cross", "2"],
+    ["wp", "--group", "G2", "--cross", "1"],
+    ["wp", "--group", "D4", "--cross", "2"],
     ["product", "--group", "C3", "--cross", "2", *WORDS],
     ["product", "--group", "C3", "--cross", "2", "--deformed", *WORDS],
     ["invariants", "--group", "G2", "--weights", "6,0", "0,6", "0,7", "--nmax", "2"],

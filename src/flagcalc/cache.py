@@ -117,8 +117,9 @@ def save_table(ring):
 def load_table(ring):
     """Warm the ring's product cache from disk and return the file's row
     count; silently skips a file whose header or entries digest does not
-    match.  A file unchanged since this process last read or wrote it for
-    the ring is not parsed again: the ring already holds its rows."""
+    match or whose entries are not structure constants.  A file unchanged
+    since this process last read or wrote it for the ring is not parsed
+    again: the ring already holds its rows."""
     R = ring.system
     path = table_path(R, list(ring.parabolic.crossed))
     seen = _seen.setdefault(ring, {})
@@ -140,11 +141,19 @@ def load_table(ring):
     def index(word):
         return ct.index_of(ct.element_from_word(_parse_word(word)))
 
+    # each entry a dict (else indexing raises TypeError) whose c is an int > 0
+    # (a decimal string beyond _BIG) and whose w has length ell(u) + ell(v) - dim G/P
+    lengths, dim = ct.lengths, ring.parabolic.dim_gp
     rows = {}
     try:
         for e in doc.get("entries", []):
-            rows.setdefault((index(e["u"]), index(e["v"])), {})[index(e["w"])] = int(e["c"])
-    except (ValueError, KeyError):
+            i, j, k, c = index(e["u"]), index(e["v"]), index(e["w"]), e["c"]
+            if isinstance(c, str) and c.isascii() and c.isdigit() and int(c) > _BIG:
+                c = int(c)
+            if type(c) is not int or c <= 0 or lengths[k] != lengths[i] + lengths[j] - dim:
+                return 0
+            rows.setdefault((i, j), {})[k] = c
+    except (ValueError, KeyError, TypeError, AttributeError):
         return 0
     for (i, j), row in rows.items():
         ring.set_row(i, j, row)

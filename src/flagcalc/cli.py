@@ -29,7 +29,6 @@ from math import comb, prod
 
 from . import cache
 from .context import flag_context
-from .levi import levi_system
 
 
 def _parse_group(s):
@@ -248,7 +247,6 @@ def _verify_rows(cx, runs, nmax, write):
     class's word.  Returns the number of violations."""
     ct, dr, ls = cx.ct, cx.deformed, cx.levi
     els, tops_run = ct.elements, dr.tops_run
-    levi_coords = functools.cache(lambda i: dr.chi(els[i]).levi_coords)
     words = [json.dumps(w.word_str()) for w in els]
     violations, sep, shown = 0, "", None
     for profile, prefix, lasts in runs:
@@ -265,7 +263,7 @@ def _verify_rows(cx, runs, nmax, write):
                 continue
             dims, status = "null", "OK"
             if dt == 1:
-                ws = [levi_coords(i) for i in prefix] + [levi_coords(c)]
+                ws = [dr.chi(els[i]).levi_coords for i in (*prefix, c)]
                 vals = {str(n): ls.invariant_dimension(ws, n=n) for n in range(1, nmax + 1)}
                 dims = "{" + ",".join(f'"{n}":{_json_int(v)}' for n, v in sorted(vals.items())) + "}"
                 if any(v != 1 for v in vals.values()):
@@ -359,7 +357,7 @@ def reference_example_rows():
     rows.append(("LG(5,10) Levi invariant dimension", 5,
                  cx5.levi.invariant_dimension([(1, 2, 1, 0), (0, 2, 2, 0), (1, 2, 1, 1)])))
 
-    g2 = levi_system(flag_context("G", 2).system, (1, 2))
+    g2 = flag_context("G", 2).levi
     rows.append(("G2 [V(6w1) V(6w2) V(7w2)] invariants", 1,
                  g2.invariant_dimension([(6, 0), (0, 6), (0, 7)])))
     rows.append(("G2 doubled (12w1, 12w2, 14w2)", 2,

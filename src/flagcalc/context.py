@@ -2,24 +2,20 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from . import roots
 from .deformed import DeformedRing
-from .levi import LeviSystem, levi_system
+from .levi import levi_system
 from .schubert import CupRing
-from .weyl import CosetTable, WeylGroup, group, minimal_coset_reps
+from .weyl import group, minimal_coset_reps
 
 
-class FlagContext:
+class FlagContext(namedtuple("FlagContext", "system parabolic wg ct ring deformed levi")):
     """The root system, parabolic, Weyl group, coset table, rings and Levi
-    system of one (G, P); a plain class, so importing it loads no dataclasses."""
+    system of one (G, P)."""
 
-    __slots__ = ("system", "parabolic", "wg", "ct", "ring", "deformed", "levi")
-
-    def __init__(self, system: roots.RootSystem, parabolic: roots.ParabolicData,
-                 wg: WeylGroup, ct: CosetTable, ring: CupRing, deformed: DeformedRing,
-                 levi: LeviSystem):
-        self.system, self.parabolic, self.wg, self.ct = system, parabolic, wg, ct
-        self.ring, self.deformed, self.levi = ring, deformed, levi
+    __slots__ = ()
 
     def element(self, word):
         return self.ct.element_from_word(word)

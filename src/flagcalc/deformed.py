@@ -17,61 +17,39 @@ chi_dual(w) = chi_e there, c^w_{u,v} survives iff (u, v, dual(w)) meets it.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .roots import ExactnessError
 from .schubert import CupRing, SchubertBasisRing
 
 
-class _Record:
-    """An immutable record whose fields are its __slots__, compared and hashed
-    by value as a frozen dataclass is; a plain class, so importing it loads no
-    dataclasses."""
+class _ValueRecord:
+    """Equality and hashing of a namedtuple record by value, never equal to
+    a bare tuple or to a record of another class."""
 
     __slots__ = ()
 
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a frozen record")
-
-    def _values(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        return hash(self._values())
+    def __ne__(self, other):
+        return not self == other
 
-    def __reduce__(self):
-        return self.__class__, self._values()
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__name__}({fields})"
+    __hash__ = tuple.__hash__
 
 
-class ChiCharacter(_Record):
-    __slots__ = ("weight",       # fundamental coordinates (ambient)
-                 "root_coords",  # the same weight in simple-root coordinates (ints)
-                 "levi_coords")  # restriction: pairings with the Levi simple coroots
+class ChiCharacter(_ValueRecord, namedtuple("ChiCharacter", "weight root_coords levi_coords")):
+    """chi_w in fundamental coordinates (ambient), the same weight in
+    simple-root coordinates (ints), and its restriction: the pairings with
+    the Levi simple coroots."""
 
-    def __init__(self, weight, root_coords, levi_coords):
-        super().__init__(weight, root_coords, levi_coords)
+    __slots__ = ()
 
 
-class DjProfile(_Record):
-    __slots__ = ("d",        # d_1 .. d_{m_o}
-                 "subject")  # ("w-at-w", w) or ("w-at-v", v, beta, w)
+class DjProfile(_ValueRecord, namedtuple("DjProfile", "d subject")):
+    """d_1 .. d_{m_o}, and the subject ("w-at-w", w) or ("w-at-v", v, beta, w)."""
 
-    def __init__(self, d, subject):
-        super().__init__(d, subject)
+    __slots__ = ()
 
     @property
     def total(self):
@@ -158,15 +136,6 @@ class DeformedRing(SchubertBasisRing):
             return [(0, 0)] * len(tops)
         cols, need = self._columns, self._completing_column(prefix)
         return [(t, t if t and cols[c] == need else 0) for t, c in zip(tops, lasts)]
-
-    def tops(self, idx):
-        """(ordinary top, deformed top) of the classes with coset-table indices
-        idx: tops_run on one tuple, (0, 0) off the degree (s-1) dim G/P."""
-        return self.tops_run(idx[:-1], idx[-1:])[0] if self._in_top_degree(idx) else (0, 0)
-
-    def top(self, idx):
-        """The deformed top coefficient (the second entry of tops)."""
-        return self.tops(idx)[1]
 
     def is_levi_movable(self, ws):
         """Numeric criterion: nonzero deformed top (0 off the expected degree)."""

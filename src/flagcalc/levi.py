@@ -36,7 +36,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .deformed import DeformedRing
 from .roots import ExactnessError, RootSystem
 from .weyl import group
 
@@ -357,10 +356,11 @@ def levi_system(R, nodes):
     return LeviSystem(R, nodes)
 
 
-def hom_dimension(dr: DeformedRing, ws, n=1):
+def hom_dimension(dr, ws, n=1):
     """Multiplicity of V(n chi_e) in the tensor product of the V(n chi_{w_i}),
-    as representations of the full Levi: the semisimple invariant count when
-    the central characters match (dr.chi_balanced), and 0 otherwise."""
+    as representations of the full Levi of a DeformedRing dr: the semisimple
+    invariant count when the central characters match (dr.chi_balanced), and
+    0 otherwise."""
     if not dr.chi_balanced([dr.ct.index_of(w) for w in ws]):
         return 0
     ls = levi_system(dr.ring.system, tuple(sorted(dr.parabolic.levi_simple)))

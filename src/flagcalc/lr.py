@@ -50,6 +50,8 @@ def complement(parts, rows, cols):
 
 def partitions_in_box(rows, cols):
     """All partitions with at most `rows` parts, each at most `cols`."""
+    if rows < 0 or cols < 0:
+        raise ValueError(f"box sides must be at least 0, got {rows} x {cols}")
     out = []
 
     def rec(prefix, maxpart):

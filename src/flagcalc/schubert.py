@@ -64,14 +64,7 @@ def padd(f, g):
 
 
 def psub(f, g):
-    out = dict(f)
-    for m, c in g.items():
-        v = out.get(m, 0) - c
-        if v:
-            out[m] = v
-        else:
-            out.pop(m, None)
-    return out
+    return padd(f, {m: -c for m, c in g.items()})
 
 
 def pmul(f, g):
@@ -410,12 +403,6 @@ class CohomClass:
     def __eq__(self, other):
         return isinstance(other, CohomClass) and self.coeffs == other.coeffs
 
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, 0) + c
-        return CohomClass(self.ring, out)
-
     def coefficient(self, w):
         return self.coeffs.get(w, 0)
 
@@ -479,24 +466,17 @@ class SchubertBasisRing:
         return out
 
     def top_coefficient(self, ws):
-        """Coefficient of [X_e] in the product of the classes ws (see top)."""
-        return self.top(tuple(map(self.ct.index_of, ws)))
-
-    def _in_top_degree(self, idx):
-        """True iff the lengths of the classes with indices idx (at least two)
-        sum to (s-1) dim G/P, the only degree with a nonzero top coefficient."""
+        """Coefficient of [X_e] in the product of the classes ws (at least
+        two): 0 off the degree (s-1) dim G/P, else a one-element top_run."""
+        idx, lengths = tuple(map(self.ct.index_of, ws)), self.ct.lengths
         if len(idx) < 2:
             raise ValueError("need at least two classes")
-        lengths = self.ct.lengths
-        return sum(map(lengths.__getitem__, idx)) == (len(idx) - 1) * self.parabolic.dim_gp
-
-    def top(self, idx):
-        """Coefficient of [X_e] in the product of the classes with indices idx
-        (see top_run), 0 off the degree (s-1) dim G/P."""
-        return self.top_run(idx[:-1], idx[-1:])[0] if self._in_top_degree(idx) else 0
+        if sum(map(lengths.__getitem__, idx)) != (len(idx) - 1) * self.parabolic.dim_gp:
+            return 0
+        return self.top_run(idx[:-1], idx[-1:])[0]
 
     def top_run(self, prefix, lasts):
-        """[top(prefix + (c,)) for c in lasts], for classes whose lengths sum
+        """The tops of prefix + (c,) for c in lasts, for classes whose lengths sum
         to (s-1) dim G/P: the first floor(s/2) classes and the rest, each
         multiplied out, paired by duality as sum_k left[k] right[dual(k)]; for
         s = 3 that is row(b, c)[dual(a)].  The left product and the right one

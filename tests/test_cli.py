@@ -277,8 +277,8 @@ def test_tops_match_iterated_products(letter, rank, crossed, s):
 @pytest.mark.parametrize("letter,rank,crossed", [("C", 3, (2,)), ("A", 3, (1, 2, 3)),
                                                  ("G", 2, (1,))])
 def test_two_class_tops_are_poincare_duality(letter, rank, crossed):
-    """At s = 2 the right half is the last class itself: top((i, j)) is 1
-    exactly when j is the dual of i, as the products say, and the
+    """At s = 2 the right half is the last class itself: the top of (u, v)
+    is 1 exactly when v is the dual of u, as the products say, and the
     criterion keeps every such pair."""
     from flagcalc.context import flag_context
     cx = flag_context(letter, rank, crossed)
@@ -287,15 +287,16 @@ def test_two_class_tops_are_poincare_duality(letter, rank, crossed):
         for j, v in enumerate(els):
             top = cx.ring.product([u, v]).coefficient(els[0])
             assert top == int(j == dual[i])
-            assert cx.ring.top((i, j)) == top and cx.deformed.tops((i, j)) == (top, top)
+            assert cx.ring.top_coefficient([u, v]) == cx.deformed.top_coefficient([u, v]) == top
+            assert cx.deformed.tops_run((i,), (j,)) == [(top, top)]
 
 
 @pytest.mark.parametrize("letter,rank,crossed,s", [
     ("A", 4, (1, 2, 3, 4), 3), ("D", 4, (2,), 4), ("B", 3, (2,), 5)])
 def test_verify_rows_pair_once_per_tuple(monkeypatch, letter, rank, crossed, s):
     """_verify_rows gets both tops of every tuple from one ordinary pairing:
-    one top_run per run, on the run itself, never top; the runs' tuples are
-    the multiset-filter oracle's, each once."""
+    one top_run per run, on the run itself, never top_coefficient; the
+    runs' tuples are the multiset-filter oracle's, each once."""
     from flagcalc.cli import _runs
     from flagcalc.context import flag_context
     from flagcalc.schubert import SchubertBasisRing
@@ -308,11 +309,11 @@ def test_verify_rows_pair_once_per_tuple(monkeypatch, letter, rank, crossed, s):
         calls.append((prefix, lasts))
         return top_run(self, prefix, lasts)
 
-    def refused(self, idx):
-        raise AssertionError("top called in a sweep")
+    def refused(self, ws):
+        raise AssertionError("top_coefficient called in a sweep")
 
     monkeypatch.setattr(SchubertBasisRing, "top_run", counted)
-    monkeypatch.setattr(SchubertBasisRing, "top", refused)
+    monkeypatch.setattr(SchubertBasisRing, "top_coefficient", refused)
     rows = _streamed_rows(cx, s)
     assert any(r["deformed_top"] for r in rows)
     assert calls == runs
@@ -404,7 +405,7 @@ def _dict_report(letter, rank, crossed, s, nmax):
     rows = []
     for tup in _multiset_filter(cx, s):
         ws = [cx.ct.elements[i] for i in tup]
-        d, dt = cx.deformed.tops(tup)
+        (d, dt), = cx.deformed.tops_run(tup[:-1], tup[-1:])
         dims = None
         if dt == 1:
             chis = [cx.deformed.chi(w).levi_coords for w in ws]
@@ -894,6 +895,58 @@ def test_tampered_cache_is_recomputed(tmp_path):
         assert again.returncode == 0 and again.stdout == first.stdout
         # the recomputed table replaced the bad file
         assert json.loads(path.read_text()) == good
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda e: ["3,2", "1,3,2,1,3,2", "2", 1],  # not a dict
+    lambda e: dict(e, c=-7),
+    lambda e: dict(e, c=0),
+    lambda e: dict(e, c=True),
+    lambda e: dict(e, c="1"),
+    lambda e: dict(e, w=""),  # a target of length 0, not 2 + 6 - 7
+    lambda e: dict(e, u=32),  # a word that is not a string
+], ids=["list", "negative", "zero", "bool", "string", "length", "word"])
+def test_tampered_entries_with_a_matching_digest_are_recomputed(capsys, monkeypatch, tamper):
+    """A table whose entries digest matches is still checked entry by entry:
+    an entry that is not a dict, a c that is not an int above 0, a target of
+    the wrong length or a word that is not a string makes product ignore the
+    file, answer as before, and write the table it would have written."""
+    from flagcalc import context
+    argv = C3_2_PRODUCT + ["3,2", "1,3,2,1,3,2"]
+    monkeypatch.setattr(context, "_contexts", {})
+    code, first, _ = run(capsys, *argv)
+    path = _c3_2_table()
+    good = path.read_bytes()
+    doc = json.loads(good)
+    assert code == 0 and doc["entries"] == [{"c": 1, "u": "3,2", "v": "1,3,2,1,3,2", "w": "2"}]
+    doc["entries"] = [tamper(doc["entries"][0])]
+    doc["entries_sha256"] = cache._entries_digest(doc["entries"])
+    path.write_text(cache.canonical_json(doc))
+    monkeypatch.setattr(context, "_contexts", {})  # no row in memory hides the file
+    assert cache.load_table(context.flag_context("C", 3, (2,)).ring) == 0
+    monkeypatch.setattr(context, "_contexts", {})
+    code, again, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and again == first
+    assert path.read_bytes() == good
+
+
+def test_big_coefficient_entry_is_read_back(capsys, monkeypatch):
+    """A c beyond 2**53 - 1, which canonical_json writes as a decimal string,
+    is read back as that integer."""
+    from flagcalc import context
+    monkeypatch.setattr(context, "_contexts", {})
+    code, _, _ = run(capsys, *C3_2_PRODUCT, "3,2", "1,3,2,1,3,2")
+    path = _c3_2_table()
+    doc = json.loads(path.read_text())
+    doc["entries"][0]["c"] = 2**53 + 1
+    doc["entries_sha256"] = cache._entries_digest(doc["entries"])
+    path.write_text(cache.canonical_json(doc))
+    assert code == 0 and '"c":"9007199254740993"' in path.read_text()
+    monkeypatch.setattr(context, "_contexts", {})
+    cx = context.flag_context("C", 3, (2,))
+    assert cache.load_table(cx.ring) == 1
+    i, j, k = (cx.ct.index_of(cx.element(w)) for w in ((3, 2), (1, 3, 2, 1, 3, 2), (2,)))
+    assert cx.ring.row(i, j) == {k: 2**53 + 1}
 
 
 def test_cache_file_rewritten_only_when_rows_are_added(tmp_path):

@@ -245,7 +245,7 @@ def test_records_are_frozen_values():
     """ChiCharacter and DjProfile behave as the frozen dataclasses they were:
     keyword construction, value equality and hashing (never equal to a bare
     tuple), no assignment or deletion, a pickle round trip; FlagContext keeps
-    its keyword construction."""
+    its keyword construction and refuses assignment to a field."""
     cx = flag_context("C", 3, (2,))
     w = cx.ct.longest
     chi = cx.deformed.chi(w)
@@ -273,3 +273,5 @@ def test_records_are_frozen_values():
     copy = FlagContext(**{f: getattr(cx, f) for f in fields})
     assert all(getattr(copy, f) is getattr(cx, f) for f in fields)
     assert copy.element((3, 2)) is cx.element((3, 2))
+    with pytest.raises(AttributeError):
+        copy.ring = cx.deformed

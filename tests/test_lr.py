@@ -141,3 +141,14 @@ def test_fulton_check_basic():
 def test_fulton_small_sweep():
     rep = lr.fulton_sweep(2, 2, 3)
     assert rep["checked"] > 0 and not rep["violations"]
+
+
+@pytest.mark.parametrize("rows,cols", [(-1, 2), (2, -1), (-1, -1)])
+def test_negative_box_side_rejected(rows, cols):
+    """A negative side is refused, on either side, by the box and the sweep
+    (it used to recurse until RecursionError, or give [()] for cols)."""
+    with pytest.raises(ValueError, match="box sides must be at least 0"):
+        lr.partitions_in_box(rows, cols)
+    with pytest.raises(ValueError, match="box sides must be at least 0"):
+        lr.fulton_sweep(rows, cols, 2)
+    assert lr.partitions_in_box(0, 0) == lr.partitions_in_box(0, 3) == [()]
