@@ -39,9 +39,10 @@ SWEEPS = [
 
 # the other commands, one run each: wp with the Lagrangian and the
 # Grassmannian labeller of lr, on G2 (the "subst" realization) and on a
-# three-factor Levi of D4, product plain and deformed, invariants,
-# fulton in single and sweep mode, and examples (exit 1: its intentional
-# FAIL row)
+# three-factor Levi of D4, product plain and deformed, invariants on G2 and
+# on the Levis A1 x B2 (B4{2}), A2 x A3 (A6{3}), D4 (D5{1}) and A4 (C5{5})
+# with counts above 1, fulton in single and sweep mode, and examples (exit 1:
+# its intentional FAIL row)
 WORDS = ["1,3,2,1,3,2", "1,3,2,1,3,2", "3,2"]
 COMMANDS = [
     ["wp", "--group", "C3", "--cross", "3"],
@@ -51,6 +52,14 @@ COMMANDS = [
     ["product", "--group", "C3", "--cross", "2", *WORDS],
     ["product", "--group", "C3", "--cross", "2", "--deformed", *WORDS],
     ["invariants", "--group", "G2", "--weights", "6,0", "0,6", "0,7", "--nmax", "2"],
+    ["invariants", "--group", "B4", "--cross", "2", "--weights", "1,2,1", "1,2,1", "2,1,2",
+     "--nmax", "3"],
+    ["invariants", "--group", "A6", "--cross", "3", "--weights", "1,1,2,1,1", "1,0,2,0,2",
+     "0,1,2,0,1", "--nmax", "3"],
+    ["invariants", "--group", "D5", "--cross", "1", "--weights", "2,2,2,1", "1,0,2,2", "2,0,1,2",
+     "--nmax", "3"],
+    ["invariants", "--group", "C5", "--cross", "5", "--weights", "1,1,1,2", "1,0,2,2", "2,2,2,1",
+     "--nmax", "3"],
     ["fulton", "--lam", "2,1", "--mu", "2,1", "--nu", "4,2", "--nmax", "3"],
     ["fulton", "--rows", "3", "--cols", "2", "--nmax", "4"],
     ["examples"],

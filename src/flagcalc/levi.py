@@ -10,9 +10,10 @@ Two independent routes are kept deliberately separate:
         dim [V(a) (x) V(b) (x) V(c)]^L = sum_w eps(w) m_a(w(c* + rho) - (b + rho)),
 
     with a the factor of smallest dimension (the count is symmetric in its
-    three factors).  With s > 3 factors, pruned binary decompositions
-    (reflect every weight of the smaller factor, shifted by mu + rho, into
-    the dominant chamber) run over all but the last two factors first;
+    three factors, and memoised per Cartan matrix under the sorted triple).
+    With s > 3 factors, pruned binary decompositions (reflect every weight of
+    the smaller factor, shifted by mu + rho, into the dominant chamber) run
+    over all but the last two factors first;
   * oracle: the Kostant partition function + Steinberg's double Weyl sum.
 
 Production invariant counts run per simple factor: for L_ss = L_1 x ... x L_k,
@@ -21,9 +22,10 @@ dimension is the product of the factors' counts, each over its own |W_j|-term
 orbit.  `tensor_decompose` and the oracle act on the whole system they are
 called on, so on the unsplit Levi they check the per-factor product.
 Every walk of a weight into the dominant chamber goes through one memo per
-Cartan matrix, `signed_dominant_conjugate`; the oracle walks none.  The
-simple reflection, the signed orbits and the oracle's elements all come from
-the Levi system's `weyl.WeylGroup` (`self.wg`); this module walks W no other way.
+Cartan matrix: the kernels read it inline and call `signed_dominant_conjugate`
+only on a miss; the oracle walks none.  The simple reflection, the signed
+orbits and the oracle's elements all come from the Levi system's
+`weyl.WeylGroup` (`self.wg`); this module walks W no other way.
 
 Levi weights are tuples of pairings with the Levi simple coroots, ordered by
 ascending ambient node index; an ambient weight restricts by just reading
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul, sub
 
 from .roots import ExactnessError, RootSystem
 from .weyl import group
@@ -51,15 +54,19 @@ class LeviSystem:
         self.wg = group(self.system) if self.system is not None else None
         if self.system is not None:
             d = self.system.symmetrizers
-            # (fund coords of beta, (d_j beta_j)_j): then (nu, beta) = sum_j nu_j d_j beta_j
-            self._roots = tuple((self.system.fund_of_root(b), tuple(x * y for x, y in zip(d, b)))
-                                for b in self.system.positive_roots)
+            # (fund coords of beta, (d_j beta_j)_j, (beta, beta)): then
+            # (nu, beta) = sum_j nu_j d_j beta_j
+            self._roots = []
+            for b in self.system.positive_roots:
+                fb, db = self.system.fund_of_root(b), tuple(map(mul, d, b))
+                self._roots.append((fb, db, sum(map(mul, fb, db))))
         # Freudenthal tables, tensor products, the chamber map (weight ->
-        # (dominant rep, sign)) and Weyl dimensions depend on the Cartan matrix
-        # and its invariant form alone, so isomorphic systems (A5{3}'s two A2
-        # factors) share them
+        # (dominant rep, sign)), Weyl dimensions and three-factor counts depend
+        # on the Cartan matrix and its invariant form alone, so isomorphic
+        # systems (A5{3}'s two A2 factors) share them
         form = (self.system.cartan, self.system.symmetrizers) if self.system is not None else ()
-        self._dom_mults, self._tensor, self._chamber, self._dims = _memos(form)
+        (self._dom_mults, self._tensor, self._chamber, self._dims,
+         self._counts) = _memos(form)
         self._kpf = {}
         # (coordinate positions, LeviSystem) per connected component of the
         # Levi diagram; a factor is memoised by levi_system, so parabolics of
@@ -93,12 +100,12 @@ class LeviSystem:
         f = tuple(f)
         hit = self._chamber.get(f)
         if hit is None:
-            g, sign = f, 1
-            while True:
-                i0 = next((k for k in range(self.rank) if g[k] < 0), None)
-                if i0 is None:
-                    break
-                g, sign = self.wg._reflect(g, i0), -sign
+            g, sign, i0, reflect = f, 1, 0, self.wg._reflect
+            while i0 < self.rank:  # reflect at the first negative coordinate
+                if g[i0] < 0:
+                    g, sign, i0 = reflect(g, i0), -sign, 0
+                else:
+                    i0 += 1
             hit = self._chamber[f] = (g, 0) if 0 in g else (g, sign)
         return hit
 
@@ -127,7 +134,7 @@ class LeviSystem:
         if self.rank == 0:
             return 1
         num = den = 1
-        for _, db in self._roots:
+        for _, db, _ in self._roots:
             num *= sum((x + 1) * y for x, y in zip(lam, db))
             den *= sum(db)
         out, rem = divmod(num, den)
@@ -155,26 +162,30 @@ class LeviSystem:
         while frontier:
             nxt = []
             for mu in frontier:
-                for beta, (fb, _) in zip(R.positive_roots, self._roots):
-                    nu = tuple(m - b for m, b in zip(mu, fb))
+                for beta, (fb, _, _) in zip(R.positive_roots, self._roots):
+                    nu = tuple(map(sub, mu, fb))
                     if min(nu) >= 0 and nu not in gap:
-                        gap[nu] = tuple(g + b for g, b in zip(gap[mu], beta))
+                        gap[nu] = tuple(map(add, gap[mu], beta))
                         nxt.append(nu)
             frontier = nxt
         d = R.symmetrizers
         mults = {lam: 1}
+        chamber, conjugate = self._chamber, self.signed_dominant_conjugate
         for mu in sorted(gap, key=lambda mu: (sum(gap[mu]), mu)):
             if mu == lam:
                 continue
             acc = 0
-            for fb, db in self._roots:
-                nu = tuple(m + b for m, b in zip(mu, fb))
+            for fb, db, bb in self._roots:
+                # the string mu + k beta, k >= 1, carrying (mu + k beta, beta)
+                nu = tuple(map(add, mu, fb))
+                pairing = sum(map(mul, nu, db))
                 while True:
-                    m_nu = mults.get(self.dominant_conjugate(nu), 0)
+                    m_nu = mults.get((chamber.get(nu) or conjugate(nu))[0], 0)
                     if m_nu == 0:
                         break
-                    acc += m_nu * sum(x * y for x, y in zip(nu, db))
-                    nu = tuple(m + b for m, b in zip(nu, fb))
+                    acc += m_nu * pairing
+                    nu = tuple(map(add, nu, fb))
+                    pairing += bb
             # |lam+rho|^2 - |mu+rho|^2 = (lam + mu + 2 rho, lam - mu)
             denom = sum((l + m + 2) * dj * g for l, m, dj, g in zip(lam, mu, d, gap[mu]))
             val, rem = divmod(2 * acc, denom)
@@ -210,9 +221,10 @@ class LeviSystem:
             a, b = b, a
         out = {}
         b_rho = tuple(x + 1 for x in b)
+        chamber, conjugate = self._chamber, self.signed_dominant_conjugate
         for nu, m in self.weight_multiplicities(a).items():
-            t = tuple(n + s for n, s in zip(nu, b_rho))
-            dom, sign = self.signed_dominant_conjugate(t)
+            t = tuple(map(add, nu, b_rho))
+            dom, sign = chamber.get(t) or conjugate(t)
             if sign:
                 target = tuple(x - 1 for x in dom)
                 out[target] = out.get(target, 0) + sign * m
@@ -257,21 +269,31 @@ class LeviSystem:
                     nxt[tau] = nxt.get(tau, 0) + m * c
             rest_sum = tuple(sum(col) for col in zip(*ws[idx + 1:]))
             acc = {nu: m for nu, m in nxt.items() if self._below(rest_sum, self.dual_weight(nu))}
-        # the count is symmetric in its three factors: sum over the smallest
-        return sum(m * self._signed_sum(*sorted((nu, ws[-2], ws[-1]), key=self.weyl_dim))
-                   for nu, m in acc.items())
+        return sum(m * self._count(nu, ws[-2], ws[-1]) for nu, m in acc.items())
+
+    def _count(self, a, b, c):
+        """The three-factor count, memoised per Cartan matrix under the sorted
+        triple: it is symmetric in its factors, so the signed sum runs over the
+        one of smallest dimension."""
+        key = tuple(sorted((a, b, c)))
+        out = self._counts.get(key)
+        if out is None:
+            out = self._counts[key] = self._signed_sum(*sorted(key, key=self.weyl_dim))
+        return out
 
     def _signed_sum(self, a, b, c):
         """dim [V(a) (x) V(b) (x) V(c)]^L, the multiplicity of V(c*) in
         V(a) (x) V(b): sum over w in W_L of eps(w) m_a(w(c* + rho) - (b + rho))."""
         c_dual = self.dual_weight(c)
-        if not self._below(tuple(x + y for x, y in zip(a, b)), c_dual):
+        if not self._below(tuple(map(add, a, b)), c_dual):
             return 0
         mults = self.dominant_weight_multiplicities(a)
         b_rho = tuple(x + 1 for x in b)
+        chamber, conjugate = self._chamber, self.signed_dominant_conjugate
         total = 0
         for f, sign in self.wg.signed_orbit(tuple(x + 1 for x in c_dual)):
-            m = mults.get(self.dominant_conjugate(tuple(x - y for x, y in zip(f, b_rho))))
+            nu = tuple(map(sub, f, b_rho))
+            m = mults.get((chamber.get(nu) or conjugate(nu))[0])
             if m:
                 total += sign * m
         if total < 0:
@@ -347,8 +369,10 @@ class LeviSystem:
 
 @lru_cache(maxsize=None)
 def _memos(form):
-    """The memos of every LeviSystem whose (Cartan matrix, symmetrizers) is form."""
-    return {}, {}, {}, {}
+    """The memos of every LeviSystem whose (Cartan matrix, symmetrizers) is form:
+    Freudenthal tables, tensor products, the chamber map, Weyl dimensions and
+    three-factor counts."""
+    return {}, {}, {}, {}, {}
 
 
 @lru_cache(maxsize=None)

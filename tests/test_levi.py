@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagcalc import lr, roots
+from flagcalc import levi, lr, roots
+from flagcalc.cli import main
 from flagcalc.context import flag_context
 from flagcalc.levi import LeviSystem, hom_dimension, levi_system
 from flagcalc.roots import ExactnessError
@@ -368,16 +369,21 @@ def test_levi_factors():
 
 
 def test_isomorphic_factors_share_their_memos():
-    """A5{3}'s two A2 factors build each Freudenthal table and chamber entry
-    once between them; B2 and C2, with transposed Cartan matrices, do not share."""
+    """A5{3}'s two A2 factors build each Freudenthal table, chamber entry and
+    three-factor count once between them; B2 and C2, with transposed Cartan
+    matrices, do not share."""
     first, second = (f for _, f in levi_system(roots.build("A", 5), (1, 2, 4, 5)).factors)
     assert first.nodes != second.nodes
     assert first._dom_mults is second._dom_mults and first._chamber is second._chamber
+    assert first._counts is second._counts
     lam = (3, 4)
     assert second.dominant_weight_multiplicities(lam) is first.dominant_weight_multiplicities(lam)
+    # V(2, 1) occurs twice in V(2, 1) (x) V(1, 1); the count is kept under the sorted triple
+    assert first._count((2, 1), (1, 1), (1, 2)) == 2 == second._counts[((1, 1), (1, 2), (2, 1))]
     B2 = levi_system(roots.build("B", 3), (2, 3))
     C2 = levi_system(roots.build("C", 3), (2, 3))
     assert B2._dom_mults is not C2._dom_mults and B2._chamber is not C2._chamber
+    assert B2._counts is not C2._counts
 
 
 @pytest.mark.parametrize("letter,rank,crossed", [("A", 5, (3,)), ("B", 4, (2,)), ("D", 4, (2,)),
@@ -521,13 +527,22 @@ def test_simple_reflection_negates_the_chamber_sign(letter, rank, nodes, data):
 
 def test_chamber_memo_is_per_system():
     """B2 (nodes 2, 3 of B3) and C2 (nodes 2, 3 of C3) have transposed Cartan
-    matrices, so one weight can have different conjugates in the two."""
+    matrices, so one weight can have different conjugates in the two, and one
+    triple different three-factor counts."""
     B2 = levi_system(roots.build("B", 3), (2, 3))
     C2 = levi_system(roots.build("C", 3), (2, 3))
     differ = 0
     for f in itertools.product(range(-3, 4), repeat=2):
         got = [L.signed_dominant_conjugate(f) for L in (B2, C2, B2, C2)]
         assert got[:2] == got[2:] == [_brute_chamber(B2, f), _brute_chamber(C2, f)]
+        differ += got[0] != got[1]
+    assert differ
+    differ = 0
+    small = list(itertools.product(range(3), repeat=2))
+    for a, b, c in itertools.combinations_with_replacement(small, 3):
+        got = [L._count(c, a, b) for L in (B2, C2, B2, C2)]
+        assert got[:2] == got[2:] == [L._counts[(a, b, c)] for L in (B2, C2)] == [
+            L.tensor_multiplicity(a, b, L.dual_weight(c)) for L in (B2, C2)]
         differ += got[0] != got[1]
     assert differ
 
@@ -538,3 +553,50 @@ def test_weyl_dim_rejects_non_dominant_every_time():
     for _ in range(3):
         with pytest.raises(ValueError):
             L.weyl_dim((1, -1))
+
+
+# -- the memoised three-factor counts and stretched Freudenthal tables -----------
+
+def test_count_memo_matches_fresh_signed_sums_after_the_levi_battery(capsys):
+    """After the verify-levi battery (A5{3} and C4{4}, --nmax 5) every
+    memoised count equals a fresh signed sum of its sorted triple, and on A2
+    the small ones equal Steinberg's count.  The battery stores only counts
+    of 1 (the criterion holds on it); other tests may add more entries."""
+    for group, crossed in [("A5", "3"), ("C4", "4")]:
+        assert main(["verify", "--group", group, "--cross", crossed, "--s", "3",
+                     "--nmax", "5"]) == 0
+    capsys.readouterr()
+    A2 = flag_context("A", 5, (3,)).levi.factors[0][1]
+    A3 = flag_context("C", 4, (4,)).levi
+    steinberg = 0
+    for L in (A2, A3):
+        assert len(L._counts) >= 50  # 164 and 64 distinct triples in a fresh process
+        for key, count in L._counts.items():
+            assert key == tuple(sorted(key))
+            assert count == L._signed_sum(*key)
+            if L is A2 and max(map(max, key)) <= 3:
+                a, b, c = key
+                assert count == L.tensor_multiplicity(a, b, L.dual_weight(c))
+                steinberg += 1
+    assert steinberg >= 20
+
+
+@pytest.mark.parametrize("letter,rank,lam", [("A", 2, (1, 1)), ("A", 3, (1, 0, 1)),
+                                             ("B", 2, (1, 1)), ("G", 2, (1, 1))])
+def test_stretched_freudenthal_tables(letter, rank, lam, monkeypatch):
+    """The tables of n lam, n = 1..5, built on fresh memos: each sums over
+    the orbits to the Weyl dimension and, while small, matches Kostant's
+    formula.  On B2 and G2, (beta, beta) differs between the roots, so the
+    pairing carried along a root string steps by a root-dependent amount."""
+    monkeypatch.setattr(levi, "_memos", lambda form: ({}, {}, {}, {}, {}))
+    L = LeviSystem(roots.build(letter, rank), tuple(range(1, rank + 1)))
+    kostant = 0
+    for n in range(1, 6):
+        n_lam = tuple(n * x for x in lam)
+        mults = L.dominant_weight_multiplicities(n_lam)
+        orbit = {mu: len({f for f, _ in L.wg.signed_orbit(mu)}) for mu in mults}
+        assert sum(m * orbit[mu] for mu, m in mults.items()) == L.weyl_dim(n_lam)
+        if L.weyl_dim(n_lam) <= 1000:
+            assert mults == _kostant_multiplicities(L, n_lam)
+            kostant += 1
+    assert kostant >= 2 and max(mults.values()) >= 3
