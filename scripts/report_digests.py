@@ -39,10 +39,11 @@ SWEEPS = [
 
 # the other commands, one run each: wp with the Lagrangian and the
 # Grassmannian labeller of lr, on G2 (the "subst" realization) and on a
-# three-factor Levi of D4, product plain and deformed, invariants on G2 and
-# on the Levis A1 x B2 (B4{2}), A2 x A3 (A6{3}), D4 (D5{1}) and A4 (C5{5})
-# with counts above 1, fulton in single and sweep mode, and examples (exit 1:
-# its intentional FAIL row)
+# three-factor Levi of D4, product plain, deformed and with a crossed node
+# listed twice (the parabolic of --cross 2, so the same bytes), invariants on
+# G2 and on the Levis A1 x B2 (B4{2}), A2 x A3 (A6{3}), D4 (D5{1}) and A4
+# (C5{5}) with counts above 1, fulton in single and sweep mode, and examples
+# (exit 1: its intentional FAIL row)
 WORDS = ["1,3,2,1,3,2", "1,3,2,1,3,2", "3,2"]
 COMMANDS = [
     ["wp", "--group", "C3", "--cross", "3"],
@@ -51,6 +52,7 @@ COMMANDS = [
     ["wp", "--group", "D4", "--cross", "2"],
     ["product", "--group", "C3", "--cross", "2", *WORDS],
     ["product", "--group", "C3", "--cross", "2", "--deformed", *WORDS],
+    ["product", "--group", "C3", "--cross", "2,2", *WORDS],
     ["invariants", "--group", "G2", "--weights", "6,0", "0,6", "0,7", "--nmax", "2"],
     ["invariants", "--group", "B4", "--cross", "2", "--weights", "1,2,1", "1,2,1", "2,1,2",
      "--nmax", "3"],

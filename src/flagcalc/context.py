@@ -26,8 +26,9 @@ _contexts = {}
 
 def flag_context(type_letter, rank, crossed=()):
     """Context for the flag variety of the given type with the listed simple
-    nodes crossed out (Delta minus Delta(P)); memoised per choice."""
-    key = (str(type_letter).upper(), int(rank), tuple(sorted(int(c) for c in crossed)))
+    nodes crossed out (Delta minus Delta(P)); memoised per parabolic, so a node
+    listed twice names the same context."""
+    key = (str(type_letter).upper(), int(rank), tuple(sorted({int(c) for c in crossed})))
     if key not in _contexts:
         R = roots.build(key[0], key[1])
         P = roots.parabolic(R, crossed=key[2])

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .roots import ExactnessError
+from .roots import ExactnessError, Memo
 from .schubert import CupRing, SchubertBasisRing
 
 
@@ -67,20 +67,20 @@ class DeformedRing(SchubertBasisRing):
         self.ring = ring
         self.ct = ring.ct
         self.parabolic = ring.parabolic
-        self._chi = {}
         R, P = ring.system, ring.parabolic
         self._outside = [sum(beta[j] for beta in R.positive_roots if not P.in_levi(beta))
                          for j in range(R.rank)]  # sum of R+ minus R_l+
-        self._columns = _Columns(self)
-        self._rows = {}  # (i, j) with i <= j -> the row of ring.row(i, j) kept
+        self._chi = Memo(self._chi_of)      # canonical w -> chi_w
+        self._columns = Memo(self._column)  # index -> chi at the crossed nodes
+        self._rows = Memo(self._row)        # (i, j), i <= j -> ring.row(i, j) where it survives
 
     # -- chi characters -------------------------------------------------------
 
     def chi(self, w) -> ChiCharacter:
+        return self._chi[self.ct.canonical(w)]
+
+    def _chi_of(self, w):
         ct = self.ct
-        w = ct.canonical(w)
-        if w in self._chi:
-            return self._chi[w]
         R = ct.wg.system
         P = self.parabolic
         n = R.rank
@@ -100,9 +100,12 @@ class DeformedRing(SchubertBasisRing):
         if closed != fund:
             raise ExactnessError("chi expressions disagree (convention bug)")
         levi = tuple(fund[i - 1] for i in sorted(P.levi_simple))
-        out = ChiCharacter(weight=fund, root_coords=root_coords, levi_coords=levi)
-        self._chi[w] = out
-        return out
+        return ChiCharacter(weight=fund, root_coords=root_coords, levi_coords=levi)
+
+    def _column(self, i):
+        """chi of the i-th class at the crossed nodes, in simple-root coordinates."""
+        coords = self.chi(self.ct.elements[i]).root_coords
+        return tuple(coords[k - 1] for k in self.parabolic.crossed)
 
     def chi_balanced(self, idx):
         """True iff the classes with coset-table indices idx meet the
@@ -118,13 +121,13 @@ class DeformedRing(SchubertBasisRing):
     # -- deformed multiplication ----------------------------------------------
 
     def row(self, i, j):
-        key = (i, j) if i <= j else (j, i)
-        out = self._rows.get(key)
-        if out is None:
-            dual = self.ct.dual_index
-            out = self._rows[key] = {k: c for k, c in self.ring.row(i, j).items()
-                                     if self.chi_balanced((i, j, dual[k]))}
-        return out
+        return self._rows[(i, j) if i <= j else (j, i)]
+
+    def _row(self, key):
+        i, j = key
+        dual = self.ct.dual_index
+        return {k: c for k, c in self.ring.row(i, j).items()
+                if self.chi_balanced((i, j, dual[k]))}
 
     def tops_run(self, prefix, lasts):
         """[(ordinary top, deformed top) of prefix + (c,)] for c in lasts, from
@@ -140,20 +143,6 @@ class DeformedRing(SchubertBasisRing):
     def is_levi_movable(self, ws):
         """Numeric criterion: nonzero deformed top (0 off the expected degree)."""
         return self.top_coefficient(ws) > 0
-
-
-class _Columns(dict):
-    """{coset-table index: chi at the crossed nodes} of one DeformedRing, each
-    column computed on first use."""
-
-    def __init__(self, ring):
-        self.ring = ring
-
-    def __missing__(self, i):
-        ring = self.ring
-        coords = ring.chi(ring.ct.elements[i]).root_coords
-        col = self[i] = tuple(coords[k - 1] for k in ring.parabolic.crossed)
-        return col
 
 
 def _is_neg(vec):

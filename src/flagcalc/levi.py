@@ -10,7 +10,7 @@ Two independent routes are kept deliberately separate:
         dim [V(a) (x) V(b) (x) V(c)]^L = sum_w eps(w) m_a(w(c* + rho) - (b + rho)),
 
     with a the factor of smallest dimension (the count is symmetric in its
-    three factors, and memoised per Cartan matrix under the sorted triple).
+    three factors, and memoised per simple factor under the sorted triple).
     With s > 3 factors, pruned binary decompositions (reflect every weight of
     the smaller factor, shifted by mu + rho, into the dominant chamber) run
     over all but the last two factors first;
@@ -21,11 +21,13 @@ V(lam) is the outer tensor product of the V(lam|L_j), so the invariant
 dimension is the product of the factors' counts, each over its own |W_j|-term
 orbit.  `tensor_decompose` and the oracle act on the whole system they are
 called on, so on the unsplit Levi they check the per-factor product.
-Every walk of a weight into the dominant chamber goes through one memo per
-Cartan matrix: the kernels read it inline and call `signed_dominant_conjugate`
-only on a miss; the oracle walks none.  The simple reflection, the signed
-orbits and the oracle's elements all come from the Levi system's
-`weyl.WeylGroup` (`self.wg`); this module walks W no other way.
+Every walk of a weight into the dominant chamber goes through the chamber
+memo of the system it runs on, which the kernels read inline; the oracle
+walks none.  A LeviSystem owns its memos (`roots.Memo`, each filled by one
+method), and the factors come from `simple_factor`, one per connected Cartan
+matrix, so isomorphic factors (A5{3}'s two A2s) share theirs.  The simple
+reflection, the signed orbits and the oracle's elements all come from the
+Levi system's `weyl.WeylGroup` (`self.wg`); this module walks W no other way.
 
 Levi weights are tuples of pairings with the Levi simple coroots, ordered by
 ascending ambient node index; an ambient weight restricts by just reading
@@ -39,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
 
-from .roots import ExactnessError, RootSystem
+from .roots import ExactnessError, Memo, RootSystem
 from .weyl import group
 
 
@@ -52,34 +54,33 @@ class LeviSystem:
         self.rank = len(self.nodes)
         self.system = ambient.sub_system(self.nodes) if self.nodes else None
         self.wg = group(self.system) if self.system is not None else None
+        # (fund coords of beta, (d_j beta_j)_j, (beta, beta)): then
+        # (nu, beta) = sum_j nu_j d_j beta_j
+        self._roots = []
         if self.system is not None:
             d = self.system.symmetrizers
-            # (fund coords of beta, (d_j beta_j)_j, (beta, beta)): then
-            # (nu, beta) = sum_j nu_j d_j beta_j
-            self._roots = []
             for b in self.system.positive_roots:
                 fb, db = self.system.fund_of_root(b), tuple(map(mul, d, b))
                 self._roots.append((fb, db, sum(map(mul, fb, db))))
-        # Freudenthal tables, tensor products, the chamber map (weight ->
-        # (dominant rep, sign)), Weyl dimensions and three-factor counts depend
-        # on the Cartan matrix and its invariant form alone, so isomorphic
-        # systems (A5{3}'s two A2 factors) share them
-        form = (self.system.cartan, self.system.symmetrizers) if self.system is not None else ()
-        (self._dom_mults, self._tensor, self._chamber, self._dims,
-         self._counts) = _memos(form)
+        self._chamber = Memo(self._chamber_walk)   # weight -> (dominant rep, sign)
+        self._dims = Memo(self._weyl_dim)          # dominant weight -> Weyl dimension
+        self._dom_mults = Memo(self._freudenthal)  # dominant weight -> Freudenthal table
+        self._tensor = Memo(self._tensor_product)  # (lam, mu), lam <= mu -> V(lam) (x) V(mu)
+        self._counts = Memo(self._triple_count)    # sorted triple -> three-factor count
         self._kpf = {}
-        # (coordinate positions, LeviSystem) per connected component of the
-        # Levi diagram; a factor is memoised by levi_system, so parabolics of
-        # one group share it, and a simple Levi is its own single factor
-        comps = []
+        # (coordinate positions, simple factor) per connected component of the
+        # Levi diagram; a simple system on all of its ambient's nodes is its
+        # own single factor
+        cartan, comps = self.system.cartan if self.rank else (), []
         for i in range(self.rank):
-            linked = [c for c in comps if any(self.system.cartan[i][j] for j in c)]
+            linked = [c for c in comps if any(cartan[i][j] for j in c)]
             comps = [c for c in comps if c not in linked] + [tuple(sorted({i}.union(*linked)))]
-        if len(comps) == 1:
+        if len(comps) == 1 and self.rank == ambient.rank:
             self.factors = ((comps[0], self),)
         else:
-            self.factors = tuple((pos, levi_system(ambient, tuple(self.nodes[p] for p in pos)))
-                                 for pos in comps)
+            self.factors = tuple(
+                (pos, simple_factor(tuple(tuple(cartan[i][j] for j in pos) for i in pos)))
+                for pos in comps)
 
     # -- plumbing --------------------------------------------------------------
 
@@ -95,19 +96,19 @@ class LeviSystem:
         return all(x >= 0 for x in lam)
 
     def signed_dominant_conjugate(self, f):
-        """(dominant rep, sign) under the Weyl group; sign 0 on a wall.
-        Memoised per Cartan matrix; a miss walks by simple reflections."""
-        f = tuple(f)
-        hit = self._chamber.get(f)
-        if hit is None:
-            g, sign, i0, reflect = f, 1, 0, self.wg._reflect
-            while i0 < self.rank:  # reflect at the first negative coordinate
-                if g[i0] < 0:
-                    g, sign, i0 = reflect(g, i0), -sign, 0
-                else:
-                    i0 += 1
-            hit = self._chamber[f] = (g, 0) if 0 in g else (g, sign)
-        return hit
+        """(dominant rep, sign) under the Weyl group; sign 0 on a wall."""
+        return self._chamber[tuple(f)]
+
+    def _chamber_walk(self, f):
+        """signed_dominant_conjugate by simple reflections, each at the first
+        negative coordinate."""
+        g, sign, i0, reflect = f, 1, 0, self.wg._reflect
+        while i0 < self.rank:
+            if g[i0] < 0:
+                g, sign, i0 = reflect(g, i0), -sign, 0
+            else:
+                i0 += 1
+        return (g, 0) if 0 in g else (g, sign)
 
     def dominant_conjugate(self, f):
         return self.signed_dominant_conjugate(f)[0]
@@ -125,14 +126,11 @@ class LeviSystem:
 
     def weyl_dim(self, lam):
         """prod over Levi positive roots of (lam+rho, beta) / (rho, beta)."""
-        lam = tuple(lam)
-        out = self._dims.get(lam)
-        if out is not None:
-            return out
+        return self._dims[tuple(lam)]
+
+    def _weyl_dim(self, lam):
         if not self.is_dominant(lam):
             raise ValueError(f"{lam!r} is not dominant")
-        if self.rank == 0:
-            return 1
         num = den = 1
         for _, db, _ in self._roots:
             num *= sum((x + 1) * y for x, y in zip(lam, db))
@@ -140,7 +138,6 @@ class LeviSystem:
         out, rem = divmod(num, den)
         if rem:
             raise ExactnessError(f"noninteger Weyl dimension {num}/{den} (convention bug)")
-        self._dims[lam] = out
         return out
 
     def dominant_weight_multiplicities(self, lam):
@@ -150,9 +147,9 @@ class LeviSystem:
             m(mu) = 2 sum_{beta > 0, k >= 1} m(mu + k beta) (mu + k beta, beta)
                     / (lam + mu + 2 rho, lam - mu)
         """
-        lam = tuple(lam)
-        if lam in self._dom_mults:
-            return self._dom_mults[lam]
+        return self._dom_mults[tuple(lam)]
+
+    def _freudenthal(self, lam):
         if not self.is_dominant(lam):
             raise ValueError(f"{lam!r} is not dominant")
         R = self.system
@@ -170,7 +167,7 @@ class LeviSystem:
             frontier = nxt
         d = R.symmetrizers
         mults = {lam: 1}
-        chamber, conjugate = self._chamber, self.signed_dominant_conjugate
+        chamber = self._chamber
         for mu in sorted(gap, key=lambda mu: (sum(gap[mu]), mu)):
             if mu == lam:
                 continue
@@ -180,7 +177,7 @@ class LeviSystem:
                 nu = tuple(map(add, mu, fb))
                 pairing = sum(map(mul, nu, db))
                 while True:
-                    m_nu = mults.get((chamber.get(nu) or conjugate(nu))[0], 0)
+                    m_nu = mults.get(chamber[nu][0], 0)
                     if m_nu == 0:
                         break
                     acc += m_nu * pairing
@@ -194,7 +191,6 @@ class LeviSystem:
                                      f"(convention bug)")
             if val:
                 mults[mu] = val
-        self._dom_mults[lam] = mults
         return mults
 
     def weight_multiplicities(self, lam):
@@ -213,25 +209,23 @@ class LeviSystem:
         lam, mu = tuple(lam), tuple(mu)
         if self.rank == 0:
             return {(): 1}
-        key = (lam, mu) if lam <= mu else (mu, lam)
-        if key in self._tensor:
-            return self._tensor[key]
+        return self._tensor[(lam, mu) if lam <= mu else (mu, lam)]
+
+    def _tensor_product(self, key):
         a, b = key
         if self.weyl_dim(a) > self.weyl_dim(b):
             a, b = b, a
         out = {}
         b_rho = tuple(x + 1 for x in b)
-        chamber, conjugate = self._chamber, self.signed_dominant_conjugate
+        chamber = self._chamber
         for nu, m in self.weight_multiplicities(a).items():
-            t = tuple(map(add, nu, b_rho))
-            dom, sign = chamber.get(t) or conjugate(t)
+            dom, sign = chamber[tuple(map(add, nu, b_rho))]
             if sign:
                 target = tuple(x - 1 for x in dom)
                 out[target] = out.get(target, 0) + sign * m
         out = {nu: c for nu, c in out.items() if c}
         if any(c < 0 for c in out.values()):
             raise ExactnessError("negative tensor multiplicity (convention bug)")
-        self._tensor[key] = out
         return out
 
     def invariant_dimension(self, weights, n=1):
@@ -272,14 +266,13 @@ class LeviSystem:
         return sum(m * self._count(nu, ws[-2], ws[-1]) for nu, m in acc.items())
 
     def _count(self, a, b, c):
-        """The three-factor count, memoised per Cartan matrix under the sorted
-        triple: it is symmetric in its factors, so the signed sum runs over the
-        one of smallest dimension."""
-        key = tuple(sorted((a, b, c)))
-        out = self._counts.get(key)
-        if out is None:
-            out = self._counts[key] = self._signed_sum(*sorted(key, key=self.weyl_dim))
-        return out
+        """The three-factor count, memoised under the sorted triple."""
+        return self._counts[tuple(sorted((a, b, c)))]
+
+    def _triple_count(self, key):
+        """The count is symmetric in its factors, so the signed sum runs over
+        the one of smallest dimension."""
+        return self._signed_sum(*sorted(key, key=self.weyl_dim))
 
     def _signed_sum(self, a, b, c):
         """dim [V(a) (x) V(b) (x) V(c)]^L, the multiplicity of V(c*) in
@@ -289,11 +282,10 @@ class LeviSystem:
             return 0
         mults = self.dominant_weight_multiplicities(a)
         b_rho = tuple(x + 1 for x in b)
-        chamber, conjugate = self._chamber, self.signed_dominant_conjugate
+        chamber = self._chamber
         total = 0
         for f, sign in self.wg.signed_orbit(tuple(x + 1 for x in c_dual)):
-            nu = tuple(map(sub, f, b_rho))
-            m = mults.get((chamber.get(nu) or conjugate(nu))[0])
+            m = mults.get(chamber[tuple(map(sub, f, b_rho))][0])
             if m:
                 total += sign * m
         if total < 0:
@@ -368,16 +360,15 @@ class LeviSystem:
 
 
 @lru_cache(maxsize=None)
-def _memos(form):
-    """The memos of every LeviSystem whose (Cartan matrix, symmetrizers) is form:
-    Freudenthal tables, tensor products, the chamber map, Weyl dimensions and
-    three-factor counts."""
-    return {}, {}, {}, {}, {}
+def levi_system(R, nodes):
+    return LeviSystem(R, nodes)
 
 
 @lru_cache(maxsize=None)
-def levi_system(R, nodes):
-    return LeviSystem(R, nodes)
+def simple_factor(cartan):
+    """The LeviSystem of a connected Cartan matrix on all of its nodes, one per
+    matrix, so that every Levi factor with that matrix shares its memos."""
+    return LeviSystem(RootSystem(cartan), tuple(range(1, len(cartan) + 1)))
 
 
 def hom_dimension(dr, ws, n=1):

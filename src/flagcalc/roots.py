@@ -43,6 +43,21 @@ class ExactnessError(AssertionError):
     check, so it also fires under ``python -O``."""
 
 
+class Memo(dict):
+    """A memo that fills itself: memo[key] computes fn(key) on the first read
+    and stores it.  If fn raises, the key stays absent.  get, `in`,
+    setdefault and dict(memo) never call fn."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 # ---------------------------------------------------------------------------
 # small exact linear algebra on tuple matrices
 

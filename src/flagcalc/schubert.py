@@ -46,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .roots import ExactnessError, weyl_order
+from .roots import ExactnessError, Memo, weyl_order
 from .weyl import group, minimal_coset_reps
 
 # polynomials are dicts {exponent tuple: coefficient}; no zero values stored.
@@ -141,7 +141,7 @@ class Realization:
         else:
             raise ValueError(f"no realization for type {letter!r}")
         self.alpha_forms = [self._alpha_form(rule) for rule in self.rules]
-        self._quotients = {}  # (i0, p) -> sum_{j<p} u^j v^(p-1-j) of a "subst" rule
+        self._quotients = Memo(self._quotient)  # (i0, p) -> sum_{j<p} u^j v^(p-1-j), "subst"
         self.check_rules()
 
     def _alpha_form(self, rule):
@@ -218,7 +218,7 @@ class Realization:
         for m, c in f.items():
             if m[a]:
                 rest = m[:a] + (0,) + m[a + 1:]
-                for mq, cq in self._quotient(i0, m[a]).items():
+                for mq, cq in self._quotients[i0, m[a]].items():
                     key = tuple(x + y for x, y in zip(rest, mq))
                     v = out.get(key, 0) + c * cq
                     if v:
@@ -227,14 +227,13 @@ class Realization:
                         del out[key]
         return out
 
-    def _quotient(self, i0, p):
-        """(u^p - v^p)/(u - v) = u^(p-1) + v (u^(p-1) - v^(p-1))/(u - v)."""
-        if (i0, p) not in self._quotients:
-            (a, v), = self._images(i0).items()
-            top = {tuple(p - 1 if k == a else 0 for k in range(self.nvars)): 1}
-            self._quotients[i0, p] = top if p == 1 else padd(
-                top, pmul_linear(self._quotient(i0, p - 1), v))
-        return self._quotients[i0, p]
+    def _quotient(self, key):
+        """(u^p - v^p)/(u - v) = u^(p-1) + v (u^(p-1) - v^(p-1))/(u - v) for
+        key = (i0, p)."""
+        i0, p = key
+        (a, v), = self._images(i0).items()
+        top = {tuple(p - 1 if k == a else 0 for k in range(self.nvars)): 1}
+        return top if p == 1 else padd(top, pmul_linear(self._quotients[i0, p - 1], v))
 
     def check_rules(self):
         """Raise ExactnessError unless alpha_i d_i m = m - s_i m for every
@@ -507,49 +506,47 @@ class CupRing(SchubertBasisRing):
         self.parabolic = P
         self.ct = minimal_coset_reps(R, P)
         self.engine = SchubertEngine(R)
-        self._rows = {}     # (i, j) with i <= j -> {k: c^k_{i,j}}
+        self._rows = Memo(self._row)  # (i, j) with i <= j -> {k: c^k_{i,j}}
         # packed monomials: exponent k in bits [k*width, (k+1)*width); every
         # rep monomial has degree <= dim G/P < 2^(width-1), so no product carries
         self.width = P.dim_gp.bit_length() + 1
-        self._packed = {}   # index k -> rep(elements[k]) packed
-        self._tries = {}    # length -> extraction trie of the targets of that length
-        self._vectors = {}  # packed monomial m -> E[m] = engine.extract(trie, m)
+        self._packed = Memo(self._pack)     # index k -> rep(elements[k]) packed
+        self._tries = Memo(self._trie)      # length -> trie of the targets of that length
+        self._vectors = Memo(self._vector)  # packed monomial m -> E[m]
 
     def _pack(self, k):
         """rep(elements[k]) as {packed monomial: coefficient}."""
-        if k not in self._packed:
-            width = self.width
-            out = {}
-            for m, c in self.engine.rep(self.ct.elements[k]).items():
-                if sum(m) >> (width - 1):
-                    raise ExactnessError("monomial degree overflows the packing width")
-                key = 0
-                for e in reversed(m):
-                    key = key << width | e
-                out[key] = c
-            self._packed[k] = out
-        return self._packed[k]
+        width = self.width
+        out = {}
+        for m, c in self.engine.rep(self.ct.elements[k]).items():
+            if sum(m) >> (width - 1):
+                raise ExactnessError("monomial degree overflows the packing width")
+            key = 0
+            for e in reversed(m):
+                key = key << width | e
+            out[key] = c
+        return out
 
-    def _vector(self, m, length):
+    def _trie(self, length):
+        """The extraction trie of the duals of the targets of that length."""
+        ct = self.ct
+        return extraction_trie({t: ct.elements[ct.dual_index[k]].word
+                                for t, k in enumerate(ct.block[length])})
+
+    def _vector(self, m):
         """E[m] = {t: extraction of the packed monomial m at the dual of the
-        t-th target of that length}, computed on a memo miss."""
-        if length not in self._tries:
-            ct = self.ct
-            self._tries[length] = extraction_trie(
-                {t: ct.elements[ct.dual_index[k]].word
-                 for t, k in enumerate(ct.block[length])})
+        t-th target of length dim G/P - deg(m)}."""
         width = self.width
         mono = tuple(m >> (width * k) & ((1 << width) - 1)
                      for k in range(self.engine.realization.nvars))
-        vec = self._vectors[m] = self.engine.extract(self._tries[length], mono)
-        return vec
+        return self.engine.extract(self._tries[self.parabolic.dim_gp - sum(mono)], mono)
 
     def row(self, i, j):
         """{k: c^k_{i,j}} over coset-table indices; exact nonnegative integers."""
-        key = (i, j) if i <= j else (j, i)
-        out = self._rows.get(key)
-        if out is not None:
-            return out
+        return self._rows[(i, j) if i <= j else (j, i)]
+
+    def _row(self, key):
+        i, j = key
         ct = self.ct
         # codim(k) = codim(i) + codim(j), so ell(k) = ell(i) + ell(j) - dim G/P
         length = ct.lengths[i] + ct.lengths[j] - self.parabolic.dim_gp
@@ -558,12 +555,9 @@ class CupRing(SchubertBasisRing):
             # extraction is linear: the raw row is sum_m f[m] E[m] over f = rep * rep
             targets = ct.block[length]
             raw = [0] * len(targets)
-            vectors, dual = self._vectors, ct.dual_index
-            for m, c in pmul_packed(self._pack(dual[i]), self._pack(dual[j])).items():
-                vec = vectors.get(m)
-                if vec is None:
-                    vec = self._vector(m, length)
-                for t, e in vec.items():
+            vectors, packed, dual = self._vectors, self._packed, ct.dual_index
+            for m, c in pmul_packed(packed[dual[i]], packed[dual[j]]).items():
+                for t, e in vectors[m].items():
                     raw[t] += c * e
             sc2 = self.engine.scale ** 2
             for k, x in zip(targets, raw):
@@ -574,7 +568,6 @@ class CupRing(SchubertBasisRing):
                     raise ExactnessError("negative structure constant (convention bug)")
                 if c:
                     out[k] = c
-        self._rows[key] = out
         return out
 
     def set_row(self, i, j, row):

@@ -66,7 +66,6 @@ class WeylGroup:
                             for i in range(n))
         self.identity = WeylElement(R.rho, R.rho, 0, (), self._sk)
         self._coset_tables = {}
-        self._all = None
         self._bruhat_memo = {}
 
     # -- simple reflections ----------------------------------------------------
@@ -225,20 +224,20 @@ class WeylGroup:
 
     def all_elements(self):
         """Full enumeration of W (memoised); intended for small ranks."""
-        if self._all is None:
-            self._all = _ascending_closure(self, ())
         return self._all
+
+    @cached_property
+    def _all(self):
+        return _ascending_closure(self, ())
 
     # -- reflections indexed by positive roots -------------------------------
 
-    @property
+    @cached_property
     def reflections(self):
         """{positive root beta: the reflection s_beta as an element}."""
-        if not hasattr(self, "_refl"):
-            rho = self.system.rho
-            self._refl = {beta: self._element(self.reflect(rho, beta))
-                          for beta in self.system.positive_roots}
-        return self._refl
+        rho = self.system.rho
+        return {beta: self._element(self.reflect(rho, beta))
+                for beta in self.system.positive_roots}
 
     # -- bruhat order (used as a test oracle) --------------------------------
 

@@ -1028,6 +1028,21 @@ def fresh_contexts(monkeypatch):
     monkeypatch.setattr(context, "_contexts", {})
 
 
+def test_a_repeated_crossed_node_names_the_same_context(capsys, fresh_contexts):
+    """--cross 1,1 is the parabolic of --cross 1: one FlagContext, one pair of
+    rings, and the same product."""
+    from flagcalc import context
+    from flagcalc.context import flag_context
+    assert flag_context("A", 3, (1, 1)) is flag_context("A", 3, (1,))
+    assert len(context._contexts) == 1
+    outs = []
+    for cross in ("1", "1,1"):
+        code, out, _ = run(capsys, "product", "--group", "A3", "--cross", cross, "1", "2,1")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] and len(context._contexts) == 1
+
+
 @pytest.fixture
 def table_parses(monkeypatch):
     """Calls of json.loads, which load_table makes once per table it parses."""

@@ -1,15 +1,21 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagcalc import levi, lr, roots
+import flagcalc
+from flagcalc import lr, roots
 from flagcalc.cli import main
 from flagcalc.context import flag_context
-from flagcalc.levi import LeviSystem, hom_dimension, levi_system
+from flagcalc.levi import LeviSystem, hom_dimension, levi_system, simple_factor
 from flagcalc.roots import ExactnessError
 
 
@@ -353,37 +359,51 @@ def test_four_factors_match_two_decompositions(name):
 
 # -- per-factor counts against the unsplit system -------------------------------
 
+def _factor_nodes(L):
+    """[(positions, the ambient nodes at them)] of each factor of L."""
+    return [(pos, tuple(L.nodes[p] for p in pos)) for pos, _ in L.factors]
+
+
 def test_levi_factors():
+    """Each factor is the simple_factor of its Cartan matrix; its positions
+    name its ambient nodes through L.nodes."""
     A5 = roots.build("A", 5)
     L = levi_system(A5, (1, 2, 4, 5))
-    assert [(pos, f.nodes) for pos, f in L.factors] == [((0, 1), (1, 2)), ((2, 3), (4, 5))]
+    A1, A2 = simple_factor(((2,),)), simple_factor(((2, -1), (-1, 2)))
+    assert _factor_nodes(L) == [((0, 1), (1, 2)), ((2, 3), (4, 5))]
+    assert [f for _, f in L.factors] == [A2, A2] and A2.nodes == (1, 2)
     D4 = levi_system(roots.build("D", 4), (1, 3, 4))
-    assert [(pos, f.nodes) for pos, f in D4.factors] == [((0,), (1,)), ((1,), (3,)), ((2,), (4,))]
+    assert _factor_nodes(D4) == [((0,), (1,)), ((1,), (3,)), ((2,), (4,))]
+    assert all(f is A1 for _, f in D4.factors)
     C4 = levi_system(roots.build("C", 4), (1, 2, 3))
-    assert len(C4.factors) == 1 and C4.factors[0] == ((0, 1, 2), C4)
+    assert _factor_nodes(C4) == [((0, 1, 2), (1, 2, 3))]
+    assert C4.factors[0][1] is simple_factor(C4.system.cartan) is not C4
+    # a simple system on all of its ambient's nodes is its own factor
+    A3 = C4.factors[0][1]
+    assert A3.factors == (((0, 1, 2), A3),)
     G2 = levi_system(roots.build("G", 2), ())
-    assert G2.invariant_dimension([(), (), ()]) == 1
+    assert G2.factors == () and G2.invariant_dimension([(), (), ()]) == 1
     # A5{3} and A5{3,4} share the A2 factor on nodes (1, 2), with its memos
     other = levi_system(A5, (1, 2, 5))
-    assert other.factors[0][1] is L.factors[0][1] is levi_system(A5, (1, 2))
+    assert _factor_nodes(other) == [((0, 1), (1, 2)), ((2,), (5,))]
+    assert [f for _, f in other.factors] == [A2, A1]
 
 
 def test_isomorphic_factors_share_their_memos():
-    """A5{3}'s two A2 factors build each Freudenthal table, chamber entry and
-    three-factor count once between them; B2 and C2, with transposed Cartan
-    matrices, do not share."""
-    first, second = (f for _, f in levi_system(roots.build("A", 5), (1, 2, 4, 5)).factors)
-    assert first.nodes != second.nodes
-    assert first._dom_mults is second._dom_mults and first._chamber is second._chamber
-    assert first._counts is second._counts
+    """A5{3}'s two A2 factors are one object, so each Freudenthal table,
+    chamber entry and three-factor count is built once between them; B2 and
+    C2, with transposed Cartan matrices, are two and do not share."""
+    (p, first), (q, second) = levi_system(roots.build("A", 5), (1, 2, 4, 5)).factors
+    assert p != q and first is second
+    assert first is levi_system(roots.build("A", 6), (1, 2, 4, 5, 6)).factors[0][1]
     lam = (3, 4)
     assert second.dominant_weight_multiplicities(lam) is first.dominant_weight_multiplicities(lam)
     # V(2, 1) occurs twice in V(2, 1) (x) V(1, 1); the count is kept under the sorted triple
     assert first._count((2, 1), (1, 1), (1, 2)) == 2 == second._counts[((1, 1), (1, 2), (2, 1))]
-    B2 = levi_system(roots.build("B", 3), (2, 3))
-    C2 = levi_system(roots.build("C", 3), (2, 3))
-    assert B2._dom_mults is not C2._dom_mults and B2._chamber is not C2._chamber
-    assert B2._counts is not C2._counts
+    (_, B2), = levi_system(roots.build("B", 3), (2, 3)).factors
+    (_, C2), = levi_system(roots.build("C", 3), (2, 3)).factors
+    assert B2 is not C2 and B2._dom_mults is not C2._dom_mults
+    assert B2._chamber is not C2._chamber and B2._counts is not C2._counts
 
 
 @pytest.mark.parametrize("letter,rank,crossed", [("A", 5, (3,)), ("B", 4, (2,)), ("D", 4, (2,)),
@@ -409,21 +429,25 @@ def test_factor_product_matches_unsplit_count(letter, rank, crossed):
 
 
 def test_first_zero_factor_stops_the_product(monkeypatch):
+    """The two A2 factors of A5{3} are one object, so each factor count is
+    told apart by the coordinates it was given."""
     L = levi_system(roots.build("A", 5), (1, 2, 4, 5))
-    first, second = (f for _, f in L.factors)
+    (_, A2), _ = L.factors
     ran, entered = [], []
     count, public = LeviSystem._simple_invariants, LeviSystem.invariant_dimension
     monkeypatch.setattr(LeviSystem, "_simple_invariants",
-                        lambda self, ws: ran.append(self) or count(self, ws))
+                        lambda self, ws: ran.append((self, ws)) or count(self, ws))
     monkeypatch.setattr(LeviSystem, "invariant_dimension",
                         lambda self, *a, **k: entered.append(self) or public(self, *a, **k))
-    # V(1, 0) of the first A2 has no invariants; the second A2 pairs (1, 0) with (0, 1)
+    # V(1, 0) of the first A2 has no invariants, so the second, which pairs
+    # (1, 0) with (0, 1), is never asked
     assert L.invariant_dimension([(1, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0)]) == 0
-    assert ran == [first] and entered == [L]
+    assert ran == [(A2, [(1, 0), (0, 0), (0, 0)])] and entered == [L]
     ran.clear()
     entered.clear()
-    assert L.invariant_dimension([(1, 0, 1, 0), (0, 1, 0, 1), (0, 0, 0, 0)], n=2) == 1
-    assert ran == [first, second] and entered == [L]
+    assert L.invariant_dimension([(1, 0, 0, 1), (0, 1, 1, 0), (0, 0, 0, 0)], n=2) == 1
+    assert ran == [(A2, [(2, 0), (0, 2), (0, 0)]), (A2, [(0, 2), (2, 0), (0, 0)])]
+    assert entered == [L]
 
 
 def _kostant_multiplicities(L, lam):
@@ -553,6 +577,7 @@ def test_weyl_dim_rejects_non_dominant_every_time():
     for _ in range(3):
         with pytest.raises(ValueError):
             L.weyl_dim((1, -1))
+    assert (1, -1) not in L._dims
 
 
 # -- the memoised three-factor counts and stretched Freudenthal tables -----------
@@ -561,16 +586,16 @@ def test_count_memo_matches_fresh_signed_sums_after_the_levi_battery(capsys):
     """After the verify-levi battery (A5{3} and C4{4}, --nmax 5) every
     memoised count equals a fresh signed sum of its sorted triple, and on A2
     the small ones equal Steinberg's count.  The battery stores only counts
-    of 1 (the criterion holds on it); other tests may add more entries."""
+    of 1 (the criterion holds on it); other tests may add more entries, so
+    the exact sizes are checked in a fresh process (below)."""
     for group, crossed in [("A5", "3"), ("C4", "4")]:
         assert main(["verify", "--group", group, "--cross", crossed, "--s", "3",
                      "--nmax", "5"]) == 0
     capsys.readouterr()
     A2 = flag_context("A", 5, (3,)).levi.factors[0][1]
-    A3 = flag_context("C", 4, (4,)).levi
+    A3 = flag_context("C", 4, (4,)).levi.factors[0][1]
     steinberg = 0
     for L in (A2, A3):
-        assert len(L._counts) >= 50  # 164 and 64 distinct triples in a fresh process
         for key, count in L._counts.items():
             assert key == tuple(sorted(key))
             assert count == L._signed_sum(*key)
@@ -581,15 +606,42 @@ def test_count_memo_matches_fresh_signed_sums_after_the_levi_battery(capsys):
     assert steinberg >= 20
 
 
+_BATTERY_PROBE = """
+import contextlib, io, json
+from flagcalc.cli import main
+from flagcalc.context import flag_context
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["verify", "--group", group, "--cross", crossed, "--s", "3", "--nmax", "5"])
+             for group, crossed in [("A5", "3"), ("C4", "4")]]
+factors = [flag_context(*p).levi.factors[0][1] for p in [("A", 5, (3,)), ("C", 4, (4,))]]
+sizes = [[len(L._counts), len(L._dom_mults), len(L._chamber)] for L in factors]
+fresh = all(count == L._signed_sum(*key) for L in factors for key, count in L._counts.items())
+print(json.dumps({"codes": codes, "sizes": sizes, "fresh": fresh}))
+"""
+
+
+def test_levi_battery_memo_sizes_in_a_fresh_process():
+    """In a fresh process the verify-levi battery leaves exactly these
+    (counts, Freudenthal tables, chamber entries) on its simple factors: A2
+    (A5{3}) and A3 (C4{4}); every count equals a fresh signed sum."""
+    env = dict(os.environ, PYTHONPATH=str(Path(flagcalc.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", _BATTERY_PROBE], capture_output=True,
+                         text=True, env=env, timeout=600)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == {"codes": [0, 0], "sizes": [[164, 25, 530], [64, 14, 1801]],
+                                      "fresh": True}
+
+
 @pytest.mark.parametrize("letter,rank,lam", [("A", 2, (1, 1)), ("A", 3, (1, 0, 1)),
                                              ("B", 2, (1, 1)), ("G", 2, (1, 1))])
-def test_stretched_freudenthal_tables(letter, rank, lam, monkeypatch):
-    """The tables of n lam, n = 1..5, built on fresh memos: each sums over
-    the orbits to the Weyl dimension and, while small, matches Kostant's
-    formula.  On B2 and G2, (beta, beta) differs between the roots, so the
-    pairing carried along a root string steps by a root-dependent amount."""
-    monkeypatch.setattr(levi, "_memos", lambda form: ({}, {}, {}, {}, {}))
+def test_stretched_freudenthal_tables(letter, rank, lam):
+    """The tables of n lam, n = 1..5, built on the fresh memos of a LeviSystem
+    built directly: each sums over the orbits to the Weyl dimension and, while
+    small, matches Kostant's formula.  On B2 and G2, (beta, beta) differs
+    between the roots, so the pairing carried along a root string steps by a
+    root-dependent amount."""
     L = LeviSystem(roots.build(letter, rank), tuple(range(1, rank + 1)))
+    assert L.factors == ((tuple(range(rank)), L),) and not L._dom_mults
     kostant = 0
     for n in range(1, 6):
         n_lam = tuple(n * x for x in lam)

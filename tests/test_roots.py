@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagcalc import roots
+from flagcalc.roots import ExactnessError, Memo
+from flagcalc.schubert import CupRing
 
 CLASSICAL_COUNTS = {
     ("A", 2): 3, ("A", 3): 6, ("A", 6): 21,
@@ -156,3 +158,57 @@ def test_lattice_coords_match_rational_inverse(group, weight):
         assert got == tuple(int(x) for x in exact)
     else:
         assert got is None
+
+
+# -- the self-filling memo -------------------------------------------------------
+
+def test_memo_computes_each_key_once():
+    calls = []
+    memo = Memo(lambda key: calls.append(key) or key * 2)
+    assert [memo[3], memo[3], memo[4], memo[3]] == [6, 6, 8, 6]
+    assert calls == [3, 4] and memo == {3: 6, 4: 8}
+
+
+def test_memo_reads_that_never_compute():
+    """get, `in`, setdefault and dict(memo) read or store without calling fn,
+    which is what CupRing.set_row and known_rows rely on."""
+    def fn(key):
+        raise AssertionError(f"fn called for {key!r}")
+    memo = Memo(fn)
+    assert memo.get(1) is None and 1 not in memo
+    assert memo.setdefault(1, "seeded") == "seeded" == memo.setdefault(1, "again")
+    assert dict(memo) == {1: "seeded"} and type(dict(memo)) is dict
+    assert memo[1] == "seeded"
+
+
+def test_memo_leaves_a_failed_key_absent():
+    calls = []
+
+    def fn(key):
+        calls.append(key)
+        raise ValueError(key)
+    memo = Memo(fn)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            memo["k"]
+    assert calls == ["k", "k"] and "k" not in memo
+
+
+def test_a_failed_row_is_computed_again(monkeypatch):
+    """A row whose extraction raises ExactnessError stores neither the row
+    nor the extraction vector, and the next read raises again."""
+    R = roots.build("A", 3)
+    ring = CupRing(R, roots.parabolic(R, crossed=(2,)))
+    i = ring.ct.block[ring.parabolic.dim_gp - 1][0]
+    calls = []
+
+    def broken(trie, m):
+        calls.append(m)
+        raise ExactnessError("forced")
+    monkeypatch.setattr(ring.engine, "extract", broken)
+    for _ in range(2):
+        with pytest.raises(ExactnessError):
+            ring.row(i, i)
+    assert len(calls) == 2 and not ring.known_rows() and not ring._vectors
+    monkeypatch.undo()
+    assert ring.row(i, i) == ring.row(i, i) and len(ring.known_rows()) == 1

@@ -337,13 +337,14 @@ SUPPORTED = {f"{letter}{rank}": (letter, rank)
 
 def _levi_factors(cases):
     """{"G{crossed}|nodes": LeviSystem} for each simple factor of each Levi,
-    as levi_system splits it."""
+    as levi_system splits it, named by the ambient nodes of the factor."""
     out = {}
     for (letter, rank), crossed in cases:
         R = roots.build(letter, rank)
         L = levi_system(R, tuple(sorted(roots.parabolic(R, crossed=crossed).levi_simple)))
-        for _, factor in L.factors:
-            out[f"{letter}{rank}{{{','.join(map(str, crossed))}}}|{','.join(map(str, factor.nodes))}"] = factor
+        levi = f"{letter}{rank}{{{','.join(map(str, crossed))}}}"
+        for pos, factor in L.factors:
+            out[f"{levi}|{','.join(str(L.nodes[p]) for p in pos)}"] = factor
     return out
 
 
