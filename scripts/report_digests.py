@@ -42,8 +42,9 @@ SWEEPS = [
 # three-factor Levi of D4, product plain, deformed and with a crossed node
 # listed twice (the parabolic of --cross 2, so the same bytes), invariants on
 # G2 and on the Levis A1 x B2 (B4{2}), A2 x A3 (A6{3}), D4 (D5{1}) and A4
-# (C5{5}) with counts above 1, fulton in single and sweep mode, and examples
-# (exit 1: its intentional FAIL row)
+# (C5{5}) with counts above 1, invariants and a deformed product on a Borel
+# (the rank-0 Levi), fulton in single and sweep mode, and examples (exit 1:
+# its intentional FAIL row)
 WORDS = ["1,3,2,1,3,2", "1,3,2,1,3,2", "3,2"]
 COMMANDS = [
     ["wp", "--group", "C3", "--cross", "3"],
@@ -62,6 +63,8 @@ COMMANDS = [
      "--nmax", "3"],
     ["invariants", "--group", "C5", "--cross", "5", "--weights", "1,1,1,2", "1,0,2,2", "2,2,2,1",
      "--nmax", "3"],
+    ["invariants", "--group", "A2", "--cross", "1,2", "--weights", "", "", "", "--nmax", "2"],
+    ["product", "--group", "A3", "--cross", "1,2,3", "--deformed", "1,2", "2,3", "1"],
     ["fulton", "--lam", "2,1", "--mu", "2,1", "--nu", "4,2", "--nmax", "3"],
     ["fulton", "--rows", "3", "--cols", "2", "--nmax", "4"],
     ["examples"],

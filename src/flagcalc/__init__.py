@@ -12,7 +12,7 @@ Quick start::
 from .context import FlagContext, flag_context
 from .deformed import (DeformedRing, cell_in_stabilizer_orbit, cover_level_identity,
                        dj_profile, dj_profile_at_cover, stabilizer_simple_roots)
-from .levi import LeviSystem, hom_dimension, levi_system
+from .levi import LeviSystem, hom_dimension
 from .roots import (ExactnessError, ParabolicData, RootSystem, build, parabolic, rho_levi,
                     weyl_order)
 from .schubert import CohomClass, CupRing, ReferenceBGG, SchubertEngine
@@ -24,7 +24,7 @@ __all__ = [
     "FlagContext", "flag_context",
     "DeformedRing", "cell_in_stabilizer_orbit", "cover_level_identity",
     "dj_profile", "dj_profile_at_cover", "stabilizer_simple_roots",
-    "LeviSystem", "hom_dimension", "levi_system",
+    "LeviSystem", "hom_dimension",
     "ExactnessError", "ParabolicData", "RootSystem", "build", "parabolic", "rho_levi",
     "weyl_order",
     "CohomClass", "CupRing", "ReferenceBGG", "SchubertEngine",

@@ -33,16 +33,21 @@ from .context import flag_context
 
 def _parse_group(s):
     s = s.strip()
-    if len(s) < 2 or not s[0].isalpha():
-        raise ValueError(f"bad group name {s!r} (expected e.g. A3, C3, G2)")
-    return s[0].upper(), int(s[1:])
+    if len(s) >= 2 and s[0].isalpha():
+        with contextlib.suppress(ValueError):
+            return s[0].upper(), int(s[1:])
+    raise ValueError(f"bad group name {s!r} (expected e.g. A3, C3, G2)")
 
 
-def _parse_ints(s):
+def _parse_ints(s, what):
+    """The comma-separated integers of s, () if blank; what names s in an error."""
     s = s.strip()
     if not s:
         return ()
-    return tuple(int(x) for x in s.split(","))
+    try:
+        return tuple(int(x) for x in s.split(","))
+    except ValueError:
+        raise ValueError(f"{what} {s!r} is not a comma-separated list of integers") from None
 
 
 @contextlib.contextmanager
@@ -82,7 +87,7 @@ def _emit(doc, out=None):
 
 def _context(args):
     letter, rank = _parse_group(args.group)
-    crossed = _parse_ints(args.cross)
+    crossed = _parse_ints(args.cross, "--cross")
     return flag_context(letter, rank, crossed)
 
 
@@ -143,7 +148,7 @@ def cmd_wp(args):
 
 def cmd_product(args):
     cx = _context(args)
-    ws = [cx.element(_parse_ints(word)) for word in args.words]
+    ws = [cx.element(_parse_ints(word, "word")) for word in args.words]
     loaded = cache.load_table(cx.ring)
     ring = cx.deformed if args.deformed else cx.ring
     cls = ring.product(ws)
@@ -165,7 +170,7 @@ def cmd_product(args):
 
 def cmd_invariants(args):
     cx = _context(args)
-    weights = [_parse_ints(w) for w in args.weights]
+    weights = [_parse_ints(w, "--weights") for w in args.weights]
     ls = cx.levi
     for w in weights:
         if len(w) != ls.rank:
@@ -314,8 +319,8 @@ def cmd_fulton(args):
     if args.lam or args.mu or args.nu:
         if not (args.lam and args.mu and args.nu):
             raise ValueError("give all of --lam/--mu/--nu or none")
-        rep = lr.fulton_check(_parse_ints(args.lam), _parse_ints(args.mu),
-                              _parse_ints(args.nu), args.nmax)
+        rep = lr.fulton_check(_parse_ints(args.lam, "--lam"), _parse_ints(args.mu, "--mu"),
+                              _parse_ints(args.nu, "--nu"), args.nmax)
         doc = {"mode": "single", "n_max": args.nmax, "report": _fulton_json(rep)}
     else:
         rep = lr.fulton_sweep(args.rows, args.cols, args.nmax)

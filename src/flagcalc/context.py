@@ -6,14 +6,14 @@ from collections import namedtuple
 
 from . import roots
 from .deformed import DeformedRing
-from .levi import levi_system
+from .levi import LeviSystem
 from .schubert import CupRing
-from .weyl import group, minimal_coset_reps
+from .weyl import minimal_coset_reps
 
 
 class FlagContext(namedtuple("FlagContext", "system parabolic wg ct ring deformed levi")):
     """The root system, parabolic, Weyl group, coset table, rings and Levi
-    system of one (G, P)."""
+    system of one (G, P), and the one owner of its table, rings and Levi."""
 
     __slots__ = ()
 
@@ -33,10 +33,8 @@ def flag_context(type_letter, rank, crossed=()):
         R = roots.build(key[0], key[1])
         P = roots.parabolic(R, crossed=key[2])
         ct = minimal_coset_reps(R, P)
-        ring = CupRing(R, P)
-        _contexts[key] = FlagContext(
-            system=R, parabolic=P, wg=group(R), ct=ct, ring=ring,
-            deformed=DeformedRing(ring),
-            levi=levi_system(R, tuple(sorted(P.levi_simple))),
-        )
+        ring = CupRing(ct)
+        _contexts[key] = FlagContext(system=R, parabolic=P, wg=ct.wg, ct=ct, ring=ring,
+                                     deformed=DeformedRing(ring),
+                                     levi=LeviSystem(R, P.levi_simple))
     return _contexts[key]

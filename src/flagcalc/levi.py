@@ -32,7 +32,8 @@ Levi system's `weyl.WeylGroup` (`self.wg`); this module walks W no other way.
 Levi weights are tuples of pairings with the Levi simple coroots, ordered by
 ascending ambient node index; an ambient weight restricts by just reading
 those coordinates.  Central directions are dropped by construction, which is
-exactly invariance under the semisimple part.
+exactly invariance under the semisimple part.  The Levi of a Borel is the
+rank-0 system, on which every route gives 1 for the one weight ().
 """
 
 from __future__ import annotations
@@ -52,16 +53,15 @@ class LeviSystem:
         self.ambient = ambient
         self.nodes = tuple(sorted(int(i) for i in levi_simple))
         self.rank = len(self.nodes)
-        self.system = ambient.sub_system(self.nodes) if self.nodes else None
-        self.wg = group(self.system) if self.system is not None else None
+        self.system = ambient.sub_system(self.nodes)  # rank 0 for a Borel
+        self.wg = group(self.system)
         # (fund coords of beta, (d_j beta_j)_j, (beta, beta)): then
         # (nu, beta) = sum_j nu_j d_j beta_j
         self._roots = []
-        if self.system is not None:
-            d = self.system.symmetrizers
-            for b in self.system.positive_roots:
-                fb, db = self.system.fund_of_root(b), tuple(map(mul, d, b))
-                self._roots.append((fb, db, sum(map(mul, fb, db))))
+        d = self.system.symmetrizers
+        for b in self.system.positive_roots:
+            fb, db = self.system.fund_of_root(b), tuple(map(mul, d, b))
+            self._roots.append((fb, db, sum(map(mul, fb, db))))
         self._chamber = Memo(self._chamber_walk)   # weight -> (dominant rep, sign)
         self._dims = Memo(self._weyl_dim)          # dominant weight -> Weyl dimension
         self._dom_mults = Memo(self._freudenthal)  # dominant weight -> Freudenthal table
@@ -71,7 +71,7 @@ class LeviSystem:
         # (coordinate positions, simple factor) per connected component of the
         # Levi diagram; a simple system on all of its ambient's nodes is its
         # own single factor
-        cartan, comps = self.system.cartan if self.rank else (), []
+        cartan, comps = self.system.cartan, []
         for i in range(self.rank):
             linked = [c for c in comps if any(cartan[i][j] for j in c)]
             comps = [c for c in comps if c not in linked] + [tuple(sorted({i}.union(*linked)))]
@@ -120,7 +120,7 @@ class LeviSystem:
     def _below(self, top, mu):
         """mu <= top: top - mu is a nonnegative integer sum of simple roots."""
         gap = self.system.lattice_coords(tuple(t - m for t, m in zip(top, mu)))
-        return gap is not None and min(gap) >= 0
+        return gap is not None and min(gap, default=0) >= 0
 
     # -- dimensions and weight multiplicities -----------------------------------
 
@@ -207,8 +207,6 @@ class LeviSystem:
         """V(lam) (x) V(mu) = sum N_nu V(nu): reflect every weight of the
         smaller factor shifted by mu+rho into the dominant chamber."""
         lam, mu = tuple(lam), tuple(mu)
-        if self.rank == 0:
-            return {(): 1}
         return self._tensor[(lam, mu) if lam <= mu else (mu, lam)]
 
     def _tensor_product(self, key):
@@ -235,8 +233,6 @@ class LeviSystem:
         ws = [tuple(int(n) * x for x in w) for w in weights]
         if any(not self.is_dominant(w) for w in ws):
             raise ValueError("weights must be dominant for the Levi")
-        if self.rank == 0:
-            return 1
         total = 1
         for pos, factor in self.factors:
             total *= factor._simple_invariants([tuple(w[p] for p in pos) for w in ws])
@@ -300,8 +296,6 @@ class LeviSystem:
         vec = tuple(int(x) for x in vec)
         if any(x < 0 for x in vec):
             return 0
-        if self.rank == 0:
-            return 1 if not vec else 0
         roots = sorted(self.system.positive_roots, key=lambda b: -sum(b))
         memo = self._kpf
 
@@ -334,10 +328,7 @@ class LeviSystem:
         for w in (lam, mu, nu):
             if not self.is_dominant(w):
                 raise ValueError(f"{w!r} is not dominant")
-        if self.rank == 0:
-            return 1
-        R = self.system
-        wg = self.wg
+        R, wg = self.system, self.wg
         lam_rho = tuple(x + 1 for x in lam)
         mu_rho = tuple(x + 1 for x in mu)
         shift = tuple(n + 2 for n in nu)  # nu + 2 rho
@@ -360,23 +351,18 @@ class LeviSystem:
 
 
 @lru_cache(maxsize=None)
-def levi_system(R, nodes):
-    return LeviSystem(R, nodes)
-
-
-@lru_cache(maxsize=None)
 def simple_factor(cartan):
     """The LeviSystem of a connected Cartan matrix on all of its nodes, one per
     matrix, so that every Levi factor with that matrix shares its memos."""
     return LeviSystem(RootSystem(cartan), tuple(range(1, len(cartan) + 1)))
 
 
-def hom_dimension(dr, ws, n=1):
+def hom_dimension(cx, ws, n=1):
     """Multiplicity of V(n chi_e) in the tensor product of the V(n chi_{w_i}),
-    as representations of the full Levi of a DeformedRing dr: the semisimple
-    invariant count when the central characters match (dr.chi_balanced), and
-    0 otherwise."""
+    as representations of the full Levi of a FlagContext cx: the semisimple
+    invariant count of cx.levi when the central characters match
+    (cx.deformed.chi_balanced), and 0 otherwise."""
+    dr = cx.deformed
     if not dr.chi_balanced([dr.ct.index_of(w) for w in ws]):
         return 0
-    ls = levi_system(dr.ring.system, tuple(sorted(dr.parabolic.levi_simple)))
-    return ls.invariant_dimension([dr.chi(w).levi_coords for w in ws], n=n)
+    return cx.levi.invariant_dimension([dr.chi(w).levi_coords for w in ws], n=n)

@@ -47,7 +47,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .roots import ExactnessError, Memo, weyl_order
-from .weyl import group, minimal_coset_reps
+from .weyl import group
 
 # polynomials are dicts {exponent tuple: coefficient}; no zero values stored.
 
@@ -501,10 +501,10 @@ class SchubertBasisRing:
 class CupRing(SchubertBasisRing):
     """Schubert-basis multiplication in H*(G/P, Z) for one (G, P)."""
 
-    def __init__(self, R, P):
-        self.system = R
-        self.parabolic = P
-        self.ct = minimal_coset_reps(R, P)
+    def __init__(self, ct):
+        self.ct = ct
+        self.system = R = ct.wg.system
+        self.parabolic = P = ct.parabolic
         self.engine = SchubertEngine(R)
         self._rows = Memo(self._row)  # (i, j) with i <= j -> {k: c^k_{i,j}}
         # packed monomials: exponent k in bits [k*width, (k+1)*width); every

@@ -65,7 +65,6 @@ class WeylGroup:
                                   if k != i and R.cartan[k][i])
                             for i in range(n))
         self.identity = WeylElement(R.rho, R.rho, 0, (), self._sk)
-        self._coset_tables = {}
         self._bruhat_memo = {}
 
     # -- simple reflections ----------------------------------------------------
@@ -365,16 +364,12 @@ class CosetTable:
 def group(R: RootSystem):
     """The WeylGroup of R, built on the first call and kept on R, so that it
     lives as long as R does: a root system built and dropped (the subsystem
-    of a LeviSystem made without levi_system) leaves no group behind."""
+    of a dropped LeviSystem) leaves no group behind."""
     if R._weyl_group is None:
         R._weyl_group = WeylGroup(R)
     return R._weyl_group
 
 
 def minimal_coset_reps(R, P):
-    """CosetTable for (R, P), memoised per Weyl group."""
-    wg = group(R)
-    key = frozenset(P.levi_simple)
-    if key not in wg._coset_tables:
-        wg._coset_tables[key] = CosetTable(wg, P)
-    return wg._coset_tables[key]
+    """A new CosetTable for (R, P); flag_context keeps the one of each parabolic."""
+    return CosetTable(group(R), P)

@@ -18,7 +18,7 @@ from flagcalc import lr, roots
 from flagcalc.context import flag_context
 from flagcalc.deformed import (cell_in_stabilizer_orbit, cover_level_identity,
                                dj_profile, dj_profile_at_cover)
-from flagcalc.levi import levi_system
+from flagcalc.levi import LeviSystem
 
 SWEEP_GROUPS = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]
 
@@ -62,7 +62,7 @@ def test_criterion_2_lg510():
 
 def test_criterion_3_g2_invariants():
     t0 = time.time()
-    g2 = levi_system(roots.build("G", 2), (1, 2))
+    g2 = LeviSystem(roots.build("G", 2), (1, 2))
     vals = (
         g2.invariant_dimension([(6, 0), (0, 6), (0, 7)]),
         g2.invariant_dimension([(6, 0), (0, 6), (0, 7)], n=2),
@@ -176,7 +176,7 @@ def test_criterion_8_oracle_equivalence():
     rng = random.Random(2024)
     agree = 0
     for letter in ("A", "B", "G"):
-        L = levi_system(roots.build(letter, 2), (1, 2))
+        L = LeviSystem(roots.build(letter, 2), (1, 2))
         for _ in range(12):
             lam = tuple(rng.randint(0, 6) for _ in range(2))
             mu = tuple(rng.randint(0, 6) for _ in range(2))

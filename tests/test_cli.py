@@ -592,6 +592,23 @@ def test_crossed_node_out_of_range_rejected(capsys, argv, cross):
     assert err.startswith("error: crossed nodes") and "1..2" in err
 
 
+@pytest.mark.parametrize("argv,bad,role", [
+    (["roots", "--group", "AB"], "'AB'", "group name"),
+    (["roots", "--group", "3A"], "'3A'", "group name"),
+    (["wp", "--group", "A3", "--cross", "x"], "'x'", "--cross"),
+    (["product", "--group", "C3", "--cross", "2", "1,a", "3,2"], "'1,a'", "word"),
+    (["invariants", "--group", "G2", "--weights", "6,x", "0,6", "0,7"], "'6,x'", "--weights"),
+    (["fulton", "--lam", "2,a", "--mu", "1", "--nu", "3,1"], "'2,a'", "--lam")])
+def test_malformed_integers_name_the_text_and_its_role(capsys, argv, bad, role):
+    """A group name or integer list that int() cannot read exits 2 with one
+    error line that quotes the text and says what it was read as, not
+    int()'s own message."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert bad in err and role in err and "invalid literal" not in err
+
+
 def test_fulton_single_and_sweep(capsys):
     code, out, _ = run(capsys, "fulton", "--lam", "1", "--mu", "1", "--nu", "2",
                        "--nmax", "4")
@@ -810,6 +827,7 @@ def test_exactness_checks_survive_python_O(tmp_path, monkeypatch):
              "from flagcalc import roots, schubert\n"
              "from flagcalc.levi import LeviSystem\n"
              "from flagcalc.schubert import CupRing, Realization, SchubertEngine\n"
+             "from flagcalc.weyl import minimal_coset_reps\n"
              "def probe(name, fn, exc=roots.ExactnessError):\n"
              "    try:\n"
              "        fn()\n"
@@ -827,7 +845,7 @@ def test_exactness_checks_survive_python_O(tmp_path, monkeypatch):
              "    (Fraction(1, 2), 3, Fraction(7, 2))), ValueError)\n"
              "def ring(letter, rank, crossed):\n"
              "    R = roots.build(letter, rank)\n"
-             "    ring = CupRing(R, roots.parabolic(R, crossed=crossed))\n"
+             "    ring = CupRing(minimal_coset_reps(R, roots.parabolic(R, crossed=crossed)))\n"
              "    return ring, ring.ct.block[ring.parabolic.dim_gp - 2][0]\n"
              "r, w = ring('C', 3, [3])\n"
              "r.width = 2\n"
@@ -846,9 +864,8 @@ def test_exactness_checks_survive_python_O(tmp_path, monkeypatch):
              "probe('climb', lambda: b3.rep(b3.wg.identity))\n"
              "Realization.seed = lambda self: {(4, 0): 1}\n"
              "probe('seed', lambda: SchubertEngine(roots.build('C', 2)))\n"
-             "from flagcalc.levi import levi_system\n"
              "LeviSystem._simple_invariants = lambda self, ws: print('factor', self.nodes)\n"
-             "a5 = levi_system(roots.build('A', 5), (1, 2, 4, 5))\n"
+             "a5 = LeviSystem(roots.build('A', 5), (1, 2, 4, 5))\n"
              "probe('dominance', lambda: a5.invariant_dimension([(1, 0, 0, -1)] * 3), ValueError)\n")
     res = _flagcalc("-c", probe, optimize=True)
     assert res.returncode == 0, res.stderr
@@ -871,6 +888,7 @@ def test_exactness_checks_survive_python_O(tmp_path, monkeypatch):
 def test_tampered_cache_is_recomputed(tmp_path):
     from flagcalc import roots
     from flagcalc.schubert import CupRing
+    from flagcalc.weyl import minimal_coset_reps
 
     argv = ["-m", "flagcalc", "product", "--group", "C3", "--cross", "2", "3,2",
             "1,3,2,1,3,2"]
@@ -879,7 +897,7 @@ def test_tampered_cache_is_recomputed(tmp_path):
     R = roots.build("C", 3)
     P = roots.parabolic(R, crossed=[2])
     path = cache.table_path(R, [2])
-    assert cache.load_table(CupRing(R, P)) > 0
+    assert cache.load_table(CupRing(minimal_coset_reps(R, P))) > 0
     assert [p.name for p in path.parent.iterdir()] == [path.name]  # no temp file left
     good = json.loads(path.read_text())
     bad = json.loads(path.read_text())
@@ -889,7 +907,7 @@ def test_tampered_cache_is_recomputed(tmp_path):
     del no_digest["entries_sha256"]
     for doc in (bad, no_digest):
         path.write_text(cache.canonical_json(doc))
-        assert cache.load_table(CupRing(R, P)) == 0
+        assert cache.load_table(CupRing(minimal_coset_reps(R, P))) == 0
         # a fresh process, so no in-memory row hides the file
         again = _flagcalc(*argv)
         assert again.returncode == 0 and again.stdout == first.stdout

@@ -15,7 +15,7 @@ import flagcalc
 from flagcalc import lr, roots
 from flagcalc.cli import main
 from flagcalc.context import flag_context
-from flagcalc.levi import LeviSystem, hom_dimension, levi_system, simple_factor
+from flagcalc.levi import LeviSystem, hom_dimension, simple_factor
 from flagcalc.roots import ExactnessError
 
 
@@ -182,22 +182,44 @@ def test_rank_zero_levi():
     assert L.weyl_dim(()) == 1
 
 
+@pytest.mark.parametrize("letter", ["A", "G"])
+def test_borel_levi_takes_the_general_path(letter):
+    """The Levi of the Borel of A2 or G2 is an ordinary system of rank 0: the
+    production and oracle routes give 1 for its one weight (), and
+    hom_dimension is 1 exactly on the triples whose central characters
+    balance (sum chi_{w_i} = chi_e at every node) and 0 on the others."""
+    cx = flag_context(letter, 2, (1, 2))
+    L, dr = cx.levi, cx.deformed
+    assert L.system.rank == 0 and L.factors == ()
+    assert L.tensor_decompose((), ()) == {(): 1}
+    assert L.tensor_multiplicity((), (), ()) == 1 and L.kostant_partition(()) == 1
+    assert L.invariant_dimension([(), (), ()], n=4) == 1
+    assert L._signed_sum((), (), ()) == 1
+    centre = lambda w: list(dr.chi(w).root_coords)
+    seen = set()
+    for tup in itertools.combinations_with_replacement(cx.ct.elements, 3):
+        balanced = [sum(c) for c in zip(*map(centre, tup))] == centre(cx.ct.elements[0])
+        assert hom_dimension(cx, tup) == int(balanced)
+        seen.add(balanced)
+    assert seen == {True, False}
+
+
 def test_hom_dimension_central_condition():
     cx = flag_context("C", 3, (2,))
     w1 = cx.element((1, 3, 2, 1, 3, 2))
     w3 = cx.element((3, 2))
     for n in (1, 2, 3):
-        assert hom_dimension(cx.deformed, [w1, w1, w3], n=n) == 0
+        assert hom_dimension(cx, [w1, w1, w3], n=n) == 0
     # central mismatch forces 0 regardless of the semisimple count
     e = cx.ct.elements[0]
-    assert hom_dimension(cx.deformed, [e, e, e], n=1) == 0
+    assert hom_dimension(cx, [e, e, e], n=1) == 0
     # a movable tuple: top, top, top has matching centre and invariant 1
     cx2 = flag_context("A", 2, (1,))
     ct2 = cx2.ct
     top = ct2.longest
     tuples = [(top, w, cx2.ct.dual[w]) for w in ct2.elements]
     for tup in tuples:
-        assert hom_dimension(cx2.deformed, list(tup), n=2) == 1
+        assert hom_dimension(cx2, list(tup), n=2) == 1
 
 
 @pytest.mark.parametrize("letter,rank,crossed", [("A", 2, (1,)), ("A", 3, (2,)),
@@ -214,22 +236,22 @@ def test_hom_dimension_zero_off_the_centre(letter, rank, crossed):
     for tup in itertools.combinations_with_replacement(cx.ct.elements, 3):
         count = cx.levi.invariant_dimension([dr.chi(w).levi_coords for w in tup])
         if [sum(c) for c in zip(*map(centre, tup))] == centre(cx.ct.elements[0]):
-            assert hom_dimension(dr, tup) == count
+            assert hom_dimension(cx, tup) == count
         else:
-            assert hom_dimension(dr, tup) == 0
+            assert hom_dimension(cx, tup) == 0
             off_centre += count > 0
     assert off_centre
 
 
 def test_lg510_invariant():
-    A4 = levi_system(roots.build("C", 5), (1, 2, 3, 4))
+    A4 = LeviSystem(roots.build("C", 5), (1, 2, 3, 4))
     assert A4.invariant_dimension([(1, 2, 1, 0), (0, 2, 2, 0), (1, 2, 1, 1)]) == 5
 
 
 def test_hom_dimension_lg36_tuple():
     cx = flag_context("C", 3, (3,))
     tup = [lr.lagrangian_bijection(cx.ct, a) for a in [(1,), (2, 1), (2,)]]
-    assert hom_dimension(cx.deformed, tup, n=1) == 1
+    assert hom_dimension(cx, tup, n=1) == 1
 
 
 def test_type_a_invariant_matches_iterated_lr():
@@ -368,23 +390,23 @@ def test_levi_factors():
     """Each factor is the simple_factor of its Cartan matrix; its positions
     name its ambient nodes through L.nodes."""
     A5 = roots.build("A", 5)
-    L = levi_system(A5, (1, 2, 4, 5))
+    L = LeviSystem(A5, (1, 2, 4, 5))
     A1, A2 = simple_factor(((2,),)), simple_factor(((2, -1), (-1, 2)))
     assert _factor_nodes(L) == [((0, 1), (1, 2)), ((2, 3), (4, 5))]
     assert [f for _, f in L.factors] == [A2, A2] and A2.nodes == (1, 2)
-    D4 = levi_system(roots.build("D", 4), (1, 3, 4))
+    D4 = LeviSystem(roots.build("D", 4), (1, 3, 4))
     assert _factor_nodes(D4) == [((0,), (1,)), ((1,), (3,)), ((2,), (4,))]
     assert all(f is A1 for _, f in D4.factors)
-    C4 = levi_system(roots.build("C", 4), (1, 2, 3))
+    C4 = LeviSystem(roots.build("C", 4), (1, 2, 3))
     assert _factor_nodes(C4) == [((0, 1, 2), (1, 2, 3))]
     assert C4.factors[0][1] is simple_factor(C4.system.cartan) is not C4
     # a simple system on all of its ambient's nodes is its own factor
     A3 = C4.factors[0][1]
     assert A3.factors == (((0, 1, 2), A3),)
-    G2 = levi_system(roots.build("G", 2), ())
+    G2 = LeviSystem(roots.build("G", 2), ())
     assert G2.factors == () and G2.invariant_dimension([(), (), ()]) == 1
     # A5{3} and A5{3,4} share the A2 factor on nodes (1, 2), with its memos
-    other = levi_system(A5, (1, 2, 5))
+    other = LeviSystem(A5, (1, 2, 5))
     assert _factor_nodes(other) == [((0, 1), (1, 2)), ((2,), (5,))]
     assert [f for _, f in other.factors] == [A2, A1]
 
@@ -393,15 +415,15 @@ def test_isomorphic_factors_share_their_memos():
     """A5{3}'s two A2 factors are one object, so each Freudenthal table,
     chamber entry and three-factor count is built once between them; B2 and
     C2, with transposed Cartan matrices, are two and do not share."""
-    (p, first), (q, second) = levi_system(roots.build("A", 5), (1, 2, 4, 5)).factors
+    (p, first), (q, second) = LeviSystem(roots.build("A", 5), (1, 2, 4, 5)).factors
     assert p != q and first is second
-    assert first is levi_system(roots.build("A", 6), (1, 2, 4, 5, 6)).factors[0][1]
+    assert first is LeviSystem(roots.build("A", 6), (1, 2, 4, 5, 6)).factors[0][1]
     lam = (3, 4)
     assert second.dominant_weight_multiplicities(lam) is first.dominant_weight_multiplicities(lam)
     # V(2, 1) occurs twice in V(2, 1) (x) V(1, 1); the count is kept under the sorted triple
     assert first._count((2, 1), (1, 1), (1, 2)) == 2 == second._counts[((1, 1), (1, 2), (2, 1))]
-    (_, B2), = levi_system(roots.build("B", 3), (2, 3)).factors
-    (_, C2), = levi_system(roots.build("C", 3), (2, 3)).factors
+    (_, B2), = LeviSystem(roots.build("B", 3), (2, 3)).factors
+    (_, C2), = LeviSystem(roots.build("C", 3), (2, 3)).factors
     assert B2 is not C2 and B2._dom_mults is not C2._dom_mults
     assert B2._chamber is not C2._chamber and B2._counts is not C2._counts
 
@@ -431,7 +453,7 @@ def test_factor_product_matches_unsplit_count(letter, rank, crossed):
 def test_first_zero_factor_stops_the_product(monkeypatch):
     """The two A2 factors of A5{3} are one object, so each factor count is
     told apart by the coordinates it was given."""
-    L = levi_system(roots.build("A", 5), (1, 2, 4, 5))
+    L = LeviSystem(roots.build("A", 5), (1, 2, 4, 5))
     (_, A2), _ = L.factors
     ran, entered = [], []
     count, public = LeviSystem._simple_invariants, LeviSystem.invariant_dimension
@@ -539,7 +561,7 @@ def test_chamber_map_matches_brute_force(name):
 @settings(max_examples=40)
 @given(data=st.data())
 def test_simple_reflection_negates_the_chamber_sign(letter, rank, nodes, data):
-    L = levi_system(roots.build(letter, rank), nodes)
+    L = LeviSystem(roots.build(letter, rank), nodes)
     wg = L.wg
     f = data.draw(st.tuples(*[st.integers(-6, 6)] * L.rank))
     dom, sign = L.signed_dominant_conjugate(f)
@@ -553,8 +575,8 @@ def test_chamber_memo_is_per_system():
     """B2 (nodes 2, 3 of B3) and C2 (nodes 2, 3 of C3) have transposed Cartan
     matrices, so one weight can have different conjugates in the two, and one
     triple different three-factor counts."""
-    B2 = levi_system(roots.build("B", 3), (2, 3))
-    C2 = levi_system(roots.build("C", 3), (2, 3))
+    B2 = LeviSystem(roots.build("B", 3), (2, 3))
+    C2 = LeviSystem(roots.build("C", 3), (2, 3))
     differ = 0
     for f in itertools.product(range(-3, 4), repeat=2):
         got = [L.signed_dominant_conjugate(f) for L in (B2, C2, B2, C2)]
@@ -572,7 +594,7 @@ def test_chamber_memo_is_per_system():
 
 
 def test_weyl_dim_rejects_non_dominant_every_time():
-    L = levi_system(roots.build("B", 3), (2, 3))
+    L = LeviSystem(roots.build("B", 3), (2, 3))
     assert L.weyl_dim((1, 0)) == L.weyl_dim([1, 0]) == 5
     for _ in range(3):
         with pytest.raises(ValueError):

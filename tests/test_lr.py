@@ -96,7 +96,7 @@ def test_grassmannian_partition_matches_box_search(rank):
 def test_transported_constants_equal_lr(rank, cross):
     R = roots.build("A", rank)
     P = roots.parabolic(R, crossed=[cross])
-    ring = CupRing(R, P)
+    ring = CupRing(minimal_coset_reps(R, P))
     ct = ring.ct
     r, k = cross, rank + 1 - cross
     box = lr.partitions_in_box(r, k)

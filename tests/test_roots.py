@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from flagcalc import roots
 from flagcalc.roots import ExactnessError, Memo
 from flagcalc.schubert import CupRing
+from flagcalc.weyl import minimal_coset_reps
 
 CLASSICAL_COUNTS = {
     ("A", 2): 3, ("A", 3): 6, ("A", 6): 21,
@@ -198,7 +199,7 @@ def test_a_failed_row_is_computed_again(monkeypatch):
     """A row whose extraction raises ExactnessError stores neither the row
     nor the extraction vector, and the next read raises again."""
     R = roots.build("A", 3)
-    ring = CupRing(R, roots.parabolic(R, crossed=(2,)))
+    ring = CupRing(minimal_coset_reps(R, roots.parabolic(R, crossed=(2,))))
     i = ring.ct.block[ring.parabolic.dim_gp - 1][0]
     calls = []
 

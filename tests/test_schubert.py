@@ -6,13 +6,13 @@ from flagcalc import roots
 from flagcalc.roots import ExactnessError
 from flagcalc.schubert import (CupRing, Realization, ReferenceBGG, SchubertEngine, padd, pmul,
                                pmul_linear, psub)
-from flagcalc.weyl import group
+from flagcalc.weyl import group, minimal_coset_reps
 
 
 def ring_for(letter, rank, crossed):
     R = roots.build(letter, rank)
     P = roots.parabolic(R, crossed=crossed)
-    return CupRing(R, P)
+    return CupRing(minimal_coset_reps(R, P))
 
 
 @pytest.mark.parametrize("letter,rank", [("A", 1), ("A", 2), ("B", 2), ("G", 2)])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagcalc import roots, weyl_order
-from flagcalc.levi import LeviSystem, levi_system
+from flagcalc.levi import LeviSystem
 from flagcalc.weyl import group, minimal_coset_reps
 
 
@@ -337,11 +337,11 @@ SUPPORTED = {f"{letter}{rank}": (letter, rank)
 
 def _levi_factors(cases):
     """{"G{crossed}|nodes": LeviSystem} for each simple factor of each Levi,
-    as levi_system splits it, named by the ambient nodes of the factor."""
+    as LeviSystem splits it, named by the ambient nodes of the factor."""
     out = {}
     for (letter, rank), crossed in cases:
         R = roots.build(letter, rank)
-        L = levi_system(R, tuple(sorted(roots.parabolic(R, crossed=crossed).levi_simple)))
+        L = LeviSystem(R, tuple(sorted(roots.parabolic(R, crossed=crossed).levi_simple)))
         levi = f"{letter}{rank}{{{','.join(map(str, crossed))}}}"
         for pos, factor in L.factors:
             out[f"{levi}|{','.join(str(L.nodes[p]) for p in pos)}"] = factor
