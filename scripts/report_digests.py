@@ -38,8 +38,9 @@ SWEEPS = [
 ]
 
 # the other commands, one run each: wp with the Lagrangian and the
-# Grassmannian labeller of lr, on G2 (the "subst" realization) and on a
-# three-factor Levi of D4, product plain, deformed and with a crossed node
+# Grassmannian labeller of lr, on G2 (the "subst" realization), on a
+# three-factor Levi of D4 and on the Borel of B3 (48 classes, m_o = 5),
+# product plain, deformed and with a crossed node
 # listed twice (the parabolic of --cross 2, so the same bytes), invariants on
 # G2 and on the Levis A1 x B2 (B4{2}), A2 x A3 (A6{3}), D4 (D5{1}) and A4
 # (C5{5}) with counts above 1, invariants and a deformed product on a Borel
@@ -51,6 +52,7 @@ COMMANDS = [
     ["wp", "--group", "A3", "--cross", "2"],
     ["wp", "--group", "G2", "--cross", "1"],
     ["wp", "--group", "D4", "--cross", "2"],
+    ["wp", "--group", "B3", "--cross", "1,2,3"],
     ["product", "--group", "C3", "--cross", "2", *WORDS],
     ["product", "--group", "C3", "--cross", "2", "--deformed", *WORDS],
     ["product", "--group", "C3", "--cross", "2,2", *WORDS],

@@ -10,12 +10,11 @@ Quick start::
 """
 
 from .context import FlagContext, flag_context
-from .deformed import (DeformedRing, cell_in_stabilizer_orbit, cover_level_identity,
-                       dj_profile, dj_profile_at_cover, stabilizer_simple_roots)
+from .deformed import DeformedRing
 from .levi import LeviSystem, hom_dimension
 from .roots import (ExactnessError, ParabolicData, RootSystem, build, parabolic, rho_levi,
                     weyl_order)
-from .schubert import CohomClass, CupRing, ReferenceBGG, SchubertEngine
+from .schubert import CohomClass, CupRing, SchubertEngine
 from .weyl import CosetTable, WeylElement, WeylGroup, group, minimal_coset_reps
 
 __version__ = "0.1.0"
@@ -31,3 +30,16 @@ __all__ = [
     "CosetTable", "WeylElement", "WeylGroup", "group", "minimal_coset_reps",
     "__version__",
 ]
+
+# names of the modules that production never imports, resolved on first use
+# so that `import flagcalc` loads neither
+_ON_DEMAND = {"ReferenceBGG": "oracle", "cell_in_stabilizer_orbit": "cells",
+              "cover_level_identity": "cells", "dj_profile": "cells",
+              "dj_profile_at_cover": "cells", "stabilizer_simple_roots": "cells"}
+
+
+def __getattr__(name):
+    if name not in _ON_DEMAND:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return getattr(import_module(f"{__name__}.{_ON_DEMAND[name]}"), name)

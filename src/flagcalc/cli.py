@@ -109,8 +109,7 @@ def cmd_roots(args):
 
 def cmd_wp(args):
     cx = _context(args)
-    from . import lr
-    from .deformed import dj_profile, stabilizer_simple_roots
+    from . import cells, lr
     R, P = cx.system, cx.parabolic
     labeller = None
     if R.type_letter == "A" and len(P.crossed) == 1:
@@ -128,8 +127,8 @@ def cmd_wp(args):
             "codim": cx.ct.codim(w),
             "chi_fund_coords": [int(x) for x in chi.weight],
             "chi_levi_coords": [int(x) for x in chi.levi_coords],
-            "delta_qw": sorted(stabilizer_simple_roots(cx.ct, w)),
-            "dj": list(dj_profile(cx.ct, w).d),
+            "delta_qw": sorted(cells.stabilizer_simple_roots(cx.ct, w)),
+            "dj": list(cells.dj_profile(cx.ct, w).d),
         }
         if labeller:
             row.update(labeller(w))
@@ -286,6 +285,8 @@ def _verify_rows(cx, runs, nmax, write):
 def cmd_verify(args):
     if args.s < 3:
         raise ValueError("--s must be at least 3")
+    if args.tuple_cap < 0:
+        raise ValueError("--tuple-cap must be at least 0")
     cx = _context(args)
     count = _tuple_count(cx.ct, args.s)
     if count > args.tuple_cap:

@@ -1,6 +1,6 @@
-"""The deformed cup product on H*(G/P), Levi-movability, Schubert-variety
-stabilizers, and the x_P-eigenlevel dimension profiles of shifted tangent
-spaces.
+"""The deformed cup product on H*(G/P): chi characters and the
+Belkale-Kumar criterion that selects the Levi-movable structure constants.
+The stabilizers and level profiles that `wp` lists live in `flagcalc.cells`.
 
 The character chi_w attached to w in W^P is computed by both of its defining
 expressions and the two are checked equal (ExactnessError otherwise):
@@ -13,11 +13,15 @@ Belkale-Kumar criterion (Invent. Math. 166, 2006; DeformedRing.chi_balanced):
 the deformed top coefficient of w_1, ..., w_s is the ordinary one when sum_j
 chi_{w_j} - chi_e vanishes at every crossed node, and 0 otherwise.  As chi_w +
 chi_dual(w) = chi_e there, c^w_{u,v} survives iff (u, v, dual(w)) meets it.
+Where the ordinary top is nonzero, that defect is at most 0 at every crossed
+node (Belkale-Kumar's inequality, which makes the deformed product defined);
+tops_run and the deformed rows raise ExactnessError where it is positive.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import gt
 
 from .roots import ExactnessError, Memo
 from .schubert import CupRing, SchubertBasisRing
@@ -44,20 +48,6 @@ class ChiCharacter(_ValueRecord, namedtuple("ChiCharacter", "weight root_coords 
     the Levi simple coroots."""
 
     __slots__ = ()
-
-
-class DjProfile(_ValueRecord, namedtuple("DjProfile", "d subject")):
-    """d_1 .. d_{m_o}, and the subject ("w-at-w", w) or ("w-at-v", v, beta, w)."""
-
-    __slots__ = ()
-
-    @property
-    def total(self):
-        return sum(self.d)
-
-    @property
-    def weighted(self):
-        return sum((j + 1) * dj for j, dj in enumerate(self.d))
 
 
 class DeformedRing(SchubertBasisRing):
@@ -124,119 +114,35 @@ class DeformedRing(SchubertBasisRing):
         return self._rows[(i, j) if i <= j else (j, i)]
 
     def _row(self, key):
-        i, j = key
-        dual = self.ct.dual_index
-        return {k: c for k, c in self.ring.row(i, j).items()
-                if self.chi_balanced((i, j, dual[k]))}
+        """ring.row(i, j) cut to the c^k_{i,j} whose (i, j, dual(k)) meets the
+        criterion; every other one must meet the inequality."""
+        row = self.ring.row(*key)
+        if not row:
+            return {}
+        dual, cols, need = self.ct.dual_index, self._columns, self._completing_column(key)
+        return {k: c for k, c in row.items()
+                if cols[dual[k]] == need or _unbalanced(cols[dual[k]], need, (*key, dual[k]))}
 
     def tops_run(self, prefix, lasts):
         """[(ordinary top, deformed top) of prefix + (c,)] for c in lasts, from
         one pairing per tuple (SchubertBasisRing.top_run): the deformed top is
         the ordinary one when it is nonzero and the classes meet the
-        criterion, which is read off one column per run (chi_balanced)."""
+        criterion, which is read off one column per run (chi_balanced); a
+        nonzero top that misses it must meet the inequality."""
         tops = self.ring.top_run(prefix, lasts)
         if not any(tops):
             return [(0, 0)] * len(tops)
         cols, need = self._columns, self._completing_column(prefix)
-        return [(t, t if t and cols[c] == need else 0) for t, c in zip(tops, lasts)]
-
-    def is_levi_movable(self, ws):
-        """Numeric criterion: nonzero deformed top (0 off the expected degree)."""
-        return self.top_coefficient(ws) > 0
+        return [(t, t) if not t or cols[c] == need
+                else (t, _unbalanced(cols[c], need, (*prefix, c))) for t, c in zip(tops, lasts)]
 
 
-def _is_neg(vec):
-    for x in vec:
-        if x:
-            return x < 0
-    return False
-
-
-# ---------------------------------------------------------------------------
-# stabilizers of Schubert varieties
-
-
-def stabilizer_simple_roots(ct, w) -> frozenset:
-    """Delta(Q_w) for the largest standard parabolic Q_w stabilising X_w, as
-    the frozenset of nodes i with alpha_i in it.
-
-    Computed as Delta cap (w w_o^P) R-, and checked against the equivalent
-    description Delta cap w(R_l+ u R-).
-    """
-    w = ct.canonical(w)
-    wg = ct.wg
-    R = wg.system
-    P = ct.parabolic
-    w0p = wg.longest(sorted(P.levi_simple))
-    what_inv, w_inv = wg.inverse(wg.mul(w, w0p)), wg.inverse(w)
-    out, check = set(), set()
-    for i in range(1, R.rank + 1):
-        alpha = tuple(int(t == i - 1) for t in range(R.rank))
-        if _is_neg(wg.act_root(what_inv, alpha)):
-            out.add(i)
-        # cross-check: alpha_i in w(R_l+ u R-)  <=>  w^{-1} alpha_i in R_l+ u R-
-        pre = wg.act_root(w_inv, alpha)
-        if _is_neg(pre) or (R.is_positive_root(pre) and P.in_levi(pre)):
-            check.add(i)
-    if out != check:
-        raise ExactnessError("stabilizer descriptions disagree (convention bug)")
-    return frozenset(out)
-
-
-def cell_in_stabilizer_orbit(ct, v, beta, w):
-    """For a cover v -> w along beta: is the codim-one cell C_v inside the
-    open Q_w-orbit of X_w?  Happens exactly when beta in Delta(Q_w); such a
-    beta is necessarily simple."""
-    if not ct.is_cover(v, beta, w):
-        raise ValueError("(v, beta, w) is not a cover in W^P")
-    return sum(beta) == 1 and (beta.index(1) + 1) in stabilizer_simple_roots(ct, w)
-
-
-# ---------------------------------------------------------------------------
-# x_P-eigenlevel profiles of shifted tangent spaces
-
-
-def dj_profile(ct, w) -> DjProfile:
-    """Level dimensions of T_e(w^{-1} X_w): d_j counts gamma in R- cap w^{-1}R+
-    with (-gamma)(x_P) = j."""
-    w = ct.canonical(w)
-    P = ct.parabolic
-    d = [0] * P.m_o
-    for delta in ct.wg.inversion_set(w):  # delta > 0, w delta < 0; -delta spans the tangent
-        j = P.root_at_xp(delta)
-        if not 1 <= j <= P.m_o:
-            raise ExactnessError("Levi root in the inversion set of a minimal rep")
-        d[j - 1] += 1
-    return DjProfile(d=tuple(d), subject=("w-at-w", w))
-
-
-def dj_profile_at_cover(ct, v, beta, w) -> DjProfile:
-    """Level dimensions of T_e(v^{-1} X_w) for a cover v -> w along beta:
-    the profile of v plus one increment at level alpha(x_P), alpha = v^{-1}beta."""
-    if not ct.is_cover(v, beta, w):
-        raise ValueError("(v, beta, w) is not a cover in W^P")
-    P = ct.parabolic
-    alpha = ct.wg.act_root(ct.wg.inverse(v), beta)
-    j = P.root_at_xp(alpha)
-    if not (ct.wg.system.is_positive_root(alpha) and 1 <= j <= P.m_o):
-        raise ExactnessError(f"cover root pulls back to {alpha!r} at level {j} "
-                             f"(convention bug)")
-    base = dj_profile(ct, v).d
-    d = tuple(x + int(k == j - 1) for k, x in enumerate(base))
-    return DjProfile(d=d, subject=("w-at-v", v, beta, w))
-
-
-def cover_level_identity(ct, v, beta, w):
-    """Exact bookkeeping identity along a cover:
-
-        1 + sum_{j>=2} (j-1) (d_j(w) - d_j(v))  =  <rho, beta^vee> * alpha(x_P)
-
-    with alpha = v^{-1} beta.  Returns (lhs, rhs)."""
-    P = ct.parabolic
-    R = ct.wg.system
-    dw = dj_profile(ct, w).d
-    dv = dj_profile(ct, v).d
-    lhs = 1 + sum((j - 1) * (dw[j - 1] - dv[j - 1]) for j in range(2, P.m_o + 1))
-    alpha = ct.wg.act_root(ct.wg.inverse(v), beta)
-    rhs = R.coroot_pairing(R.rho, beta) * P.root_at_xp(alpha)
-    return lhs, rhs
+def _unbalanced(col, need, idx):
+    """0, the deformed top of the classes with indices idx, whose ordinary top
+    is nonzero and whose last column misses the completing column `need` of
+    the others, once Belkale-Kumar's inequality is checked: col lies at or
+    below need at every crossed node."""
+    if any(map(gt, col, need)):
+        raise ExactnessError(f"nonzero top of the classes {idx} breaks "
+                             f"Belkale-Kumar's inequality (convention bug)")
+    return 0

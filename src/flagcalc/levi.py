@@ -1,33 +1,31 @@
 """Representation theory of the semisimple part of a Levi subgroup: weight
 multiplicities, tensor decompositions, and s-fold invariant dimensions.
 
-Two independent routes are kept deliberately separate:
+Integer Freudenthal weight multiplicities and the Racah-Speiser/Klimyk
+formula.  The invariants of three factors are one coefficient of a tensor
+product, read off as a |W_L|-term signed sum
 
-  * production: integer Freudenthal weight multiplicities and the
-    Racah-Speiser/Klimyk formula.  The invariants of three factors are one
-    coefficient of a tensor product, read off as a |W_L|-term signed sum
+    dim [V(a) (x) V(b) (x) V(c)]^L = sum_w eps(w) m_a(w(c* + rho) - (b + rho)),
 
-        dim [V(a) (x) V(b) (x) V(c)]^L = sum_w eps(w) m_a(w(c* + rho) - (b + rho)),
+with a the factor of smallest dimension (the count is symmetric in its three
+factors, and memoised per simple factor under the sorted triple).  With s > 3
+factors, pruned binary decompositions (reflect every weight of the smaller
+factor, shifted by mu + rho, into the dominant chamber) run over all but the
+last two factors first.  The independent second route, the Kostant partition
+function and Steinberg's double Weyl sum, lives in `flagcalc.oracle`.
 
-    with a the factor of smallest dimension (the count is symmetric in its
-    three factors, and memoised per simple factor under the sorted triple).
-    With s > 3 factors, pruned binary decompositions (reflect every weight of
-    the smaller factor, shifted by mu + rho, into the dominant chamber) run
-    over all but the last two factors first;
-  * oracle: the Kostant partition function + Steinberg's double Weyl sum.
-
-Production invariant counts run per simple factor: for L_ss = L_1 x ... x L_k,
+Invariant counts run per simple factor: for L_ss = L_1 x ... x L_k,
 V(lam) is the outer tensor product of the V(lam|L_j), so the invariant
 dimension is the product of the factors' counts, each over its own |W_j|-term
 orbit.  `tensor_decompose` and the oracle act on the whole system they are
 called on, so on the unsplit Levi they check the per-factor product.
 Every walk of a weight into the dominant chamber goes through the chamber
-memo of the system it runs on, which the kernels read inline; the oracle
-walks none.  A LeviSystem owns its memos (`roots.Memo`, each filled by one
-method), and the factors come from `simple_factor`, one per connected Cartan
-matrix, so isomorphic factors (A5{3}'s two A2s) share theirs.  The simple
-reflection, the signed orbits and the oracle's elements all come from the
-Levi system's `weyl.WeylGroup` (`self.wg`); this module walks W no other way.
+memo of the system it runs on, which the kernels read inline.  A LeviSystem
+owns its memos (`roots.Memo`, each filled by one method), and the factors
+come from `simple_factor`, one per connected Cartan matrix, so isomorphic
+factors (A5{3}'s two A2s) share theirs.  The simple reflection and the signed
+orbits come from the Levi system's `weyl.WeylGroup` (`self.wg`); this module
+walks W no other way.
 
 Levi weights are tuples of pairings with the Levi simple coroots, ordered by
 ascending ambient node index; an ambient weight restricts by just reading
@@ -38,7 +36,6 @@ rank-0 system, on which every route gives 1 for the one weight ().
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
 
@@ -67,7 +64,6 @@ class LeviSystem:
         self._dom_mults = Memo(self._freudenthal)  # dominant weight -> Freudenthal table
         self._tensor = Memo(self._tensor_product)  # (lam, mu), lam <= mu -> V(lam) (x) V(mu)
         self._counts = Memo(self._triple_count)    # sorted triple -> three-factor count
-        self._kpf = {}
         # (coordinate positions, simple factor) per connected component of the
         # Levi diagram; a simple system on all of its ambient's nodes is its
         # own single factor
@@ -83,14 +79,6 @@ class LeviSystem:
                 for pos in comps)
 
     # -- plumbing --------------------------------------------------------------
-
-    def restrict(self, ambient_fund):
-        """Levi coordinates of an ambient weight (pairings at the Levi nodes)."""
-        out = tuple(Fraction(ambient_fund[i - 1]) for i in self.nodes)
-        if any(x.denominator != 1 for x in out):
-            raise ValueError(f"{tuple(ambient_fund)!r} pairs nonintegrally with the "
-                             f"Levi nodes {list(self.nodes)}")
-        return tuple(int(x) for x in out)
 
     def is_dominant(self, lam):
         return all(x >= 0 for x in lam)
@@ -201,7 +189,7 @@ class LeviSystem:
                 out[nu] = m
         return out
 
-    # -- tensor decomposition (production path) ---------------------------------
+    # -- tensor decomposition ---------------------------------------------------
 
     def tensor_decompose(self, lam, mu):
         """V(lam) (x) V(mu) = sum N_nu V(nu): reflect every weight of the
@@ -286,67 +274,6 @@ class LeviSystem:
                 total += sign * m
         if total < 0:
             raise ExactnessError("negative invariant dimension (convention bug)")
-        return total
-
-    # -- oracle path: Kostant partition function + Steinberg ---------------------
-
-    def kostant_partition(self, vec):
-        """Number of ways to write vec (simple-root coordinates) as a
-        nonnegative integer combination of the Levi positive roots."""
-        vec = tuple(int(x) for x in vec)
-        if any(x < 0 for x in vec):
-            return 0
-        roots = sorted(self.system.positive_roots, key=lambda b: -sum(b))
-        memo = self._kpf
-
-        def count(v, idx):
-            if not any(v):
-                return 1
-            if idx == len(roots):
-                return 0
-            key = (v, idx)
-            if key in memo:
-                return memo[key]
-            total = 0
-            beta = roots[idx]
-            cur = v
-            while True:
-                total += count(cur, idx + 1)
-                nxt = tuple(a - b for a, b in zip(cur, beta))
-                if any(x < 0 for x in nxt):
-                    break
-                cur = nxt
-            memo[key] = total
-            return total
-
-        return count(vec, 0)
-
-    def tensor_multiplicity(self, lam, mu, nu):
-        """Multiplicity of V(nu) in V(lam) (x) V(mu) by Steinberg's formula:
-        sum over (u, v) in W x W of sign(uv) P(u(lam+rho)+v(mu+rho)-nu-2rho)."""
-        lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
-        for w in (lam, mu, nu):
-            if not self.is_dominant(w):
-                raise ValueError(f"{w!r} is not dominant")
-        R, wg = self.system, self.wg
-        lam_rho = tuple(x + 1 for x in lam)
-        mu_rho = tuple(x + 1 for x in mu)
-        shift = tuple(n + 2 for n in nu)  # nu + 2 rho
-        total = 0
-        elements = wg.all_elements()
-        images_l = [(1 if u.length % 2 == 0 else -1, wg.act_weight(u, lam_rho))
-                    for u in elements]
-        images_m = [(1 if v.length % 2 == 0 else -1, wg.act_weight(v, mu_rho))
-                    for v in elements]
-        for su, ul in images_l:
-            for sv, vm in images_m:
-                arg = tuple(a + b - c for a, b, c in zip(ul, vm, shift))
-                sr = R.root_of_fund(arg)
-                if any(Fraction(x).denominator != 1 or x < 0 for x in sr):
-                    continue
-                total += su * sv * self.kostant_partition(tuple(int(x) for x in sr))
-        if total < 0:
-            raise ExactnessError("negative Steinberg multiplicity (convention bug)")
         return total
 
 

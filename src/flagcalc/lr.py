@@ -9,9 +9,6 @@ divided-difference machinery so it can certify the cup-product engine.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import combinations
-
 from .roots import ExactnessError
 
 
@@ -30,13 +27,6 @@ def normalize(parts):
 def is_strict(parts):
     p = normalize(parts)
     return all(p[i] > p[i + 1] for i in range(len(p) - 1))
-
-
-def conjugate(parts):
-    p = normalize(parts)
-    if not p:
-        return ()
-    return tuple(sum(1 for x in p if x > j) for j in range(p[0]))
 
 
 def complement(parts, rows, cols):
@@ -63,15 +53,6 @@ def partitions_in_box(rows, cols):
 
     rec((), cols)
     return sorted(set(out), key=lambda p: (sum(p), p))
-
-
-def strict_partitions_max(l):
-    """All strictly decreasing partitions with parts <= l."""
-    out = []
-    for r in range(l + 1):
-        for combo in combinations(range(l, 0, -1), r):
-            out.append(tuple(combo))
-    return sorted(out, key=lambda p: (sum(p), p))
 
 
 def lr_coefficient(lam, mu, nu):
@@ -120,21 +101,6 @@ def lr_coefficient(lam, mu, nu):
 
     rec(0)
     return total
-
-
-def gl_dimension(lam, r):
-    """dim of the irreducible GL(r) representation with highest weight lam."""
-    lam = normalize(lam)
-    if len(lam) > r:
-        raise ValueError(f"{lam!r} has more than {r} parts")
-    full = lam + (0,) * (r - len(lam))
-    num = Fraction(1)
-    for i in range(r):
-        for j in range(i + 1, r):
-            num *= Fraction(full[i] - full[j] + j - i, j - i)
-    if num.denominator != 1:
-        raise ExactnessError(f"noninteger GL({r}) dimension {num}")
-    return int(num)
 
 
 def fulton_check(lam, mu, nu, n_max):

@@ -239,15 +239,6 @@ class RootSystem:
 
     # -- pairings -----------------------------------------------------------
 
-    def eval_at_x(self, weight, j):
-        """Coefficient of alpha_j when the weight is written in simple roots.
-
-        x_j is dual to the simple roots: alpha_i(x_j) = delta_ij.
-        """
-        if not 1 <= j <= self.rank:
-            raise ValueError(f"index {j} out of range 1..{self.rank}")
-        return self.root_of_fund(weight)[j - 1]
-
     def root_inner(self, b1, b2):
         return sum(b1[i] * sum(self._root_form[i][j] * b2[j] for j in range(self.rank))
                    for i in range(self.rank))
@@ -261,10 +252,6 @@ class RootSystem:
 
     def is_positive_root(self, beta):
         return tuple(beta) in self._posroot_set
-
-    def is_root(self, beta):
-        b = tuple(beta)
-        return b in self._posroot_set or tuple(-x for x in b) in self._posroot_set
 
     def sub_system(self, nodes):
         """Root subsystem generated by a subset of simple roots (1-based)."""
@@ -336,14 +323,6 @@ class ParabolicData:
     def root_at_xp(self, beta):
         """beta(x_P) for a root-lattice vector: sum of crossed coordinates."""
         return sum(beta[j - 1] for j in self.crossed)
-
-    def eval_at_xp(self, weight):
-        """lambda(x_P) for a weight in fundamental coordinates."""
-        sr = self.system.root_of_fund(weight)
-        val = sum(sr[j - 1] for j in self.crossed)
-        if isinstance(val, Fraction) and val.denominator == 1:
-            return int(val)
-        return val
 
     def in_levi(self, beta):
         return all(beta[j - 1] == 0 for j in self.crossed)

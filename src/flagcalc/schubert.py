@@ -35,18 +35,17 @@ divided difference vanishes, and is memoised per ring.  The product itself
 runs on packed monomials (Kronecker substitution: exponent k sits in bit
 field k of one int), so multiplying two monomials is one integer addition.
 
-`ReferenceBGG` is a separate small reference path that follows the
-textbook normalisation (top = prod(R+)/|W|, polynomials in the simple
-roots, s_i applied by substitution and the difference divided out); it
-doubles as an independent cross-check of the fast engine.
+The independent cross-check of this engine, `ReferenceBGG` (the textbook
+normalisation: top = prod(R+)/|W|, polynomials in the simple roots, s_i
+applied by substitution and the difference divided out), lives in
+`flagcalc.oracle`, which production never imports.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .roots import ExactnessError, Memo, weyl_order
+from .roots import ExactnessError, Memo
 from .weyl import group
 
 # polynomials are dicts {exponent tuple: coefficient}; no zero values stored.
@@ -67,23 +66,9 @@ def psub(f, g):
     return padd(f, {m: -c for m, c in g.items()})
 
 
-def pmul(f, g):
-    if len(f) > len(g):
-        f, g = g, f
-    out = {}
-    for m1, c1 in f.items():
-        for m2, c2 in g.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
-            v = out.get(m, 0) + c1 * c2
-            if v:
-                out[m] = v
-            else:
-                del out[m]
-    return out
-
-
 def pmul_packed(f, g):
-    """pmul on packed monomials (see CupRing._pack): one int addition per pair."""
+    """The product of two polynomials on packed monomials (see CupRing._pack):
+    one int addition per pair of terms."""
     if len(f) > len(g):
         f, g = g, f
     out = {}
@@ -339,58 +324,6 @@ class SchubertEngine:
         return out
 
 
-class ReferenceBGG:
-    """Textbook-normalised representatives in simple-root variables.
-
-    Seeds with prod(R+)/|W| exactly and divides by the variable alpha_i
-    itself, so this path is independent of the realization coordinates.
-    Quadratic blowup in the substitution step: small ranks only.
-    """
-
-    def __init__(self, R):
-        self.system = R
-        self.wg = group(R)
-        n = R.rank
-        f = {tuple(0 for _ in range(n)): Fraction(1, weyl_order(R))}
-        for beta in R.positive_roots:
-            f = pmul_linear(f, {j: beta[j] for j in range(n) if beta[j]})
-        self._table = {self.wg.longest().inv: f}
-
-    def _s_apply(self, i0, f):
-        R = self.system
-        n = R.rank
-        images = []
-        for j in range(n):
-            form = {tuple(int(t == j) for t in range(n)): 1}
-            a = R.cartan[i0][j]
-            if a:
-                m = tuple(int(t == i0) for t in range(n))
-                form[m] = form.get(m, 0) - a
-            images.append({m: c for m, c in form.items() if c})
-        out = {}
-        for m, c in f.items():
-            term = {tuple(0 for _ in range(n)): c}
-            for j, e in enumerate(m):
-                for _ in range(e):
-                    term = pmul(term, images[j])
-            out = padd(out, term)
-        return out
-
-    def ddiff(self, i0, f):
-        g = psub(f, self._s_apply(i0, f))
-        out = {}
-        for m, c in g.items():
-            if m[i0] < 1:
-                raise ExactnessError("inexact division (convention bug)")
-            out[tuple(e - 1 if k == i0 else e for k, e in enumerate(m))] = c
-        return out
-
-    def rep(self, w):
-        """{exponent tuple in the simple roots: Fraction}, of degree ell(w);
-        rep(w0) = prod(R+)/|W| and rep(e) = 1."""
-        return walk_down(self.wg, self._table, w, self.ddiff)
-
-
 class CohomClass:
     """Integer combination of Schubert classes [X_w], w in W^P (homological
     indexing: [X_w] has codimension dim G/P - ell(w))."""
@@ -429,13 +362,6 @@ class SchubertBasisRing:
         """{index: c} as a CohomClass."""
         els = self.ct.elements
         return CohomClass(self, {els[k]: c for k, c in vec.items()})
-
-    def structure_constant(self, u, v, w):
-        ct = self.ct
-        i, j, k = ct.index_of(u), ct.index_of(v), ct.index_of(w)
-        if ct.codim(u) + ct.codim(v) != ct.codim(w):
-            return 0
-        return self.row(i, j).get(k, 0)
 
     def cup(self, a: CohomClass, b: CohomClass):
         index_of = self.ct.index_of

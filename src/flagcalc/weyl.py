@@ -65,7 +65,6 @@ class WeylGroup:
                                   if k != i and R.cartan[k][i])
                             for i in range(n))
         self.identity = WeylElement(R.rho, R.rho, 0, (), self._sk)
-        self._bruhat_memo = {}
 
     # -- simple reflections ----------------------------------------------------
 
@@ -228,33 +227,6 @@ class WeylGroup:
     @cached_property
     def _all(self):
         return _ascending_closure(self, ())
-
-    # -- reflections indexed by positive roots -------------------------------
-
-    @cached_property
-    def reflections(self):
-        """{positive root beta: the reflection s_beta as an element}."""
-        rho = self.system.rho
-        return {beta: self._element(self.reflect(rho, beta))
-                for beta in self.system.positive_roots}
-
-    # -- bruhat order (used as a test oracle) --------------------------------
-
-    def bruhat_le(self, v, w):
-        if v.length > w.length:
-            return False
-        if v.length == 0:
-            return True
-        key = (v.key, w.key)
-        memo = self._bruhat_memo
-        if key not in memo:
-            i = w.word[0]
-            wp = self.left_gen(i, w)  # shorter
-            if v.key[i - 1] < 0:  # ell(s_i v) < ell(v)
-                memo[key] = self.bruhat_le(self.left_gen(i, v), wp)
-            else:
-                memo[key] = self.bruhat_le(v, wp)
-        return memo[key]
 
 
 def _ascending_closure(wg, levi):

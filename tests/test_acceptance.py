@@ -15,10 +15,11 @@ import time
 from itertools import combinations_with_replacement
 
 from flagcalc import lr, roots
+from flagcalc.cells import (cell_in_stabilizer_orbit, cover_level_identity, dj_profile,
+                            dj_profile_at_cover)
 from flagcalc.context import flag_context
-from flagcalc.deformed import (cell_in_stabilizer_orbit, cover_level_identity,
-                               dj_profile, dj_profile_at_cover)
 from flagcalc.levi import LeviSystem
+from flagcalc.oracle import structure_constant, tensor_multiplicity
 
 SWEEP_GROUPS = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]
 
@@ -138,7 +139,8 @@ def test_criterion_7_dj_suite():
             prof = dj_profile(ct, w)
             winv_rho = ct.wg.inv_act_weight(w, R.rho)
             drop = tuple(R.rho[j] - winv_rho[j] for j in range(R.rank))
-            if prof.total != w.length or prof.weighted != P.eval_at_xp(drop):
+            weighted = sum(j * d for j, d in enumerate(prof.d, 1))
+            if prof.total != w.length or weighted != P.root_at_xp(R.root_of_fund(drop)):
                 failures += 1
         for (v, w, beta) in ct.covers:
             lhs, rhs = cover_level_identity(ct, v, beta, w)
@@ -183,7 +185,7 @@ def test_criterion_8_oracle_equivalence():
             dec = L.tensor_decompose(lam, mu)
             nus = list(dec)[:3] + [tuple(rng.randint(0, 6) for _ in range(2))]
             for nu in nus:
-                if L.tensor_multiplicity(lam, mu, nu) != dec.get(nu, 0):
+                if tensor_multiplicity(L, lam, mu, nu) != dec.get(nu, 0):
                     mismatches += 1
                 agree += 1
     elapsed = time.time() - t0
@@ -212,7 +214,7 @@ def test_criterion_10_ring_axioms():
         els = list(ct.elements)
         for a, u in enumerate(els):
             for b, v in enumerate(els):
-                if ring.structure_constant(u, v, e) != (1 if v == ct.dual[u] else 0):
+                if structure_constant(ring, u, v, e) != (1 if v == ct.dual[u] else 0):
                     failures += 1
                 full, dfm = ring.row(a, b), dr.row(a, b)
                 if not all(0 <= dfm.get(w, 0) <= c for w, c in full.items()):

@@ -181,6 +181,14 @@ def test_verify_tuple_cap_counts_run_tuples(capsys, monkeypatch):
     assert code == 2 and out == "" and "--tuple-cap" in err
 
 
+@pytest.mark.parametrize("cap", ["-1", "-5"])
+def test_verify_tuple_cap_below_zero_rejected(capsys, cap):
+    code, out, err = run(capsys, "verify", "--group", "A2", "--cross", "1",
+                         "--tuple-cap", cap)
+    assert code == 2 and out == ""
+    assert err == "error: --tuple-cap must be at least 0\n"
+
+
 def test_verify_requires_s3(capsys):
     code, _, err = run(capsys, "verify", "--group", "A2", "--cross", "1", "--s", "2")
     assert code == 2 and "--s" in err
@@ -652,36 +660,68 @@ def test_report_group_is_canonical(capsys, argv):
 
 
 # modules `import flagcalc.cli` must not load: dataclasses drags in inspect,
-# ast and dis, and lr is for wp, fulton and examples only
+# ast and dis, lr is for wp, fulton and examples only, cells for wp only, and
+# oracle for the tests only
 IMPORT_FLOOR_PROBE = """
 import contextlib, hashlib, io, json, sys
 before = set(sys.modules)
 from flagcalc.cli import main
 added = sorted(set(sys.modules) - before)
-digests = []
-for argv in (["wp", "--group", "C3", "--cross", "3"],
-             ["fulton", "--rows", "2", "--cols", "2", "--nmax", "3"]):
+
+def run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
-    digests.append([code, hashlib.sha256(out.getvalue().encode()).hexdigest()])
-print(json.dumps({"added": added, "digests": digests, "lr": "flagcalc.lr" in sys.modules}))
+    return [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+
+def loaded():
+    return [m for m in ("flagcalc.oracle", "flagcalc.cells", "flagcalc.lr") if m in sys.modules]
+
+words = ["1,3,2,1,3,2", "1,3,2", "3,2"]
+codes = [run(argv)[0] for argv in (
+    ["verify", "--group", "C3", "--cross", "2", "--s", "3", "--nmax", "2"],
+    ["product", "--group", "C3", "--cross", "2", *words],
+    ["product", "--group", "C3", "--cross", "2", "--deformed", *words],
+    ["invariants", "--group", "G2", "--weights", "6,0", "0,6", "0,7"])]
+production = loaded()
+digests = [run(["wp", "--group", "C3", "--cross", "3"])]
+wp = loaded()
+digests.append(run(["fulton", "--rows", "2", "--cols", "2", "--nmax", "3"]))
+fulton = loaded()
+from flagcalc import ReferenceBGG, dj_profile, stabilizer_simple_roots
+names = {}
+exec("from flagcalc import *", names)
+import flagcalc
+print(json.dumps({"added": added, "codes": codes, "digests": digests, "production": production,
+                  "wp": wp, "fulton": fulton, "lazy": [f.__module__ for f in (
+                      ReferenceBGG, dj_profile, stabilizer_simple_roots)],
+                  "star": sorted(set(flagcalc.__all__) - set(names))}))
 """
 
 
 def test_import_floor():
     """A fresh `import flagcalc.cli` loads none of dataclasses, inspect, ast,
-    dis or flagcalc.lr; wp and fulton load lr on demand, and their reports
-    keep the sha256 they had when cli imported lr eagerly."""
+    dis, flagcalc.lr, flagcalc.cells or flagcalc.oracle; verify, product
+    (plain and deformed) and invariants load none of the last three either;
+    wp loads cells and lr on demand but not oracle, and wp's and fulton's
+    reports keep the sha256 they had when cli imported lr and the cell data
+    eagerly.  The names that moved to cells and oracle still import from
+    flagcalc, one by one and through `import *`."""
     res = _flagcalc("-c", IMPORT_FLOOR_PROBE)
     assert res.returncode == 0, res.stderr
     doc = json.loads(res.stdout)
     assert "flagcalc.cli" in doc["added"]
-    assert not {"dataclasses", "inspect", "ast", "dis", "flagcalc.lr"} & set(doc["added"])
+    assert not {"dataclasses", "inspect", "ast", "dis", "flagcalc.lr", "flagcalc.cells",
+                "flagcalc.oracle"} & set(doc["added"])
+    assert doc["codes"] == [0, 0, 0, 0]
+    assert doc["production"] == []
+    assert doc["wp"] == ["flagcalc.cells", "flagcalc.lr"]
+    assert doc["fulton"] == ["flagcalc.cells", "flagcalc.lr"]
     assert doc["digests"] == [
         [0, "279c97d3a4456e02d11819ddd4c426f314e52289cb3ec30db32c7bd9920f99f5"],
         [0, "2a58a821fe21f9a2d8ebc0cecd7f41d6c8de31e2cbe1284ac3e9c590b092e860"]]
-    assert doc["lr"]
+    assert doc["lazy"] == ["flagcalc.oracle", "flagcalc.cells", "flagcalc.cells"]
+    assert doc["star"] == []
 
 
 def test_examples_command(capsys):
@@ -824,7 +864,8 @@ def test_main_sweep_script(capsys, tmp_path):
 
 def test_exactness_checks_survive_python_O(tmp_path, monkeypatch):
     probe = ("from fractions import Fraction\n"
-             "from flagcalc import roots, schubert\n"
+             "from flagcalc import oracle, roots, schubert\n"
+             "from flagcalc.context import flag_context\n"
              "from flagcalc.levi import LeviSystem\n"
              "from flagcalc.schubert import CupRing, Realization, SchubertEngine\n"
              "from flagcalc.weyl import minimal_coset_reps\n"
@@ -841,7 +882,7 @@ def test_exactness_checks_survive_python_O(tmp_path, monkeypatch):
              "real = Realization(roots.build('B', 3))\n"
              "real.rules[2] = ('odd', 2, 1)\n"
              "probe('rules', real.check_rules)\n"
-             "probe('restrict', lambda: LeviSystem(roots.build('C', 3), (1, 2)).restrict(\n"
+             "probe('restrict', lambda: oracle.restrict(LeviSystem(roots.build('C', 3), (1, 2)),\n"
              "    (Fraction(1, 2), 3, Fraction(7, 2))), ValueError)\n"
              "def ring(letter, rank, crossed):\n"
              "    R = roots.build(letter, rank)\n"
@@ -857,6 +898,12 @@ def test_exactness_checks_survive_python_O(tmp_path, monkeypatch):
              "d = r.ct.dual_index[w]\n"
              "r._packed[d] = {m: -c for m, c in r._pack(d).items()}\n"
              "probe('negative', lambda: r.row(w, len(r.ct) - 1))\n"
+             "cx = flag_context('C', 3, (2,))\n"
+             "dr, (a, c) = cx.deformed, [cx.ct.index_of(cx.element(w)) for w in ((1, 3, 2, 1, 3, 2),\n"
+             "                                                                (3, 2))]\n"
+             "dr._completing_column = lambda prefix: (-9,)  # below every column\n"
+             "probe('inequality', lambda: dr.tops_run((a, a), [c]))\n"
+             "probe('row-inequality', lambda: dr.row(a, a))\n"
              "b3 = SchubertEngine(roots.build('B', 3))\n"
              "top, reflect = b3.wg.longest().inv, b3.wg._reflect\n"
              "b3.wg._reflect = lambda f, i0: reflect(f, (i0 + 1) % 3)\n"
@@ -871,7 +918,7 @@ def test_exactness_checks_survive_python_O(tmp_path, monkeypatch):
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["False"] + [
         word for name in ("leaf", "rules", "restrict", "packing", "remainder", "negative",
-                          "climb", "seed", "dominance")
+                          "inequality", "row-inequality", "climb", "seed", "dominance")
         for word in (name, "raised")]
     # the same reports, byte for byte, with and without -O (each from a cold cache)
     for argv in (["verify", "--group", "C3", "--cross", "2", "--s", "3", "--nmax", "1"],

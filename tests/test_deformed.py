@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from flagcalc import lr, roots
+from flagcalc import cli, lr, roots
 from flagcalc.context import FlagContext, flag_context
-from flagcalc.deformed import (ChiCharacter, DjProfile, cell_in_stabilizer_orbit,
-                               cover_level_identity, dj_profile, dj_profile_at_cover,
-                               stabilizer_simple_roots)
+from flagcalc.cells import (DjProfile, cell_in_stabilizer_orbit, cover_level_identity,
+                            dj_profile, dj_profile_at_cover, stabilizer_simple_roots)
+from flagcalc.deformed import ChiCharacter
 
 SWEEP = [("A", 2, (1,)), ("A", 3, (2,)), ("B", 2, (2,)), ("B", 3, (1,)),
          ("B", 3, (2,)), ("C", 3, (2,)), ("C", 3, (3,)), ("G", 2, (1,)), ("G", 2, (2,))]
@@ -55,7 +55,6 @@ def test_sp6_reference_values():
     tup = [w1, w1, w3]
     assert cx.ring.intersection_number(tup) == 1
     assert cx.deformed.top_coefficient(tup) == 0
-    assert not cx.deformed.is_levi_movable(tup)
 
 
 def test_deformed_bounded_by_ordinary_and_unital():
@@ -93,6 +92,39 @@ def test_criterion_matches_chi_defect(letter, rank, crossed):
                 vanishes = all(x == y + z for x, y, z in
                                zip(centre(els[k]), centre(u), centre(els[b])))
                 assert deformed.get(k) == (c if vanishes else None)
+                # Belkale-Kumar's inequality: chi_u + chi_v - chi_w <= 0 there
+                assert all(x >= y + z for x, y, z in
+                           zip(centre(els[k]), centre(u), centre(els[b])))
+
+
+INEQUALITY_BATTERY = [("A", 4, (1, 2, 3, 4)), ("B", 3, (1, 2, 3)), ("C", 4, (1, 4)),
+                      ("G", 2, (1, 2)), ("D", 4, (2,)), ("A", 5, (3,)), ("C", 4, (4,))]
+
+
+def test_belkale_kumar_inequality_on_the_verify_battery():
+    """On every s = 3 tuple of the battery, as verify walks it: where the
+    ordinary top is nonzero, the chi defect sum_j chi_{w_j} - chi_e is at
+    most 0 at every crossed node (Belkale-Kumar's inequality, so no run
+    raises), and the deformed top is the ordinary one exactly where the
+    defect vanishes."""
+    tuples = nonzero = balanced = 0
+    for letter, rank, crossed in INEQUALITY_BATTERY:
+        cx = flag_context(letter, rank, crossed)
+        dr, els, nodes = cx.deformed, cx.ct.elements, cx.parabolic.crossed
+        centre = [[dr.chi(w).root_coords[k - 1] for k in nodes] for w in els]
+        for _, prefix, lasts in cli._runs(cx.ct, 3):
+            for c, (top, deformed) in zip(lasts, dr.tops_run(prefix, lasts)):
+                tuples += 1
+                if not top:
+                    assert deformed == 0
+                    continue
+                nonzero += 1
+                defect = [sum(col) - e for e, *col in
+                          zip(centre[0], *(centre[i] for i in (*prefix, c)))]
+                assert max(defect) <= 0
+                assert deformed == (0 if any(defect) else top)
+                balanced += not any(defect)
+    assert (tuples, nonzero, balanced) == (15718, 2371, 360)
 
 
 def test_cominuscule_collapse():
@@ -126,11 +158,10 @@ def test_deformed_ring_axioms():
 def test_levi_movable_cominuscule_duality():
     cx = flag_context("C", 3, (3,))  # cominuscule
     for w in cx.ct.elements:
-        assert cx.deformed.is_levi_movable([w, cx.ct.dual[w]])
+        assert cx.deformed.top_coefficient([w, cx.ct.dual[w]]) > 0
     lg = flag_context("C", 3, (3,))
     tup = [lr.lagrangian_bijection(lg.ct, a) for a in [(1,), (2, 1), (2,)]]
     assert lg.deformed.top_coefficient(tup) == 2
-    assert lg.deformed.is_levi_movable(tup)
 
 
 def test_stabilizers():
@@ -166,7 +197,8 @@ def test_dj_profile_sums(letter, rank, crossed):
         assert prof.total == w.length
         winv_rho = ct.wg.inv_act_weight(w, R.rho)
         drop = tuple(R.rho[j] - winv_rho[j] for j in range(R.rank))
-        assert prof.weighted == P.eval_at_xp(drop)
+        weighted = sum(j * d for j, d in enumerate(prof.d, 1))
+        assert weighted == P.root_at_xp(R.root_of_fund(drop))
 
 
 @pytest.mark.parametrize("letter,rank,crossed", SWEEP)
@@ -256,8 +288,7 @@ def test_records_are_frozen_values():
     assert chi != ChiCharacter(chi.weight, chi.root_coords, (-1,) * len(chi.levi_coords))
     assert chi != (chi.weight, chi.root_coords, chi.levi_coords)
     assert prof == DjProfile(d=prof.d, subject=prof.subject) and len({prof, prof}) == 1
-    assert (prof.total, prof.weighted) == (sum(prof.d), sum(j * d for j, d in
-                                                           enumerate(prof.d, 1)))
+    assert prof.total == sum(prof.d)
     assert repr(prof) == f"DjProfile(d={prof.d!r}, subject={prof.subject!r})"
     for rec, name in ((chi, "weight"), (prof, "d")):
         with pytest.raises(AttributeError):

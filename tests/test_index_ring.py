@@ -12,7 +12,8 @@ import pytest
 import flagcalc
 from flagcalc.cli import main
 from flagcalc.context import flag_context
-from flagcalc.schubert import CohomClass, ReferenceBGG, pmul
+from flagcalc.oracle import ReferenceBGG, pmul, structure_constant
+from flagcalc.schubert import CohomClass
 
 BATTERIES = [("A", 4, (1, 2, 3, 4)), ("C", 4, (1, 4)), ("B", 3, (1, 2, 3)), ("G", 2, (1, 2)),
              ("D", 4, (2,))]
@@ -46,7 +47,7 @@ def test_index_rows_match_element_api(letter, rank, crossed):
                 assert ring.product([v, u]).coeffs == want
                 length = ct.lengths[i] + ct.lengths[j] - dim
                 for k in ct.block.get(length, ()):
-                    assert ring.structure_constant(u, v, els[k]) == row.get(k, 0)
+                    assert structure_constant(ring, u, v, els[k]) == row.get(k, 0)
                 assert set(row) <= set(ct.block.get(length, ()))
 
 
@@ -101,7 +102,7 @@ def test_non_member_elements_rejected():
     e = cx.ct.elements[0]
     msg = "element w\\[1\\] is not a minimal coset representative"
     for ring in (cx.ring, cx.deformed):
-        for call in (lambda: ring.product([e, s1]), lambda: ring.structure_constant(s1, e, e),
+        for call in (lambda: ring.product([e, s1]), lambda: structure_constant(ring, s1, e, e),
                      lambda: ring.cup(ring.basis(e), CohomClass(ring, {s1: 1})),
                      lambda: ring.top_coefficient([e, s1, e])):
             with pytest.raises(ValueError, match=msg):

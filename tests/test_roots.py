@@ -45,7 +45,7 @@ def test_highest_root_is_maximal(letter, rank):
     for i in range(R.rank):
         up = list(theta)
         up[i] += 1
-        assert not R.is_root(tuple(up))
+        assert not R.is_positive_root(tuple(up))  # up > 0, so not a root at all
     # rho pairs to 1 with every simple coroot by construction
     assert R.rho == (1,) * R.rank
 
@@ -72,16 +72,16 @@ def test_eval_at_x_basics():
     for i in range(1, 3):
         for j in range(1, 3):
             alpha = A2.fund_of_root(tuple(int(k == i - 1) for k in range(2)))
-            assert A2.eval_at_x(alpha, j) == (1 if i == j else 0)
-    assert A2.eval_at_x(A2.rho, 1) == 1  # rho = alpha1 + alpha2 in A2
+            assert A2.root_of_fund(alpha)[j - 1] == (1 if i == j else 0)
+    assert A2.root_of_fund(A2.rho)[0] == 1  # rho = alpha1 + alpha2 in A2
 
     G2 = roots.build("G", 2)
     P = roots.parabolic(G2, crossed=[1])
-    assert P.eval_at_xp(G2.fund_of_root(G2.theta)) == 3
+    assert P.root_at_xp(G2.root_of_fund(G2.fund_of_root(G2.theta))) == 3
 
     C3 = roots.build("C", 3)
     P2 = roots.parabolic(C3, crossed=[2])
-    assert P2.eval_at_xp(C3.fund_of_root(C3.theta)) == 2
+    assert P2.root_at_xp(C3.root_of_fund(C3.fund_of_root(C3.theta))) == 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -94,7 +94,8 @@ def test_eval_at_x_linear(a, b, den, l1, l2):
     mu = (Fraction(l2, den), Fraction(l1))
     for j in (1, 2):
         combo = tuple(ar * x + br * y for x, y in zip(lam, mu))
-        assert R.eval_at_x(combo, j) == ar * R.eval_at_x(lam, j) + br * R.eval_at_x(mu, j)
+        at_x = lambda weight: R.root_of_fund(weight)[j - 1]  # alpha_i(x_j) = delta_ij
+        assert at_x(combo) == ar * at_x(lam) + br * at_x(mu)
 
 
 def test_rho_levi():
@@ -139,7 +140,7 @@ def test_eval_at_xp_on_simple_roots():
     P = roots.parabolic(C3, crossed=[2])
     for i in range(1, 4):
         alpha = C3.fund_of_root(tuple(int(k == i - 1) for k in range(3)))
-        assert P.eval_at_xp(alpha) == (0 if i in P.levi_simple else 1)
+        assert P.root_at_xp(C3.root_of_fund(alpha)) == (0 if i in P.levi_simple else 1)
     assert P.m_o >= 1
     for (letter, rank) in [("A", 3), ("B", 3), ("G", 2)]:
         R = roots.build(letter, rank)
