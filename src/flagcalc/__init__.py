@@ -11,10 +11,10 @@ Quick start::
 
 from .context import FlagContext, flag_context
 from .deformed import DeformedRing
-from .levi import LeviSystem, hom_dimension
+from .levi import LeviSystem
 from .roots import (ExactnessError, ParabolicData, RootSystem, build, parabolic, rho_levi,
                     weyl_order)
-from .schubert import CohomClass, CupRing, SchubertEngine
+from .schubert import CupRing, SchubertEngine
 from .weyl import CosetTable, WeylElement, WeylGroup, group, minimal_coset_reps
 
 __version__ = "0.1.0"
@@ -26,16 +26,17 @@ __all__ = [
     "LeviSystem", "hom_dimension",
     "ExactnessError", "ParabolicData", "RootSystem", "build", "parabolic", "rho_levi",
     "weyl_order",
-    "CohomClass", "CupRing", "ReferenceBGG", "SchubertEngine",
+    "CupRing", "ReferenceBGG", "SchubertEngine",
     "CosetTable", "WeylElement", "WeylGroup", "group", "minimal_coset_reps",
     "__version__",
 ]
 
 # names of the modules that production never imports, resolved on first use
 # so that `import flagcalc` loads neither
-_ON_DEMAND = {"ReferenceBGG": "oracle", "cell_in_stabilizer_orbit": "cells",
-              "cover_level_identity": "cells", "dj_profile": "cells",
-              "dj_profile_at_cover": "cells", "stabilizer_simple_roots": "cells"}
+_ON_DEMAND = {"ReferenceBGG": "oracle", "cell_in_stabilizer_orbit": "oracle",
+              "cover_level_identity": "oracle", "dj_profile": "cells",
+              "dj_profile_at_cover": "oracle", "hom_dimension": "oracle",
+              "stabilizer_simple_roots": "cells"}
 
 
 def __getattr__(name):

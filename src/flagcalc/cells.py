@@ -1,5 +1,6 @@
 """Schubert-variety stabilizers and the x_P-eigenlevel dimension profiles of
-shifted tangent spaces, the per-cell data that `wp` lists.
+shifted tangent spaces, the per-cell data that `wp` lists.  The cover
+lemmas built on them live in `flagcalc.oracle`.
 
 `cli` imports this module inside `wp` only, so no other command loads it.
 """
@@ -13,13 +14,10 @@ from .roots import ExactnessError
 
 
 class DjProfile(_ValueRecord, namedtuple("DjProfile", "d subject")):
-    """d_1 .. d_{m_o}, and the subject ("w-at-w", w) or ("w-at-v", v, beta, w)."""
+    """d_1 .. d_{m_o}, and the subject ("w-at-w", w) or, for
+    oracle.dj_profile_at_cover, ("w-at-v", v, beta, w)."""
 
     __slots__ = ()
-
-    @property
-    def total(self):
-        return sum(self.d)
 
 
 def _is_neg(vec):
@@ -60,15 +58,6 @@ def stabilizer_simple_roots(ct, w) -> frozenset:
     return frozenset(out)
 
 
-def cell_in_stabilizer_orbit(ct, v, beta, w):
-    """For a cover v -> w along beta: is the codim-one cell C_v inside the
-    open Q_w-orbit of X_w?  Happens exactly when beta in Delta(Q_w); such a
-    beta is necessarily simple."""
-    if not ct.is_cover(v, beta, w):
-        raise ValueError("(v, beta, w) is not a cover in W^P")
-    return sum(beta) == 1 and (beta.index(1) + 1) in stabilizer_simple_roots(ct, w)
-
-
 # ---------------------------------------------------------------------------
 # x_P-eigenlevel profiles of shifted tangent spaces
 
@@ -85,35 +74,3 @@ def dj_profile(ct, w) -> DjProfile:
             raise ExactnessError("Levi root in the inversion set of a minimal rep")
         d[j - 1] += 1
     return DjProfile(d=tuple(d), subject=("w-at-w", w))
-
-
-def dj_profile_at_cover(ct, v, beta, w) -> DjProfile:
-    """Level dimensions of T_e(v^{-1} X_w) for a cover v -> w along beta:
-    the profile of v plus one increment at level alpha(x_P), alpha = v^{-1}beta."""
-    if not ct.is_cover(v, beta, w):
-        raise ValueError("(v, beta, w) is not a cover in W^P")
-    P = ct.parabolic
-    alpha = ct.wg.act_root(ct.wg.inverse(v), beta)
-    j = P.root_at_xp(alpha)
-    if not (ct.wg.system.is_positive_root(alpha) and 1 <= j <= P.m_o):
-        raise ExactnessError(f"cover root pulls back to {alpha!r} at level {j} "
-                             f"(convention bug)")
-    base = dj_profile(ct, v).d
-    d = tuple(x + int(k == j - 1) for k, x in enumerate(base))
-    return DjProfile(d=d, subject=("w-at-v", v, beta, w))
-
-
-def cover_level_identity(ct, v, beta, w):
-    """Exact bookkeeping identity along a cover:
-
-        1 + sum_{j>=2} (j-1) (d_j(w) - d_j(v))  =  <rho, beta^vee> * alpha(x_P)
-
-    with alpha = v^{-1} beta.  Returns (lhs, rhs)."""
-    P = ct.parabolic
-    R = ct.wg.system
-    dw = dj_profile(ct, w).d
-    dv = dj_profile(ct, v).d
-    lhs = 1 + sum((j - 1) * (dw[j - 1] - dv[j - 1]) for j in range(2, P.m_o + 1))
-    alpha = ct.wg.act_root(ct.wg.inverse(v), beta)
-    rhs = R.coroot_pairing(R.rho, beta) * P.root_at_xp(alpha)
-    return lhs, rhs

@@ -9,7 +9,7 @@ expressions and the two are checked equal (ExactnessError otherwise):
           = sum of R+ \\ R_l+  -  sum of N(w),  N(w) = R+ cap w^{-1} R-
     chi_w = rho - 2 rho^L + w^{-1} rho               (closed form)
 
-Belkale-Kumar criterion (Invent. Math. 166, 2006; DeformedRing.chi_balanced):
+Belkale-Kumar criterion (Invent. Math. 166, 2006):
 the deformed top coefficient of w_1, ..., w_s is the ordinary one when sum_j
 chi_{w_j} - chi_e vanishes at every crossed node, and 0 otherwise.  As chi_w +
 chi_dual(w) = chi_e there, c^w_{u,v} survives iff (u, v, dual(w)) meets it.
@@ -97,11 +97,6 @@ class DeformedRing(SchubertBasisRing):
         coords = self.chi(self.ct.elements[i]).root_coords
         return tuple(coords[k - 1] for k in self.parabolic.crossed)
 
-    def chi_balanced(self, idx):
-        """True iff the classes with coset-table indices idx meet the
-        Belkale-Kumar criterion (module docstring)."""
-        return self._columns[idx[-1]] == self._completing_column(idx[:-1])
-
     def _completing_column(self, prefix):
         """The column at the crossed nodes of the one class c for which
         prefix + (c,) meets the criterion: chi_e's minus the prefix's sum."""
@@ -127,7 +122,7 @@ class DeformedRing(SchubertBasisRing):
         """[(ordinary top, deformed top) of prefix + (c,)] for c in lasts, from
         one pairing per tuple (SchubertBasisRing.top_run): the deformed top is
         the ordinary one when it is nonzero and the classes meet the
-        criterion, which is read off one column per run (chi_balanced); a
+        criterion, which is read off one column per run (_completing_column); a
         nonzero top that misses it must meet the inequality."""
         tops = self.ring.top_run(prefix, lasts)
         if not any(tops):

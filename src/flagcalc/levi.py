@@ -282,14 +282,3 @@ def simple_factor(cartan):
     """The LeviSystem of a connected Cartan matrix on all of its nodes, one per
     matrix, so that every Levi factor with that matrix shares its memos."""
     return LeviSystem(RootSystem(cartan), tuple(range(1, len(cartan) + 1)))
-
-
-def hom_dimension(cx, ws, n=1):
-    """Multiplicity of V(n chi_e) in the tensor product of the V(n chi_{w_i}),
-    as representations of the full Levi of a FlagContext cx: the semisimple
-    invariant count of cx.levi when the central characters match
-    (cx.deformed.chi_balanced), and 0 otherwise."""
-    dr = cx.deformed
-    if not dr.chi_balanced([dr.ct.index_of(w) for w in ws]):
-        return 0
-    return cx.levi.invariant_dimension([dr.chi(w).levi_coords for w in ws], n=n)

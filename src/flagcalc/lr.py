@@ -1,7 +1,8 @@
 """Independent combinatorial oracle: Littlewood-Richardson numbers by direct
 skew-tableau enumeration, partition dictionaries for Grassmannian and
 Lagrangian-Grassmannian Schubert cells, and the multiplicity-one scaling
-check c = 1  =>  c stays 1 under simultaneous stretching.
+check c = 1  =>  c stays 1 under simultaneous stretching.  The Grassmannian
+cell of a partition, which only the tests read, lives in `flagcalc.oracle`.
 
 The tableau counter is deliberately free of any polynomial or
 divided-difference machinery so it can certify the cup-product engine.
@@ -27,15 +28,6 @@ def normalize(parts):
 def is_strict(parts):
     p = normalize(parts)
     return all(p[i] > p[i + 1] for i in range(len(p) - 1))
-
-
-def complement(parts, rows, cols):
-    """(cols - p_rows, ..., cols - p_1) inside the rows x cols box."""
-    p = normalize(parts)
-    if len(p) > rows or (p and p[0] > cols):
-        raise ValueError(f"{parts!r} does not fit in a {rows}x{cols} box")
-    full = p + (0,) * (rows - len(p))
-    return normalize(tuple(cols - x for x in reversed(full)))
 
 
 def partitions_in_box(rows, cols):
@@ -141,50 +133,10 @@ def fulton_sweep(rows, cols, n_max):
 # Schubert-cell dictionaries
 
 
-def _word_from_oneline(perm):
-    """Reduced word (1-based) for a permutation given in one-line notation."""
-    p = list(perm)
-    rev = []
-    while True:
-        i = next((i for i in range(len(p) - 1) if p[i] > p[i + 1]), None)
-        if i is None:
-            break
-        p[i], p[i + 1] = p[i + 1], p[i]
-        rev.append(i + 1)
-    return tuple(reversed(rev))
-
-
-def grassmannian_cell(ct, lam):
-    """The W^P element whose Schubert cell has dimension |lam|.
-
-    lam must fit in the r x (n-r) box, r the crossed node of Gr(r, n).
-    """
-    P = ct.parabolic
-    r = P.crossed[0]
-    n = P.system.rank + 1
-    k = n - r
-    lam = normalize(lam)
-    if len(lam) > r or (lam and lam[0] > k):
-        raise ValueError(f"partition {lam!r} does not fit in the {r}x{k} box")
-    full = lam + (0,) * (r - len(lam))
-    head = [full[r - i] + i for i in range(1, r + 1)]
-    tail = sorted(set(range(1, n + 1)) - set(head))
-    w = ct.wg.from_word(_word_from_oneline(head + tail))
-    w = ct.canonical(w)
-    if w.length != sum(lam):
-        raise ExactnessError(f"cell of {lam!r} has length {w.length}")
-    return w
-
-
-def grassmannian_bijection(ct, lam):
-    """Partition in P_k(r) -> the codimension-|lam| Schubert basis index."""
-    return ct.dual[grassmannian_cell(ct, lam)]
-
-
 def grassmannian_partition(ct, w):
-    """Inverse of grassmannian_bijection: the partition read off the one-line
-    notation of the cell ct.dual[w], whose first r values are the ascending
-    head[i - 1] = lam[r - i] + i of grassmannian_cell."""
+    """Inverse of oracle.grassmannian_bijection: the partition read off the
+    one-line notation of the cell ct.dual[w], whose first r values are the
+    ascending head[i - 1] = lam[r - i] + i of oracle.grassmannian_cell."""
     r = ct.parabolic.crossed[0]
     cell = ct.dual[ct.canonical(w)]
     oneline = list(range(1, ct.parabolic.system.rank + 2))

@@ -1,22 +1,68 @@
-"""Independent reference routes that the tests check production against;
-no production module imports this one.
+"""Independent reference routes that the tests check production against,
+and the checks built on them; no production module imports this one.
 
   * `ReferenceBGG`: BGG representatives in the textbook normalisation, a
     second route to the structure constants of `schubert.CupRing`;
-  * Kostant's partition function and Steinberg's `tensor_multiplicity`, a
-    second route to the counts of `levi.LeviSystem`, on the whole system they
-    are given (on an unsplit Levi they check the per-factor product);
-  * `bruhat_le`, the Bruhat order that `weyl.CosetTable.covers` must match;
-  * `structure_constant` and `restrict`, element-level reads for the tests.
+  * Kostant's partition function and Steinberg's `tensor_multiplicity` over
+    `all_elements(wg)`, a second route to the counts of `levi.LeviSystem`,
+    on the whole system they are given (on an unsplit Levi they check the
+    per-factor product);
+  * the Bruhat covers of W^P, `covers` and the one-triple `is_cover`, found
+    by reflecting along every positive root (`reflect`, `coroot_pairing`),
+    checked against the Bruhat order `bruhat_le`, and the cover lemmas of
+    the `cells` data: `cell_in_stabilizer_orbit`, `dj_profile_at_cover` and
+    `cover_level_identity`;
+  * `grassmannian_cell` and `grassmannian_bijection`, the partition-to-cell
+    route that `lr.grassmannian_partition` inverts;
+  * `structure_constant`, `restrict`, `root_of_fund`, `chi_balanced` and
+    `hom_dimension`, element-level reads for the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .roots import ExactnessError, weyl_order
+from .cells import DjProfile, dj_profile, stabilizer_simple_roots
+from .lr import normalize
+from .roots import ExactnessError, mat_vec, weyl_order
 from .schubert import padd, pmul_linear, psub, walk_down
-from .weyl import group
+from .weyl import _ascending_closure, group
+
+
+# -- roots and Weyl group elements ---------------------------------------------
+
+def root_of_fund(R, weight):
+    """Simple-root coordinates (rational) of a weight in fund coordinates."""
+    return mat_vec(R.inverse_cartan, weight)
+
+
+def coroot_pairing(R, weight, beta):
+    """<weight, beta^vee> = 2(weight, beta)/(beta, beta), exact, in the form
+    (alpha_i, alpha_j) = d_i a_ij of the symmetrizers d_i, so that
+    (omega_i, alpha_j) = d_j delta_ij."""
+    d, a = R.symmetrizers, R.cartan
+    num = 2 * sum(x * dj * b for x, dj, b in zip(weight, d, beta))
+    den = sum(x * d[i] * a[i][j] * y for i, x in enumerate(beta) for j, y in enumerate(beta))
+    val = Fraction(num, den)
+    return int(val) if val.denominator == 1 else val
+
+
+def reflect(R, f, beta):
+    """s_beta on a weight in fundamental coordinates: f - <f, beta^vee> beta."""
+    c = coroot_pairing(R, f, beta)
+    return tuple(x - c * b for x, b in zip(f, R.fund_of_root(beta)))
+
+
+def from_word(wg, word):
+    """The product of the simple reflections in word, an element of the
+    WeylGroup wg; the word need not be reduced."""
+    return wg._element(wg._key_of_word(word))
+
+
+def all_elements(wg):
+    """Every element of the WeylGroup wg, sorted by (length, word); small
+    ranks only."""
+    return _ascending_closure(wg, ())
 
 
 def pmul(f, g):
@@ -148,7 +194,7 @@ def tensor_multiplicity(L, lam, mu, nu):
     mu_rho = tuple(x + 1 for x in mu)
     shift = tuple(n + 2 for n in nu)  # nu + 2 rho
     total = 0
-    elements = wg.all_elements()
+    elements = all_elements(wg)
     images_l = [(1 if u.length % 2 == 0 else -1, wg.act_weight(u, lam_rho))
                 for u in elements]
     images_m = [(1 if v.length % 2 == 0 else -1, wg.act_weight(v, mu_rho))
@@ -156,7 +202,7 @@ def tensor_multiplicity(L, lam, mu, nu):
     for su, ul in images_l:
         for sv, vm in images_m:
             arg = tuple(a + b - c for a, b, c in zip(ul, vm, shift))
-            sr = R.root_of_fund(arg)
+            sr = root_of_fund(R, arg)
             if any(Fraction(x).denominator != 1 or x < 0 for x in sr):
                 continue
             total += su * sv * kostant_partition(L, tuple(int(x) for x in sr))
@@ -175,7 +221,30 @@ def restrict(L, ambient_fund):
     return tuple(int(x) for x in out)
 
 
-# -- Bruhat order ----------------------------------------------------------------
+# -- the central characters ----------------------------------------------------
+
+def chi_balanced(dr, idx):
+    """True iff the classes with coset-table indices idx meet Belkale-Kumar's
+    criterion on the DeformedRing dr: sum_j chi_{w_j} - chi_e vanishes at
+    every crossed node, summed from the chi characters themselves."""
+    els, crossed = dr.ct.elements, dr.parabolic.crossed
+    total = [sum(col) for col in zip(*(dr.chi(els[i]).root_coords for i in idx))]
+    chi_e = dr.chi(els[0]).root_coords
+    return all(total[k - 1] == chi_e[k - 1] for k in crossed)
+
+
+def hom_dimension(cx, ws, n=1):
+    """Multiplicity of V(n chi_e) in the tensor product of the V(n chi_{w_i}),
+    as representations of the full Levi of a FlagContext cx: the semisimple
+    invariant count of cx.levi when the central characters match
+    (chi_balanced), and 0 otherwise."""
+    dr = cx.deformed
+    if not chi_balanced(dr, [dr.ct.index_of(w) for w in ws]):
+        return 0
+    return cx.levi.invariant_dimension([dr.chi(w).levi_coords for w in ws], n=n)
+
+
+# -- Bruhat order and covers ---------------------------------------------------
 
 def bruhat_le(wg, v, w):
     """v <= w in the Bruhat order of the WeylGroup wg, by the lifting
@@ -189,3 +258,105 @@ def bruhat_le(wg, v, w):
         if v.key[i - 1] < 0:  # ell(s_i v) < ell(v)
             v = wg.left_gen(i, v)
     return False
+
+
+def _cover_of(ct, v, beta):
+    """w = s_beta v if it lies in W^P with ell(w) = ell(v) + 1, else None."""
+    k = ct._pos.get(reflect(ct.wg.system, v.key, beta))
+    return ct.elements[k] if k is not None and ct.lengths[k] == v.length + 1 else None
+
+
+def covers(ct):
+    """The Bruhat covers of the CosetTable ct, in v-major, root-minor order:
+    triples (v, w, beta) with w = s_beta v, ell(w) = ell(v) + 1, both in W^P
+    and beta a positive root."""
+    return tuple((v, w, beta) for v in ct.elements for beta in ct.wg.system.positive_roots
+                 if (w := _cover_of(ct, v, beta)) is not None)
+
+
+def is_cover(ct, v, beta, w):
+    """(v, w, beta) in covers(ct), tested on that one triple."""
+    return (v.key in ct._pos and ct.wg.system.is_positive_root(beta)
+            and _cover_of(ct, v, beta) == w)
+
+
+def cell_in_stabilizer_orbit(ct, v, beta, w):
+    """For a cover v -> w along beta: is the codim-one cell C_v inside the
+    open Q_w-orbit of X_w?  Happens exactly when beta in Delta(Q_w); such a
+    beta is necessarily simple."""
+    if not is_cover(ct, v, beta, w):
+        raise ValueError("(v, beta, w) is not a cover in W^P")
+    return sum(beta) == 1 and (beta.index(1) + 1) in stabilizer_simple_roots(ct, w)
+
+
+def dj_profile_at_cover(ct, v, beta, w) -> DjProfile:
+    """Level dimensions of T_e(v^{-1} X_w) for a cover v -> w along beta:
+    the profile of v plus one increment at level alpha(x_P), alpha = v^{-1}beta."""
+    if not is_cover(ct, v, beta, w):
+        raise ValueError("(v, beta, w) is not a cover in W^P")
+    P = ct.parabolic
+    alpha = ct.wg.act_root(ct.wg.inverse(v), beta)
+    j = P.root_at_xp(alpha)
+    if not (ct.wg.system.is_positive_root(alpha) and 1 <= j <= P.m_o):
+        raise ExactnessError(f"cover root pulls back to {alpha!r} at level {j} "
+                             f"(convention bug)")
+    base = dj_profile(ct, v).d
+    d = tuple(x + int(k == j - 1) for k, x in enumerate(base))
+    return DjProfile(d=d, subject=("w-at-v", v, beta, w))
+
+
+def cover_level_identity(ct, v, beta, w):
+    """Exact bookkeeping identity along a cover:
+
+        1 + sum_{j>=2} (j-1) (d_j(w) - d_j(v))  =  <rho, beta^vee> * alpha(x_P)
+
+    with alpha = v^{-1} beta.  Returns (lhs, rhs)."""
+    P = ct.parabolic
+    R = ct.wg.system
+    dw = dj_profile(ct, w).d
+    dv = dj_profile(ct, v).d
+    lhs = 1 + sum((j - 1) * (dw[j - 1] - dv[j - 1]) for j in range(2, P.m_o + 1))
+    alpha = ct.wg.act_root(ct.wg.inverse(v), beta)
+    rhs = coroot_pairing(R, R.rho, beta) * P.root_at_xp(alpha)
+    return lhs, rhs
+
+
+# -- Grassmannian cells --------------------------------------------------------
+
+def _word_from_oneline(perm):
+    """Reduced word (1-based) for a permutation given in one-line notation."""
+    p = list(perm)
+    rev = []
+    while True:
+        i = next((i for i in range(len(p) - 1) if p[i] > p[i + 1]), None)
+        if i is None:
+            break
+        p[i], p[i + 1] = p[i + 1], p[i]
+        rev.append(i + 1)
+    return tuple(reversed(rev))
+
+
+def grassmannian_cell(ct, lam):
+    """The W^P element whose Schubert cell has dimension |lam|.
+
+    lam must fit in the r x (n-r) box, r the crossed node of Gr(r, n).
+    """
+    P = ct.parabolic
+    r = P.crossed[0]
+    n = P.system.rank + 1
+    k = n - r
+    lam = normalize(lam)
+    if len(lam) > r or (lam and lam[0] > k):
+        raise ValueError(f"partition {lam!r} does not fit in the {r}x{k} box")
+    full = lam + (0,) * (r - len(lam))
+    head = [full[r - i] + i for i in range(1, r + 1)]
+    tail = sorted(set(range(1, n + 1)) - set(head))
+    w = ct.element_from_word(_word_from_oneline(head + tail))
+    if w.length != sum(lam):
+        raise ExactnessError(f"cell of {lam!r} has length {w.length}")
+    return w
+
+
+def grassmannian_bijection(ct, lam):
+    """Partition in P_k(r) -> the codimension-|lam| Schubert basis index."""
+    return ct.dual[grassmannian_cell(ct, lam)]

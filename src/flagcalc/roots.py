@@ -210,21 +210,12 @@ class RootSystem:
         maximal = [b for b in self.positive_roots
                    if sum(b) == max((sum(r) for r in self.positive_roots), default=0)]
         self.theta = maximal[0] if len(maximal) == 1 else None
-        # (alpha_i, alpha_j) up to the global scale fixed by the symmetrizers
-        self._root_form = tuple(
-            tuple(self.symmetrizers[i] * self.cartan[i][j] for j in range(n))
-            for i in range(n)
-        )
 
     # -- basis conversions --------------------------------------------------
 
     def fund_of_root(self, beta):
         """Fundamental coordinates of a root-lattice vector."""
         return mat_vec(self.cartan, beta)
-
-    def root_of_fund(self, weight):
-        """Simple-root coordinates (rational) of a weight in fund coordinates."""
-        return mat_vec(self.inverse_cartan, weight)
 
     def lattice_coords(self, weight):
         """Integer simple-root coordinates of an integral weight, or None when
@@ -236,19 +227,6 @@ class RootSystem:
                 return None
             out.append(q)
         return tuple(out)
-
-    # -- pairings -----------------------------------------------------------
-
-    def root_inner(self, b1, b2):
-        return sum(b1[i] * sum(self._root_form[i][j] * b2[j] for j in range(self.rank))
-                   for i in range(self.rank))
-
-    def coroot_pairing(self, weight, beta):
-        """<weight, beta^vee> = 2(weight, beta)/(beta, beta), exact."""
-        num = 2 * sum(weight[j] * self.symmetrizers[j] * beta[j] for j in range(self.rank))
-        den = self.root_inner(beta, beta)
-        val = Fraction(num, den)
-        return int(val) if val.denominator == 1 else val
 
     def is_positive_root(self, beta):
         return tuple(beta) in self._posroot_set

@@ -324,29 +324,6 @@ class SchubertEngine:
         return out
 
 
-class CohomClass:
-    """Integer combination of Schubert classes [X_w], w in W^P (homological
-    indexing: [X_w] has codimension dim G/P - ell(w))."""
-
-    def __init__(self, ring, coeffs):
-        self.ring = ring
-        self.coeffs = {w: int(c) for w, c in coeffs.items() if c}
-
-    def __eq__(self, other):
-        return isinstance(other, CohomClass) and self.coeffs == other.coeffs
-
-    def coefficient(self, w):
-        return self.coeffs.get(w, 0)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for w in sorted(self.coeffs, key=lambda w: (w.length, w.word)):
-            bits.append(f"{self.coeffs[w]}*[{w.word_str() or 'e'}]")
-        return " + ".join(bits)
-
-
 class SchubertBasisRing:
     """Products in the Schubert basis of H*(G/P) for one (G, P).
 
@@ -355,30 +332,18 @@ class SchubertBasisRing:
     The element-level methods map W^P elements to indices and back.
     """
 
-    def basis(self, w):
-        return CohomClass(self, {self.ct.canonical(w): 1})
-
-    def _classes(self, vec):
-        """{index: c} as a CohomClass."""
-        els = self.ct.elements
-        return CohomClass(self, {els[k]: c for k, c in vec.items()})
-
-    def cup(self, a: CohomClass, b: CohomClass):
-        index_of = self.ct.index_of
-        out = {}
-        for u, cu in a.coeffs.items():
-            i = index_of(u)
-            for v, cv in b.coeffs.items():
-                for k, c in self.row(i, index_of(v)).items():
-                    out[k] = out.get(k, 0) + cu * cv * c
-        return self._classes(out)
-
     def product(self, ws):
-        return self._classes(self._fold([self.ct.index_of(w) for w in ws]))
+        """The product of the classes ws as {canonical W^P element: c}, every
+        c positive; the empty product is the unit."""
+        els = self.ct.elements
+        return {els[k]: c for k, c in self._fold([self.ct.index_of(w) for w in ws]).items()}
 
     def _fold(self, idx):
         """The product of the classes with indices idx as {index: c}, multiplied
-        left to right; a row is not copied."""
+        left to right; a row is not copied.  No index gives the unit, the class
+        of the longest element of W^P."""
+        if not idx:
+            return {len(self.ct) - 1: 1}
         if len(idx) == 1:
             return {idx[0]: 1}
         out = self.row(idx[0], idx[1])
@@ -502,5 +467,3 @@ class CupRing(SchubertBasisRing):
 
     def known_rows(self):
         return dict(self._rows)
-
-    intersection_number = SchubertBasisRing.top_coefficient

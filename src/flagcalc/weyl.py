@@ -1,4 +1,4 @@
-"""Weyl group elements, minimal coset representatives and Bruhat covers.
+"""Weyl group elements and minimal coset representatives.
 
 An element w is identified by the integer vector w(rho) in fundamental
 coordinates (the regular orbit of rho, as in LiE): W acts freely on that
@@ -11,8 +11,7 @@ simple-root indices.
 
 The Levi and deformed layers walk W through this module alone: the simple
 reflection moves one coordinate and its Cartan neighbours, signed_orbit gives
-every (w(v), (-1)^ell(w)) and inversion_set builds N(w) along the word.  Only
-reflect(f, beta) reads the coroot table, which is built on first use.
+every (w(v), (-1)^ell(w)) and inversion_set builds N(w) along the word.
 """
 
 from __future__ import annotations
@@ -89,22 +88,6 @@ class WeylGroup:
         out[i0] -= c
         return tuple(out)
 
-    @cached_property
-    def _coroots(self):
-        """beta -> (coefficients of beta^vee in the simple coroots, beta in fund
-        coords), for every positive root."""
-        R, n = self.system, self.system.rank
-        return {beta: (tuple(R.coroot_pairing(tuple(int(k == j) for k in range(n)), beta)
-                             for j in range(n)),
-                       R.fund_of_root(beta))
-                for beta in R.positive_roots}
-
-    def reflect(self, f, beta):
-        """s_beta on a weight in fundamental coordinates: f - <f, beta^vee> beta."""
-        coroot, fund = self._coroots[beta]
-        c = sum(a * b for a, b in zip(coroot, f))
-        return tuple(x - c * b for x, b in zip(f, fund))
-
     # -- elementary operations -------------------------------------------------
 
     def _element(self, key):
@@ -144,10 +127,6 @@ class WeylGroup:
         for i in reversed(letters):
             f = self._reflect(f, i - 1)
         return f
-
-    def from_word(self, word):
-        """Product of simple reflections; the word need not be reduced."""
-        return self._element(self._key_of_word(word))
 
     # -- actions along the word ------------------------------------------------
 
@@ -220,14 +199,6 @@ class WeylGroup:
                 return w
             w = self.left_gen(i, w)
 
-    def all_elements(self):
-        """Full enumeration of W (memoised); intended for small ranks."""
-        return self._all
-
-    @cached_property
-    def _all(self):
-        return _ascending_closure(self, ())
-
 
 def _ascending_closure(wg, levi):
     """Elements w with w(alpha_j) > 0 for every j in levi (all of W when levi
@@ -253,13 +224,11 @@ def _ascending_closure(wg, levi):
 
 
 class CosetTable:
-    """Minimal-length representatives of W/W_P with their Bruhat covers.
+    """Minimal-length representatives of W/W_P.
 
     elements ascend by (length, word); lengths, block (length -> range of
     indices) and dual_index name them by position, and index_of finds the
-    position of an element.  covers: triples
-    (v, w, beta) with w = s_beta v, ell(w) = ell(v)+1, both in W^P and beta a
-    positive root; built on first use.
+    position of an element.
     """
 
     def __init__(self, wg: WeylGroup, P):
@@ -291,22 +260,6 @@ class CosetTable:
                 raise ExactnessError(f"no dual of length {P.dim_gp - w.length} for {w!r}")
             self.dual[w] = ww
         self.dual_index = [self._pos[self.dual[w].key] for w in self.elements]
-
-    def _cover_of(self, v, beta):
-        """w = s_beta v if it lies in W^P with ell(w) = ell(v) + 1, else None."""
-        k = self._pos.get(self.wg.reflect(v.key, beta))
-        return self.elements[k] if k is not None and self.lengths[k] == v.length + 1 else None
-
-    @cached_property
-    def covers(self):
-        return tuple((v, w, beta) for v in self.elements
-                     for beta in self.wg.system.positive_roots
-                     if (w := self._cover_of(v, beta)) is not None)
-
-    def is_cover(self, v, beta, w):
-        """(v, w, beta) in covers, tested on that one triple."""
-        return (v.key in self._pos and self.wg.system.is_positive_root(beta)
-                and self._cover_of(v, beta) == w)
 
     def canonical(self, w):
         """The stored (canonical-word) copy of an element of W^P."""

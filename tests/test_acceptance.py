@@ -14,12 +14,15 @@ import random
 import time
 from itertools import combinations_with_replacement
 
+from cupfold import cup
+
 from flagcalc import lr, roots
-from flagcalc.cells import (cell_in_stabilizer_orbit, cover_level_identity, dj_profile,
-                            dj_profile_at_cover)
+from flagcalc.cells import dj_profile
 from flagcalc.context import flag_context
 from flagcalc.levi import LeviSystem
-from flagcalc.oracle import structure_constant, tensor_multiplicity
+from flagcalc.oracle import (cell_in_stabilizer_orbit, cover_level_identity, covers,
+                             dj_profile_at_cover, grassmannian_bijection, root_of_fund,
+                             structure_constant, tensor_multiplicity)
 
 SWEEP_GROUPS = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]
 
@@ -42,7 +45,7 @@ def test_criterion_1_lg36():
     t0 = time.time()
     cx = flag_context("C", 3, (3,))
     tup = [lr.lagrangian_bijection(cx.ct, a) for a in [(1,), (2, 1), (2,)]]
-    inter = cx.ring.intersection_number(tup)
+    inter = cx.ring.top_coefficient(tup)
     inv = cx.levi.invariant_dimension([(2, 0), (0, 3), (2, 1)])
     elapsed = time.time() - t0
     ok = inter == 2 and inv == 1 and elapsed < 30
@@ -53,7 +56,7 @@ def test_criterion_2_lg510():
     t0 = time.time()
     cx = flag_context("C", 5, (5,))
     tup = [lr.lagrangian_bijection(cx.ct, a) for a in [(3, 1), (3, 2), (4, 2)]]
-    inter = cx.ring.intersection_number(tup)
+    inter = cx.ring.top_coefficient(tup)
     inv = cx.levi.invariant_dimension([(1, 2, 1, 0), (0, 2, 2, 0), (1, 2, 1, 1)])
     elapsed = time.time() - t0
     ok = inter == 4 and inv == 5 and elapsed < 600
@@ -81,7 +84,7 @@ def test_criterion_4_sp6():
     w1 = cx.element((1, 3, 2, 1, 3, 2))
     w3 = cx.element((3, 2))
     tup = [w1, w1, w3]
-    inter = cx.ring.intersection_number(tup)
+    inter = cx.ring.top_coefficient(tup)
     chi1 = cx.deformed.chi(w1).levi_coords
     chi3 = cx.deformed.chi(w3).levi_coords
     chis = [cx.deformed.chi(w).levi_coords for w in tup]
@@ -140,9 +143,9 @@ def test_criterion_7_dj_suite():
             winv_rho = ct.wg.inv_act_weight(w, R.rho)
             drop = tuple(R.rho[j] - winv_rho[j] for j in range(R.rank))
             weighted = sum(j * d for j, d in enumerate(prof.d, 1))
-            if prof.total != w.length or weighted != P.root_at_xp(R.root_of_fund(drop)):
+            if sum(prof.d) != w.length or weighted != P.root_at_xp(root_of_fund(R, drop)):
                 failures += 1
-        for (v, w, beta) in ct.covers:
+        for (v, w, beta) in covers(ct):
             lhs, rhs = cover_level_identity(ct, v, beta, w)
             if lhs != rhs:
                 failures += 1
@@ -162,7 +165,7 @@ def test_criterion_8_oracle_equivalence():
         for r in range(1, n):
             cx = flag_context("A", n - 1, (r,))
             box = lr.partitions_in_box(r, n - r)
-            bij = {lam: lr.grassmannian_bijection(cx.ct, lam) for lam in box}
+            bij = {lam: grassmannian_bijection(cx.ct, lam) for lam in box}
             for lam in box:
                 for mu in box:
                     if sum(lam) + sum(mu) > r * (n - r):
@@ -222,12 +225,12 @@ def test_criterion_10_ring_axioms():
                 if set(dfm) - set(full):
                     failures += 1
         for _ in range(6):
-            a, b, c = (ring.basis(rng.choice(els)) for _ in range(3))
-            if ring.cup(a, b) != ring.cup(b, a) or dr.cup(a, b) != dr.cup(b, a):
+            a, b, c = ({rng.randrange(len(els)): 1} for _ in range(3))
+            if cup(ring, a, b) != cup(ring, b, a) or cup(dr, a, b) != cup(dr, b, a):
                 failures += 1
-            if ring.cup(ring.cup(a, b), c) != ring.cup(a, ring.cup(b, c)):
+            if cup(ring, cup(ring, a, b), c) != cup(ring, a, cup(ring, b, c)):
                 failures += 1
-            if dr.cup(dr.cup(a, b), c) != dr.cup(a, dr.cup(b, c)):
+            if cup(dr, cup(dr, a, b), c) != cup(dr, a, cup(dr, b, c)):
                 failures += 1
         if cx.parabolic.m_o == 1:
             for u in range(len(els)):

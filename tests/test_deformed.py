@@ -1,13 +1,16 @@
 import pickle
-import random
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
+from cupfold import cup
 
-from flagcalc import cli, lr, roots
+from flagcalc import cli, context, lr, roots
 from flagcalc.context import FlagContext, flag_context
-from flagcalc.cells import (DjProfile, cell_in_stabilizer_orbit, cover_level_identity,
-                            dj_profile, dj_profile_at_cover, stabilizer_simple_roots)
+from flagcalc.cells import DjProfile, dj_profile, stabilizer_simple_roots
 from flagcalc.deformed import ChiCharacter
+from flagcalc.oracle import (cell_in_stabilizer_orbit, cover_level_identity, covers,
+                             dj_profile_at_cover, grassmannian_cell, root_of_fund)
 
 SWEEP = [("A", 2, (1,)), ("A", 3, (2,)), ("B", 2, (2,)), ("B", 3, (1,)),
          ("B", 3, (2,)), ("C", 3, (2,)), ("C", 3, (3,)), ("G", 2, (1,)), ("G", 2, (2,))]
@@ -53,7 +56,7 @@ def test_sp6_reference_values():
     assert cx.deformed.chi(w1).levi_coords == (1, 1)
     assert cx.deformed.chi(w3).levi_coords == (3, 1)
     tup = [w1, w1, w3]
-    assert cx.ring.intersection_number(tup) == 1
+    assert cx.ring.top_coefficient(tup) == 1
     assert cx.deformed.top_coefficient(tup) == 0
 
 
@@ -142,17 +145,40 @@ def test_cominuscule_collapse():
                     assert cx.ring.row(u, v) == cx.deformed.row(u, v)
 
 
-def test_deformed_ring_axioms():
-    for (letter, rank, crossed) in [("C", 3, (2,)), ("B", 3, (2,)), ("G", 2, (1,))]:
-        cx = flag_context(letter, rank, crossed)
-        ring, dr = cx.ring, cx.deformed
-        rng = random.Random(7 * rank)
-        els = list(cx.ct.elements)
-        for _ in range(8):
-            u, v, w = (rng.choice(els) for _ in range(3))
-            a, b, c = ring.basis(u), ring.basis(v), ring.basis(w)
-            assert dr.cup(a, b) == dr.cup(b, a)
-            assert dr.cup(dr.cup(a, b), c) == dr.cup(a, dr.cup(b, c))
+def _small_parabolics(most):
+    """(letter, rank, crossed, |W^P|) over the parabolics P != G of the
+    supported groups with at most `most` classes, counted without a coset
+    table: |W^P| = prod (ht(beta) + 1) / ht(beta) over the roots beta of
+    R+ minus R_L+ (Macdonald's product for the Poincare polynomial at 1)."""
+    for letter, ranks in roots.SUPPORTED_RANKS.items():
+        for rank in ranks:
+            R = roots.build(letter, rank)
+            for k in range(1, rank + 1):
+                for crossed in combinations(range(1, rank + 1), k):
+                    count = Fraction(1)
+                    for beta in R.positive_roots:
+                        if any(beta[j - 1] for j in crossed):
+                            count *= Fraction(sum(beta) + 1, sum(beta))
+                    if count <= most:
+                        yield letter, rank, crossed, count
+
+
+def test_deformed_ring_axioms(monkeypatch):
+    """On every parabolic with at most 50 classes, 95 of them, the deformed
+    product is commutative and (ab)c = a(bc) = (ac)b on every multiset of
+    three classes, 352,440 in all.  The contexts are dropped afterwards."""
+    monkeypatch.setattr(context, "_contexts", {})
+    parabolics = triples = 0
+    for letter, rank, crossed, count in _small_parabolics(50):
+        dr = flag_context(letter, rank, crossed).deformed
+        assert len(dr.ct) == count
+        for i, j, k in combinations_with_replacement(range(len(dr.ct)), 3):
+            assert dr.row(i, j) == dr.row(j, i)
+            ab_c = cup(dr, dr.row(i, j), {k: 1})
+            assert ab_c == cup(dr, dr.row(j, k), {i: 1}) == cup(dr, dr.row(i, k), {j: 1})
+            triples += 1
+        parabolics += 1
+    assert (parabolics, triples) == (95, 352440)
 
 
 def test_levi_movable_cominuscule_duality():
@@ -178,7 +204,7 @@ def test_stabilizer_matches_flag_conditions_gr24():
     ct = cx.ct
     n, r = 4, 2
     for lam in lr.partitions_in_box(2, 2):
-        w = lr.grassmannian_cell(ct, lam)  # dimension-graded cell
+        w = grassmannian_cell(ct, lam)  # dimension-graded cell
         full = tuple(lam) + (0,) * (r - len(lam))
         I = sorted(full[r - i] + i for i in range(1, r + 1))
         J = {i for i in I if i + 1 not in I and i < n}
@@ -194,11 +220,11 @@ def test_dj_profile_sums(letter, rank, crossed):
     assert dj_profile(ct, e).d == (0,) * P.m_o
     for w in ct.elements:
         prof = dj_profile(ct, w)
-        assert prof.total == w.length
+        assert sum(prof.d) == w.length
         winv_rho = ct.wg.inv_act_weight(w, R.rho)
         drop = tuple(R.rho[j] - winv_rho[j] for j in range(R.rank))
         weighted = sum(j * d for j, d in enumerate(prof.d, 1))
-        assert weighted == P.root_at_xp(R.root_of_fund(drop))
+        assert weighted == P.root_at_xp(root_of_fund(R, drop))
 
 
 @pytest.mark.parametrize("letter,rank,crossed", SWEEP)
@@ -206,9 +232,9 @@ def test_cover_profiles_and_level_identity(letter, rank, crossed):
     cx = flag_context(letter, rank, crossed)
     ct = cx.ct
     outside = 0
-    for (v, w, beta) in ct.covers:
+    for (v, w, beta) in covers(ct):
         at_cover = dj_profile_at_cover(ct, v, beta, w)
-        assert at_cover.total == w.length
+        assert sum(at_cover.d) == w.length
         lhs, rhs = cover_level_identity(ct, v, beta, w)
         assert lhs == rhs
         inside = cell_in_stabilizer_orbit(ct, v, beta, w)
@@ -224,7 +250,7 @@ def test_cover_profiles_and_level_identity(letter, rank, crossed):
 def test_cover_input_validation():
     cx = flag_context("C", 3, (3,))
     ct = cx.ct
-    v, w, beta = ct.covers[0]
+    v, w, beta = covers(ct)[0]
     with pytest.raises(ValueError):
         cell_in_stabilizer_orbit(ct, w, beta, v)  # reversed pair is not a cover
 
@@ -235,7 +261,7 @@ def test_lg36_orbit_classification():
     ct = cx.ct
     wg = ct.wg
     R, P = cx.system, cx.parabolic
-    for (v, w, beta) in ct.covers:
+    for (v, w, beta) in covers(ct):
         # independent route: Delta_w = Delta cap w(R_l+ u R-) membership of beta
         if sum(beta) == 1:
             i = beta.index(1) + 1
@@ -255,7 +281,7 @@ def test_covers_into_top_always_inside():
         top = ct.longest
         assert stabilizer_simple_roots(ct, top) == frozenset(
             range(1, cx.system.rank + 1))
-        for (v, w, beta) in ct.covers:
+        for (v, w, beta) in covers(ct):
             if w == top:
                 assert cell_in_stabilizer_orbit(ct, v, beta, w)
 
@@ -266,7 +292,7 @@ def test_non_simple_cover_roots_are_outside():
     found = 0
     for (letter, crossed) in [("C", (2,)), ("B", (2,))]:
         cx = flag_context(letter, 3, crossed)
-        for (v, w, beta) in cx.ct.covers:
+        for (v, w, beta) in covers(cx.ct):
             if sum(beta) > 1:
                 found += 1
                 assert not cell_in_stabilizer_orbit(cx.ct, v, beta, w)
@@ -288,7 +314,6 @@ def test_records_are_frozen_values():
     assert chi != ChiCharacter(chi.weight, chi.root_coords, (-1,) * len(chi.levi_coords))
     assert chi != (chi.weight, chi.root_coords, chi.levi_coords)
     assert prof == DjProfile(d=prof.d, subject=prof.subject) and len({prof, prof}) == 1
-    assert prof.total == sum(prof.d)
     assert repr(prof) == f"DjProfile(d={prof.d!r}, subject={prof.subject!r})"
     for rec, name in ((chi, "weight"), (prof, "d")):
         with pytest.raises(AttributeError):

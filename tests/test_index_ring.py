@@ -8,12 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from cupfold import cup
 
 import flagcalc
 from flagcalc.cli import main
 from flagcalc.context import flag_context
-from flagcalc.oracle import ReferenceBGG, pmul, structure_constant
-from flagcalc.schubert import CohomClass
+from flagcalc.oracle import ReferenceBGG, from_word, pmul, structure_constant
 
 BATTERIES = [("A", 4, (1, 2, 3, 4)), ("C", 4, (1, 4)), ("B", 3, (1, 2, 3)), ("G", 2, (1, 2)),
              ("D", 4, (2,))]
@@ -29,8 +29,9 @@ def _elements(ct, vec):
 @pytest.mark.parametrize("letter,rank,crossed", BATTERIES)
 def test_index_rows_match_element_api(letter, rank, crossed):
     """On every pair of indices, ordinary and deformed: row(i, j) is the
-    object row(j, i) returns, and cup, product and structure_constant on
-    elements are that row mapped through ct.elements."""
+    object row(j, i) returns, the fold of the two classes is that row, and
+    product and structure_constant on elements are that row mapped through
+    ct.elements."""
     cx = flag_context(letter, rank, crossed)
     ct = cx.ct
     els = ct.elements
@@ -42,9 +43,8 @@ def test_index_rows_match_element_api(letter, rank, crossed):
                 row = ring.row(i, j)
                 assert ring.row(j, i) is row
                 assert all(isinstance(k, int) and c > 0 for k, c in row.items())
-                want = _elements(ct, row)
-                assert ring.cup(ring.basis(u), ring.basis(v)).coeffs == want
-                assert ring.product([v, u]).coeffs == want
+                assert cup(ring, {i: 1}, {j: 1}) == row
+                assert ring.product([v, u]) == _elements(ct, row)
                 length = ct.lengths[i] + ct.lengths[j] - dim
                 for k in ct.block.get(length, ()):
                     assert structure_constant(ring, u, v, els[k]) == row.get(k, 0)
@@ -53,18 +53,32 @@ def test_index_rows_match_element_api(letter, rank, crossed):
 
 @pytest.mark.parametrize("letter,rank,crossed", BATTERIES)
 def test_three_class_products_fold_rows_by_index(letter, rank, crossed):
-    """product of three classes, which folds rows by index, equals the
-    element-level cup of cups, ordinary and deformed."""
+    """product of three classes, which folds rows by index, equals the cup
+    of cups the tests fold from rows, mapped to elements, ordinary and
+    deformed."""
     cx = flag_context(letter, rank, crossed)
-    els = cx.ct.elements
-    step = max(1, len(els) // 12)
-    picks = els[::step]
+    ct = cx.ct
+    step = max(1, len(ct) // 12)
+    picks = range(0, len(ct), step)
     for ring in (cx.ring, cx.deformed):
-        for u in picks:
-            for v in picks:
-                for w in picks[::2]:
-                    cup = ring.cup(ring.cup(ring.basis(u), ring.basis(v)), ring.basis(w))
-                    assert ring.product([u, v, w]) == cup
+        for i in picks:
+            for j in picks:
+                for k in picks[::2]:
+                    want = _elements(ct, cup(ring, cup(ring, {i: 1}, {j: 1}), {k: 1}))
+                    assert ring.product([ct.elements[m] for m in (i, j, k)]) == want
+
+
+@pytest.mark.parametrize("letter,rank,crossed", BATTERIES)
+def test_empty_product_is_the_unit(letter, rank, crossed):
+    """The product of no classes is the unit, the class of the longest
+    element of W^P, ordinary and deformed; one class is itself."""
+    cx = flag_context(letter, rank, crossed)
+    ct = cx.ct
+    for ring in (cx.ring, cx.deformed):
+        assert ring.product([]) == {ct.longest: 1}
+        assert all(ring.product([w]) == {w: 1} for w in ct.elements)
+        for w in ct.elements[::5]:
+            assert ring.product([w, ct.longest]) == ring.product([w])
 
 
 @pytest.mark.parametrize("letter,rank,crossed", REFERENCE)
@@ -98,12 +112,11 @@ def test_non_member_elements_rejected():
     """The element-level API still refuses an element outside W^P with the
     same ValueError, and `product` a word outside W^P with exit code 2."""
     cx = flag_context("C", 3, (3,))
-    s1 = cx.wg.from_word((1,))
+    s1 = from_word(cx.wg, (1,))
     e = cx.ct.elements[0]
     msg = "element w\\[1\\] is not a minimal coset representative"
     for ring in (cx.ring, cx.deformed):
         for call in (lambda: ring.product([e, s1]), lambda: structure_constant(ring, s1, e, e),
-                     lambda: ring.cup(ring.basis(e), CohomClass(ring, {s1: 1})),
                      lambda: ring.top_coefficient([e, s1, e])):
             with pytest.raises(ValueError, match=msg):
                 call()

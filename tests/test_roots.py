@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagcalc import roots
+from flagcalc.oracle import root_of_fund
 from flagcalc.roots import ExactnessError, Memo
 from flagcalc.schubert import CupRing
 from flagcalc.weyl import minimal_coset_reps
@@ -33,7 +34,7 @@ def test_cartan_shape_and_sum_rule(letter, rank):
     for b in R.positive_roots:
         for j in range(R.rank):
             total[j] += b[j]
-    two_rho = R.root_of_fund(tuple(2 for _ in range(R.rank)))
+    two_rho = root_of_fund(R, tuple(2 for _ in range(R.rank)))
     assert tuple(total) == tuple(int(x) for x in two_rho)
 
 
@@ -72,16 +73,16 @@ def test_eval_at_x_basics():
     for i in range(1, 3):
         for j in range(1, 3):
             alpha = A2.fund_of_root(tuple(int(k == i - 1) for k in range(2)))
-            assert A2.root_of_fund(alpha)[j - 1] == (1 if i == j else 0)
-    assert A2.root_of_fund(A2.rho)[0] == 1  # rho = alpha1 + alpha2 in A2
+            assert root_of_fund(A2, alpha)[j - 1] == (1 if i == j else 0)
+    assert root_of_fund(A2, A2.rho)[0] == 1  # rho = alpha1 + alpha2 in A2
 
     G2 = roots.build("G", 2)
     P = roots.parabolic(G2, crossed=[1])
-    assert P.root_at_xp(G2.root_of_fund(G2.fund_of_root(G2.theta))) == 3
+    assert P.root_at_xp(root_of_fund(G2, G2.fund_of_root(G2.theta))) == 3
 
     C3 = roots.build("C", 3)
     P2 = roots.parabolic(C3, crossed=[2])
-    assert P2.root_at_xp(C3.root_of_fund(C3.fund_of_root(C3.theta))) == 2
+    assert P2.root_at_xp(root_of_fund(C3, C3.fund_of_root(C3.theta))) == 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -94,7 +95,7 @@ def test_eval_at_x_linear(a, b, den, l1, l2):
     mu = (Fraction(l2, den), Fraction(l1))
     for j in (1, 2):
         combo = tuple(ar * x + br * y for x, y in zip(lam, mu))
-        at_x = lambda weight: R.root_of_fund(weight)[j - 1]  # alpha_i(x_j) = delta_ij
+        at_x = lambda weight: root_of_fund(R, weight)[j - 1]  # alpha_i(x_j) = delta_ij
         assert at_x(combo) == ar * at_x(lam) + br * at_x(mu)
 
 
@@ -103,7 +104,7 @@ def test_rho_levi():
     assert roots.rho_levi(C3, ()) == (0, 0, 0)
     assert roots.rho_levi(C3, (1, 2, 3)) == C3.rho
     half = roots.rho_levi(C3, (1, 3))
-    assert tuple(C3.root_of_fund(half)) == (Fraction(1, 2), 0, Fraction(1, 2))
+    assert tuple(root_of_fund(C3, half)) == (Fraction(1, 2), 0, Fraction(1, 2))
     # pairing 1 on the Levi nodes, supported on Delta(P) in the root basis
     for i in (1, 3):
         assert half[i - 1] == 1
@@ -131,7 +132,7 @@ def test_basis_roundtrip():
     for (letter, rank) in [("A", 3), ("C", 3), ("G", 2), ("D", 4)]:
         R = roots.build(letter, rank)
         w = tuple(Fraction(k + 1, 3) for k in range(rank))
-        back = R.fund_of_root(R.root_of_fund(w))
+        back = R.fund_of_root(root_of_fund(R, w))
         assert tuple(Fraction(x) for x in back) == w
 
 
@@ -140,7 +141,7 @@ def test_eval_at_xp_on_simple_roots():
     P = roots.parabolic(C3, crossed=[2])
     for i in range(1, 4):
         alpha = C3.fund_of_root(tuple(int(k == i - 1) for k in range(3)))
-        assert P.root_at_xp(C3.root_of_fund(alpha)) == (0 if i in P.levi_simple else 1)
+        assert P.root_at_xp(root_of_fund(C3, alpha)) == (0 if i in P.levi_simple else 1)
     assert P.m_o >= 1
     for (letter, rank) in [("A", 3), ("B", 3), ("G", 2)]:
         R = roots.build(letter, rank)
@@ -154,7 +155,7 @@ def test_eval_at_xp_on_simple_roots():
 def test_lattice_coords_match_rational_inverse(group, weight):
     R = roots.build(*group)
     weight = tuple(weight[:R.rank])
-    exact = R.root_of_fund(weight)
+    exact = root_of_fund(R, weight)
     got = R.lattice_coords(weight)
     if all(Fraction(x).denominator == 1 for x in exact):
         assert got == tuple(int(x) for x in exact)

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagcalc import oracle, roots, weyl_order
+from flagcalc.oracle import (all_elements, coroot_pairing, covers, from_word, grassmannian_cell,
+                             is_cover, reflect, root_of_fund)
 from flagcalc.levi import LeviSystem
 from flagcalc.weyl import group, minimal_coset_reps
 
@@ -20,20 +22,20 @@ def ctx(letter, rank, crossed):
 
 def test_from_word_basics():
     wg = group(roots.build("A", 2))
-    assert wg.from_word(()) == wg.identity
-    assert wg.from_word((1, 1)) == wg.identity
+    assert from_word(wg, ()) == wg.identity
+    assert from_word(wg, (1, 1)) == wg.identity
     C3 = group(roots.build("C", 3))
-    w = C3.from_word((1, 3, 2, 1, 3, 2))
+    w = from_word(C3, (1, 3, 2, 1, 3, 2))
     assert w.length == 6
     # the stored word is reduced and reproduces the element
-    assert C3.from_word(w.word) == w
+    assert from_word(C3, w.word) == w
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(1, 3), max_size=10))
 def test_word_length_and_inversions(word):
     wg = group(roots.build("B", 3))
-    w = wg.from_word(word)
+    w = from_word(wg, word)
     inv = wg.inversion_set(w)
     assert len(inv) == w.length == len(w.word)
     # sum of inversions = rho - w^{-1} rho
@@ -42,14 +44,14 @@ def test_word_length_and_inversions(word):
     for b in inv:
         for j in range(3):
             total[j] += b[j]
-    diff = R.root_of_fund(tuple(R.rho[j] - wg.inv_act_weight(w, R.rho)[j] for j in range(3)))
+    diff = root_of_fund(R, tuple(R.rho[j] - wg.inv_act_weight(w, R.rho)[j] for j in range(3)))
     assert tuple(total) == tuple(int(x) for x in diff)
 
 
 def test_inversion_extremes():
     wg = group(roots.build("C", 3))
     assert wg.inversion_set(wg.identity) == frozenset()
-    s1 = wg.from_word((1,))
+    s1 = from_word(wg, (1,))
     assert wg.inversion_set(s1) == frozenset({(1, 0, 0)})
     w0 = wg.longest()
     assert wg.inversion_set(w0) == frozenset(wg.system.positive_roots)
@@ -58,7 +60,7 @@ def test_inversion_extremes():
 @pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)])
 def test_group_order_formula(letter, rank):
     R = roots.build(letter, rank)
-    assert len(group(R).all_elements()) == weyl_order(R)
+    assert len(all_elements(group(R))) == weyl_order(R)
 
 
 @pytest.mark.parametrize("letter,rank,crossed,size", [
@@ -75,7 +77,7 @@ def test_coset_sizes(letter, rank, crossed, size):
     # enumerate the Levi Weyl group directly
     sub = R.sub_system(sorted(P.levi_simple))
     if sub.rank:
-        wp_order = len(group(sub).all_elements())
+        wp_order = len(all_elements(group(sub)))
     assert len(ct) * wp_order == weyl_order(R)
 
 
@@ -123,15 +125,14 @@ def test_dual_rep():
         assert ct.dual[ct.dual[w]] == w
         assert ct.dual[w].length == P.dim_gp - w.length
     # Gr(2,4): the dimension-1 cell pairs with the dimension-3 cell
-    from flagcalc import lr
     R4, P4, ct4 = ctx("A", 3, [2])
-    assert ct4.dual[lr.grassmannian_cell(ct4, (1,))] == lr.grassmannian_cell(ct4, (2, 1))
+    assert ct4.dual[grassmannian_cell(ct4, (1,))] == grassmannian_cell(ct4, (2, 1))
 
 
 def test_dual_rep_rejects_non_members():
     R, P, ct = ctx("C", 3, [3])
     with pytest.raises(ValueError):
-        ct.canonical(ct.wg.from_word((1,)))  # a Levi reflection is not minimal
+        ct.canonical(from_word(ct.wg, (1,)))  # a Levi reflection is not minimal
 
 
 @pytest.mark.parametrize("letter,rank,crossed", [("C", 3, [3]), ("C", 3, [2]),
@@ -139,12 +140,12 @@ def test_dual_rep_rejects_non_members():
 def test_covers(letter, rank, crossed):
     R, P, ct = ctx(letter, rank, crossed)
     wg = ct.wg
-    for (v, w, beta) in ct.covers:
+    for (v, w, beta) in covers(ct):
         assert w.length == v.length + 1
         assert R.is_positive_root(beta)
-        assert wg.reflect(v.key, beta) == w.key  # w = s_beta v
+        assert reflect(R, v.key, beta) == w.key  # w = s_beta v
     # completeness: covers = adjacent-length Bruhat-comparable pairs
-    pairs = {(v, w) for (v, w, _) in ct.covers}
+    pairs = {(v, w) for (v, w, _) in covers(ct)}
     for v in ct.elements:
         for w in ct.elements:
             if w.length == v.length + 1:
@@ -155,25 +156,23 @@ def test_covers(letter, rank, crossed):
                                                  ("D", 4, [2]), ("G", 2, [1])])
 def test_is_cover_matches_covers(letter, rank, crossed):
     """The one-triple cover test agrees with membership in covers on every
-    (v, beta, w), W^P elements and positive roots alike; covers is built on
-    first use, in v-major, root-minor order."""
+    (v, beta, w), W^P elements and positive roots alike; covers lists them in
+    v-major, root-minor order."""
     R, P, ct = ctx(letter, rank, crossed)
-    ct.__dict__.pop("covers", None)
     triples = [(v, beta, w) for v in ct.elements for beta in R.positive_roots
                for w in ct.elements]
-    direct = [t for t in triples if ct.is_cover(*t)]
-    assert "covers" not in ct.__dict__
-    assert [(v, w, beta) for v, beta, w in direct] == list(ct.covers)
+    direct = [t for t in triples if is_cover(ct, *t)]
+    assert [(v, w, beta) for v, beta, w in direct] == list(covers(ct))
     assert direct
-    outside = ct.wg.from_word((min(P.levi_simple),))  # a Levi reflection, not in W^P
-    assert not any(ct.is_cover(outside, beta, w) for beta in R.positive_roots
+    outside = from_word(ct.wg, (min(P.levi_simple),))  # a Levi reflection, not in W^P
+    assert not any(is_cover(ct, outside, beta, w) for beta in R.positive_roots
                    for w in ct.elements)
 
 
 def test_word_need_not_be_reduced():
     wg = group(roots.build("C", 3))
-    w = wg.from_word((1, 1, 2, 2, 3))
-    assert w == wg.from_word((3,))
+    w = from_word(wg, (1, 1, 2, 2, 3))
+    assert w == from_word(wg, (3,))
     assert w.length == 1
 
 
@@ -182,7 +181,7 @@ def test_word_need_not_be_reduced():
 def test_inversions_of_w0w_complement(word):
     wg = group(roots.build("C", 3))
     R = wg.system
-    w = wg.from_word(word)
+    w = from_word(wg, word)
     w0w = wg.mul(wg.longest(), w)
     # {b > 0 : w b > 0} is exactly the inversion set of w0 w
     kept = frozenset(b for b in R.positive_roots if b not in wg.inversion_set(w))
@@ -258,7 +257,7 @@ def test_words_and_actions_match_reflection_matrices(name):
     wg = group(R)
     fund, root = _reflection_matrices(R.cartan)
     lexmin = _lexmin_reduced_words(fund)
-    elements = wg.all_elements()
+    elements = all_elements(wg)
     assert len(elements) == len(lexmin)
     n = R.rank
     units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
@@ -277,18 +276,18 @@ def test_group_law(name):
     R = REPRESENTATION_GROUPS[name]()
     wg = group(R)
     fund, _ = _reflection_matrices(R.cartan)
-    elements = wg.all_elements()
+    elements = all_elements(wg)
     n = R.rank
     for w in elements:
         assert wg.mul(w, wg.inverse(w)) == wg.identity
         assert wg.inverse(wg.inverse(w)) == w
         for i in range(1, n + 1):
             # non-reduced words: a cancelling pair anywhere, or a left descent
-            assert wg.from_word(w.word + (i, i)) == w
-            assert wg.from_word((i, i) + w.word) == w
+            assert from_word(wg, w.word + (i, i)) == w
+            assert from_word(wg, (i, i) + w.word) == w
             mid = len(w.word) // 2
-            assert wg.from_word(w.word[:mid] + (i, i) + w.word[mid:]) == w
-            u = wg.from_word((i,) + w.word)
+            assert from_word(wg, w.word[:mid] + (i, i) + w.word[mid:]) == w
+            u = from_word(wg, (i,) + w.word)
             assert _word_matrix(fund, u.word) == _matmul(fund[i - 1], _word_matrix(fund, w.word))
             assert u.length == w.length + (1 if wg.ascends_left(w, i) else -1)
     rng = random.Random(20100423)
@@ -305,7 +304,7 @@ def _projected_dual(wg, levi, w):
     Levi: multiply by s_j on the right while that shortens the element."""
     u = wg.mul(wg.longest(), w)
     while True:
-        shorter = (wg.mul(u, wg.from_word((j,))) for j in levi)
+        shorter = (wg.mul(u, from_word(wg, (j,))) for j in levi)
         v = next((v for v in shorter if v.length < u.length), None)
         if v is None:
             return u
@@ -376,8 +375,8 @@ def test_inversion_set_matches_coroot_pairings(letter, rank):
     """N(w) along the word against {beta > 0 : <w^{-1} rho, beta^vee> < 0}."""
     R = roots.build(letter, rank)
     wg = group(R)
-    for w in wg.all_elements():
-        want = frozenset(b for b in R.positive_roots if R.coroot_pairing(w.inv, b) < 0)
+    for w in all_elements(wg):
+        want = frozenset(b for b in R.positive_roots if coroot_pairing(R, w.inv, b) < 0)
         assert wg.inversion_set(w) == want
 
 
@@ -389,7 +388,7 @@ def test_signed_orbit_matches_all_elements(name):
     weights = [(0,) * n, (1,) * n, (1,) + (0,) * (n - 1)]
     weights += [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(6)]
     for v in weights:
-        want = Counter((wg.act_weight(w, v), 1 - 2 * (w.length % 2)) for w in wg.all_elements())
+        want = Counter((wg.act_weight(w, v), 1 - 2 * (w.length % 2)) for w in all_elements(wg))
         assert Counter(wg.signed_orbit(v)) == want
 
 
