@@ -44,9 +44,12 @@ SWEEPS = [
 # listed twice (the parabolic of --cross 2, so the same bytes), invariants on
 # G2 and on the Levis A1 x B2 (B4{2}), A2 x A3 (A6{3}), D4 (D5{1}) and A4
 # (C5{5}) with counts above 1, invariants and a deformed product on a Borel
-# (the rank-0 Levi), fulton in single and sweep mode, and examples (exit 1:
-# its intentional FAIL row)
+# (the rank-0 Levi), fulton in single and sweep mode, roots on every
+# supported group (positive roots, highest root and Weyl order), and examples
+# (exit 1: its intentional FAIL row)
 WORDS = ["1,3,2,1,3,2", "1,3,2,1,3,2", "3,2"]
+GROUPS = ([f"A{l}" for l in range(1, 8)] + [f"{t}{l}" for t in "BC" for l in range(2, 6)]
+          + ["D4", "D5", "G2"])
 COMMANDS = [
     ["wp", "--group", "C3", "--cross", "3"],
     ["wp", "--group", "A3", "--cross", "2"],
@@ -69,6 +72,7 @@ COMMANDS = [
     ["product", "--group", "A3", "--cross", "1,2,3", "--deformed", "1,2", "2,3", "1"],
     ["fulton", "--lam", "2,1", "--mu", "2,1", "--nu", "4,2", "--nmax", "3"],
     ["fulton", "--rows", "3", "--cols", "2", "--nmax", "4"],
+    *(["roots", "--group", g] for g in GROUPS),
     ["examples"],
 ]
 

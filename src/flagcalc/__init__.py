@@ -12,8 +12,7 @@ Quick start::
 from .context import FlagContext, flag_context
 from .deformed import DeformedRing
 from .levi import LeviSystem
-from .roots import (ExactnessError, ParabolicData, RootSystem, build, parabolic, rho_levi,
-                    weyl_order)
+from .roots import ExactnessError, ParabolicData, RootSystem, build, parabolic, weyl_order
 from .schubert import CupRing, SchubertEngine
 from .weyl import CosetTable, WeylElement, WeylGroup, group, minimal_coset_reps
 
@@ -24,8 +23,7 @@ __all__ = [
     "DeformedRing", "cell_in_stabilizer_orbit", "cover_level_identity",
     "dj_profile", "dj_profile_at_cover", "stabilizer_simple_roots",
     "LeviSystem", "hom_dimension",
-    "ExactnessError", "ParabolicData", "RootSystem", "build", "parabolic", "rho_levi",
-    "weyl_order",
+    "ExactnessError", "ParabolicData", "RootSystem", "build", "parabolic", "weyl_order",
     "CupRing", "ReferenceBGG", "SchubertEngine",
     "CosetTable", "WeylElement", "WeylGroup", "group", "minimal_coset_reps",
     "__version__",

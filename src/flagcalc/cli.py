@@ -316,9 +316,10 @@ def cmd_fulton(args):
         if getattr(args, name) < 0:
             raise ValueError(f"--{name} must be at least 0")
     from . import lr
-    if args.lam or args.mu or args.nu:
-        if not (args.lam and args.mu and args.nu):
-            raise ValueError("give all of --lam/--mu/--nu or none")
+    given = [args.lam, args.mu, args.nu]
+    if given.count(None) not in (0, 3):  # "" is the empty partition, not absent
+        raise ValueError("give all of --lam/--mu/--nu or none")
+    if None not in given:
         rep = lr.fulton_check(_parse_ints(args.lam, "--lam"), _parse_ints(args.mu, "--mu"),
                               _parse_ints(args.nu, "--nu"), args.nmax)
         doc = {"mode": "single", "n_max": args.nmax, "report": _fulton_json(rep)}

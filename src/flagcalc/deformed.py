@@ -131,6 +131,12 @@ class DeformedRing(SchubertBasisRing):
         return [(t, t) if not t or cols[c] == need
                 else (t, _unbalanced(cols[c], need, (*prefix, c))) for t, c in zip(tops, lasts)]
 
+    def top_run(self, prefix, lasts):
+        """The deformed tops of a run, the deformed half of tops_run: the
+        inherited top_coefficient reads a tuple's deformed top through the
+        criterion, not by folding deformed rows."""
+        return [d for _, d in self.tops_run(prefix, lasts)]
+
 
 def _unbalanced(col, need, idx):
     """0, the deformed top of the classes with indices idx, whose ordinary top

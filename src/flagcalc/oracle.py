@@ -9,7 +9,8 @@ and the checks built on them; no production module imports this one.
     per-factor product);
   * the Bruhat covers of W^P, `covers` and the one-triple `is_cover`, found
     by reflecting along every positive root (`reflect`, `coroot_pairing`),
-    checked against the Bruhat order `bruhat_le`, and the cover lemmas of
+    checked against the Bruhat order `bruhat_le` (its step s_i w is
+    `left_gen`), and the cover lemmas of
     the `cells` data: `cell_in_stabilizer_orbit`, `dj_profile_at_cover` and
     `cover_level_identity`;
   * `grassmannian_cell` and `grassmannian_bijection`, the partition-to-cell
@@ -246,6 +247,11 @@ def hom_dimension(cx, ws, n=1):
 
 # -- Bruhat order and covers ---------------------------------------------------
 
+def left_gen(wg, i, w):
+    """s_i w in the WeylGroup wg."""
+    return wg._element(wg._reflect(w.key, i - 1))
+
+
 def bruhat_le(wg, v, w):
     """v <= w in the Bruhat order of the WeylGroup wg, by the lifting
     property: for the left descent s_i of w that starts its word, v <= w iff
@@ -254,9 +260,9 @@ def bruhat_le(wg, v, w):
         if v.length == 0:
             return True
         i = w.word[0]
-        w = wg.left_gen(i, w)  # shorter
+        w = left_gen(wg, i, w)  # shorter
         if v.key[i - 1] < 0:  # ell(s_i v) < ell(v)
-            v = wg.left_gen(i, v)
+            v = left_gen(wg, i, v)
     return False
 
 

@@ -116,69 +116,45 @@ def cartan_matrix(type_letter, rank):
 
 
 def _symmetrizers(cartan):
-    """Positive integers d_i with d_i a_ij = d_j a_ji (per component minimal)."""
+    """Positive integers d_i with d_i a_ij = d_j a_ji (per component minimal):
+    ratios d_j = d_i a_ij / a_ji along the edges of each component, then one
+    scaling to coprime integers."""
     n = len(cartan)
     d = [None] * n
     for start in range(n):
         if d[start] is not None:
             continue
-        d[start] = Fraction(1)
-        comp = [start]
-        queue = [start]
-        while queue:
-            i = queue.pop()
+        d[start], comp = Fraction(1), [start]
+        for i in comp:  # grows while it is walked: one pass per component
             for j in range(n):
-                if j != i and cartan[i][j] != 0 and d[j] is None:
+                if d[j] is None and cartan[i][j]:
                     d[j] = d[i] * cartan[i][j] / cartan[j][i]
                     comp.append(j)
-                    queue.append(j)
-        denom = 1
+        scale = lcm(*(d[i].denominator for i in comp))
+        common = gcd(*(int(d[i] * scale) for i in comp))
         for i in comp:
-            denom = denom * d[i].denominator // gcd(denom, d[i].denominator)
-        num = 0
-        for i in comp:
-            d[i] *= denom
-            num = gcd(num, int(d[i]))
-        for i in comp:
-            d[i] = int(d[i]) // num
+            d[i] = int(d[i] * scale) // common
     if any(d[i] * cartan[i][j] != d[j] * cartan[j][i] for i in range(n) for j in range(n)):
         raise ValueError("Cartan matrix is not symmetrizable")
     return tuple(d)
 
 
 def _positive_roots(cartan):
-    """Closure of the simple roots under root-string addition, by height."""
+    """Closure of the simple roots under the simple reflections that raise a
+    root: where <beta, alpha_i^vee> = c < 0, s_i beta = beta - c alpha_i is a
+    root of greater height (WeylGroup._reflect_root's rule), and every positive
+    root is reached so; sorted by (height, tuple)."""
     n = len(cartan)
-    simple = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    roots = set(simple)
-    level = list(simple)
-    out = list(simple)
-    while level:
-        nxt = []
-        for beta in level:
-            for i in range(n):
-                pairing = sum(cartan[i][j] * beta[j] for j in range(n))
-                # p = how far the alpha_i-string through beta goes down
-                p = 0
-                cur = list(beta)
-                while True:
-                    cur[i] -= 1
-                    t = tuple(cur)
-                    if t in roots:
-                        p += 1
-                    else:
-                        break
-                if p - pairing > 0:
-                    up = list(beta)
-                    up[i] += 1
-                    t = tuple(up)
-                    if t not in roots:
-                        roots.add(t)
-                        nxt.append(t)
-                        out.append(t)
-        level = nxt
-    out.sort(key=lambda r: (sum(r), r))
-    return tuple(out)
+    roots = {tuple(int(k == i) for k in range(n)) for i in range(n)}
+    todo = list(roots)
+    while todo:
+        beta = todo.pop()
+        for i, row in enumerate(cartan):
+            c = sum(a * b for a, b in zip(row, beta))
+            if c < 0 and (up := beta[:i] + (beta[i] - c,) + beta[i + 1:]) not in roots:
+                roots.add(up)
+                todo.append(up)
+    return tuple(sorted(roots, key=lambda r: (sum(r), r)))
 
 
 class RootSystem:
@@ -264,24 +240,6 @@ def weyl_order(R):
     return WEYL_ORDER_FORMULA[R.type_letter](R.rank)
 
 
-def rho_levi(R, levi_simple):
-    """Half the sum of the Levi positive roots, in fundamental coordinates."""
-    levi = frozenset(levi_simple)
-    total = [0] * R.rank
-    for beta in levi_positive_roots(R, levi):
-        for j in range(R.rank):
-            total[j] += beta[j]
-    half = tuple(Fraction(t, 2) for t in total)
-    fund = mat_vec(R.cartan, half)
-    return tuple(int(x) if x.denominator == 1 else x for x in fund)
-
-
-def levi_positive_roots(R, levi_simple):
-    levi = frozenset(levi_simple)
-    return tuple(b for b in R.positive_roots
-                 if all(b[j] == 0 or (j + 1) in levi for j in range(R.rank)))
-
-
 class ParabolicData:
     """A standard parabolic: the set Delta(P) of uncrossed simple nodes plus
     the derived quantities (Levi positive roots, rho^L, dim G/P, m_o)."""
@@ -293,8 +251,11 @@ class ParabolicData:
             raise ValueError("levi_simple must be a subset of the node set")
         self.crossed = tuple(i for i in range(1, system.rank + 1)
                              if i not in self.levi_simple)
-        self.levi_positive_roots = levi_positive_roots(system, self.levi_simple)
-        self.rho_levi = rho_levi(system, self.levi_simple)
+        self.levi_positive_roots = tuple(filter(self.in_levi, system.positive_roots))
+        # rho^L in fundamental coordinates: half of 2 rho^L, the Levi roots' sum
+        two = mat_vec(system.cartan, [sum(b[j] for b in self.levi_positive_roots)
+                                      for j in range(system.rank)])
+        self.rho_levi = tuple(x // 2 if x % 2 == 0 else Fraction(x, 2) for x in two)
         self.dim_gp = len(system.positive_roots) - len(self.levi_positive_roots)
         self.m_o = self.root_at_xp(system.theta) if system.theta and self.crossed else 0
 

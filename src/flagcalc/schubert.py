@@ -369,16 +369,14 @@ class SchubertBasisRing:
         """The tops of prefix + (c,) for c in lasts, for classes whose lengths sum
         to (s-1) dim G/P: the first floor(s/2) classes and the rest, each
         multiplied out, paired by duality as sum_k left[k] right[dual(k)]; for
-        s = 3 that is row(b, c)[dual(a)].  The left product and the right one
+        s = 3 that is row(b, c)[dual(a)], and for s = 2 the right half but its
+        last class is the unit.  The left product and the right one
         without its last class are multiplied out once per run; per last class
         c, right = sum_i f[i] row(i, c), so the rows computed are those of
         the left-to-right products of each tuple's two halves."""
         half, dual = (len(prefix) + 1) // 2, self.ct.dual_index
         pairs = [(dual[k], e) for k, e in self._fold(prefix[:half]).items()]
-        rest = prefix[half:]
-        if not rest:  # s = 2: the right product is the last class itself
-            return [sum(e for k, e in pairs if k == c) for c in lasts]
-        terms, row, out = self._fold(rest).items(), self.row, []
+        terms, row, out = self._fold(prefix[half:]).items(), self.row, []
         for c in lasts:
             top = 0
             for i, f in terms:

@@ -104,10 +104,6 @@ class WeylGroup:
             cur = self._reflect(cur, i0)
             inv = self._reflect(inv, i0)
 
-    def left_gen(self, i, w):
-        """s_i * w."""
-        return self._element(self._reflect(w.key, i - 1))
-
     def mul(self, a, b):
         return self._element(self.act_weight(a, b.key))
 
@@ -185,19 +181,15 @@ class WeylGroup:
             frontier = nxt
         return tuple(steps)
 
-    def ascends_left(self, w, i):
-        """ell(s_i w) > ell(w), i.e. w^{-1}(alpha_i) > 0."""
-        return w.key[i - 1] > 0
-
     def longest(self, nodes=None):
-        """Longest element of W, or of the parabolic W_P on the given nodes."""
-        nodes = sorted(nodes) if nodes is not None else list(range(1, self.system.rank + 1))
-        w = self.identity
-        while True:
-            i = next((i for i in nodes if self.ascends_left(w, i)), None)
-            if i is None:
-                return w
-            w = self.left_gen(i, w)
+        """Longest element of W, or of the parabolic W_P on the given nodes:
+        rho is reflected at the first node i where the vector is positive (a
+        left ascent, ell(s_i w) > ell(w)) until there is none."""
+        nodes = sorted(nodes) if nodes is not None else range(1, self.system.rank + 1)
+        key = self.system.rho
+        while (i := next((i for i in nodes if key[i - 1] > 0), None)) is not None:
+            key = self._reflect(key, i - 1)
+        return self._element(key)
 
 
 def _ascending_closure(wg, levi):

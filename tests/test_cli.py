@@ -634,6 +634,19 @@ def test_fulton_partial_triple_rejected(capsys):
     assert code == 2 and "--lam" in err
 
 
+@pytest.mark.parametrize("lam,mu,nu", [("", "", ""), ("1", "", "1")])
+def test_fulton_empty_partition_is_given(capsys, lam, mu, nu):
+    """An empty --lam/--mu/--nu is the empty partition, not a missing option:
+    all three empty check c^0_{0,0} = 1 instead of running the box sweep, and
+    c^(1)_{(1),0} = 1 is checked instead of refused."""
+    code, out, _ = run(capsys, "fulton", "--lam", lam, "--mu", mu, "--nu", nu, "--nmax", "3")
+    doc = last_json(out)
+    assert code == 0 and doc["mode"] == "single"
+    assert [doc["report"][k] for k in ("lam", "mu", "nu")] == [
+        [int(x) for x in p.split(",") if x] for p in (lam, mu, nu)]
+    assert doc["report"]["c"] == 1 and doc["report"]["scaled"] == {"2": 1, "3": 1}
+
+
 @pytest.mark.parametrize("option,other", [("--rows", "--cols"), ("--cols", "--rows")])
 def test_fulton_negative_box_rejected(capsys, option, other):
     """A negative box side is refused with exit 2 and one error line, before

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -8,13 +9,13 @@ from flagcalc import roots
 from flagcalc.oracle import root_of_fund
 from flagcalc.roots import ExactnessError, Memo
 from flagcalc.schubert import CupRing
-from flagcalc.weyl import minimal_coset_reps
+from flagcalc.weyl import group, minimal_coset_reps
 
-CLASSICAL_COUNTS = {
-    ("A", 2): 3, ("A", 3): 6, ("A", 6): 21,
-    ("B", 2): 4, ("B", 3): 9, ("C", 3): 9, ("C", 5): 25,
-    ("D", 4): 12, ("D", 5): 20, ("G", 2): 6,
-}
+# |R+| of every supported group, by the type formula
+_COUNT_FORMULA = {"A": lambda l: l * (l + 1) // 2, "B": lambda l: l * l, "C": lambda l: l * l,
+                  "D": lambda l: l * (l - 1), "G": lambda l: 6}
+CLASSICAL_COUNTS = {(letter, rank): _COUNT_FORMULA[letter](rank)
+                    for letter, ranks in roots.SUPPORTED_RANKS.items() for rank in ranks}
 
 
 @pytest.mark.parametrize("letter,rank", sorted(CLASSICAL_COUNTS))
@@ -49,6 +50,41 @@ def test_highest_root_is_maximal(letter, rank):
         assert not R.is_positive_root(tuple(up))  # up > 0, so not a root at all
     # rho pairs to 1 with every simple coroot by construction
     assert R.rho == (1,) * R.rank
+
+
+def test_root_data_of_every_node_subset():
+    """On every node subset of every supported group (426 systems): the
+    subsystem's positive roots are the ambient ones supported on those nodes,
+    restricted and sorted by (height, tuple); its symmetrizers are positive
+    and symmetrize its Cartan matrix; the parabolic with that Levi has |R_L+|
+    Levi roots and rho^L pairs to 1 with each Levi simple coroot; and the
+    longest element of W_L has length |R_L+| and sends every Levi simple root
+    negative."""
+    assert len(CLASSICAL_COUNTS) == 18
+    systems = 0
+    for letter, rank in CLASSICAL_COUNTS:
+        R = roots.build(letter, rank)
+        wg = group(R)
+        for k in range(rank + 1):
+            for nodes in combinations(range(1, rank + 1), k):
+                sub = R.sub_system(nodes)
+                levi = [b for b in R.positive_roots
+                        if all(b[j - 1] == 0 for j in range(1, rank + 1) if j not in nodes)]
+                assert list(sub.positive_roots) == sorted(
+                    (tuple(b[i - 1] for i in nodes) for b in levi), key=lambda r: (sum(r), r))
+                d, a = sub.symmetrizers, sub.cartan
+                assert all(x > 0 for x in d)
+                assert all(d[i] * a[i][j] == d[j] * a[j][i] for i, j in product(range(k), repeat=2))
+                P = roots.parabolic(R, levi_simple=nodes)
+                assert list(P.levi_positive_roots) == levi
+                assert all(P.rho_levi[i - 1] == 1 for i in nodes)
+                w = wg.longest(nodes)
+                assert w.length == len(levi)
+                for i in nodes:
+                    image = wg.act_root(w, tuple(int(j == i) for j in range(1, rank + 1)))
+                    assert any(image) and all(x <= 0 for x in image)
+                systems += 1
+    assert systems == 426
 
 
 def test_build_examples():
@@ -101,9 +137,12 @@ def test_eval_at_x_linear(a, b, den, l1, l2):
 
 def test_rho_levi():
     C3 = roots.build("C", 3)
-    assert roots.rho_levi(C3, ()) == (0, 0, 0)
-    assert roots.rho_levi(C3, (1, 2, 3)) == C3.rho
-    half = roots.rho_levi(C3, (1, 3))
+
+    def rho_levi(levi):
+        return roots.parabolic(C3, levi_simple=levi).rho_levi
+    assert rho_levi(()) == (0, 0, 0)
+    assert rho_levi((1, 2, 3)) == C3.rho
+    half = rho_levi((1, 3))
     assert tuple(root_of_fund(C3, half)) == (Fraction(1, 2), 0, Fraction(1, 2))
     # pairing 1 on the Levi nodes, supported on Delta(P) in the root basis
     for i in (1, 3):

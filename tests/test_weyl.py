@@ -289,7 +289,7 @@ def test_group_law(name):
             assert from_word(wg, w.word[:mid] + (i, i) + w.word[mid:]) == w
             u = from_word(wg, (i,) + w.word)
             assert _word_matrix(fund, u.word) == _matmul(fund[i - 1], _word_matrix(fund, w.word))
-            assert u.length == w.length + (1 if wg.ascends_left(w, i) else -1)
+            assert u.length == w.length + (1 if w.key[i - 1] > 0 else -1)
     rng = random.Random(20100423)
     for _ in range(300):
         a, b, c = (rng.choice(elements) for _ in range(3))
